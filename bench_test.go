@@ -2,9 +2,8 @@ package vpart_test
 
 // Benchmarks, one per table of the paper's evaluation (Section 5) plus
 // ablation and micro benchmarks. The table benchmarks run the experiment
-// harness in its quick configuration; the full configuration is available
-// through cmd/vpart-experiments (see EXPERIMENTS.md for measured results and
-// the comparison against the paper).
+// harness in its quick configuration; `go run ./cmd/vpart-experiments -table
+// all` runs the full configuration and prints each table.
 
 import (
 	"context"
@@ -283,6 +282,55 @@ func BenchmarkEvaluatorApplyTPCC(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ev.ApplyMoveTxn(i%nT, (i+1)%4)
 		ev.Undo()
+	}
+}
+
+// TestEvaluatorApplyFasterThanEvaluate times, with the benchmark harness,
+// the two operations BenchmarkCostEvaluationTPCC and
+// BenchmarkEvaluatorApplyTPCC measure — one full Model.Evaluate and one
+// incremental MoveTxn apply+undo round trip — from full replication on TPC-C
+// (3 sites) and rndAt64x200 (8 sites). The incremental round trip must be
+// the faster of the two.
+func TestEvaluatorApplyFasterThanEvaluate(t *testing.T) {
+	rnd, err := vpart.RandomInstance(vpart.ClassA(64, 200, 10), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name  string
+		inst  *vpart.Instance
+		sites int
+	}{
+		{"tpcc", vpart.TPCC(), 3},
+		{"rndAt64x200", rnd, 8},
+	} {
+		m, err := vpart.NewModel(c.inst, vpart.DefaultModelOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := vpart.FullReplicationPartitioning(m, c.sites)
+		evaluate := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if m.Evaluate(p).Objective <= 0 {
+					b.Fatal("bad cost")
+				}
+			}
+		})
+		ev, err := vpart.NewEvaluator(m, p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nT := m.NumTxns()
+		apply := testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				ev.ApplyMoveTxn(i%nT, (i+1)%c.sites)
+				ev.Undo()
+			}
+		})
+		if apply.NsPerOp() >= evaluate.NsPerOp() {
+			t.Errorf("%s: incremental apply+undo (%d ns) not faster than full Evaluate (%d ns)",
+				c.name, apply.NsPerOp(), evaluate.NsPerOp())
+		}
 	}
 }
 

@@ -65,10 +65,10 @@
 // ladder coverage but not wall-clock. K=4 (default) suits up to ~8 cores;
 // K=8 widens the temperature range for rugged instances with many cores to
 // spare; K=1 degenerates to plain "sa". Quality at a fixed seed tracks
-// monolithic SA within a few percent either way (BENCH_parallel.json gates
-// ±3 %) — the ladder's payoff is robustness across seeds, not a uniformly
-// lower fixed-seed cost. Throughput scaling across GOMAXPROCS is measured
-// by `go run ./cmd/vpart-bench -parallel`.
+// monolithic SA within a few percent (the sapar tests gate one side: at most
+// 3 % above SA's cost) — the ladder's payoff is robustness across seeds, not
+// a uniformly lower fixed-seed cost. Throughput scaling across GOMAXPROCS is
+// measured by `go test -run '^$' -bench . -cpu 1,2,4,8 ./internal/sapar`.
 //
 // # Preprocessing: reasonable cuts and decomposition
 //
@@ -99,7 +99,7 @@
 // the same pipeline: each shard is solved by Options.Solver. Besides the
 // concurrency, every SA shard works on a strictly smaller move space, which
 // tends to both speed up the solve and improve the solution on decomposable
-// workloads (see BENCH_decompose.json and examples/decompose).
+// workloads (see examples/decompose).
 //
 // # Cost evaluation, full and incremental
 //
@@ -155,9 +155,9 @@
 // the incumbent cost trajectory. Adopt installs an externally computed
 // solution as the warm anchor (a one-off high-effort portfolio run, or a
 // persisted layout after a restart). Drift generates deterministic drift
-// traces; cmd/vpart-bench -online replays one and shows warm re-solving
-// tracking below the cold-solve cost at a fraction of its wall clock (see
-// BENCH_online.json and examples/online).
+// traces; examples/online replays one, and TestSessionWarmResolveTracksColdSolve
+// gates that warm re-solving never ends costlier than a cold solve from
+// scratch at any step of such a trace.
 //
 // # Ingesting a live workload
 //
@@ -186,11 +186,14 @@
 // The fold is sharded but deterministic: shards own disjoint shape sets, so
 // a fixed seed and shard count produce bit-identical sessions at any
 // GOMAXPROCS. randgen provides two synthetic event-stream families for
-// testing and benchmarks (NewYCSB, NewSocial), internal/ingest defines a
-// replayable, epoch-seekable binary trace format for captured streams, and
-// cmd/vpart-bench -ingest measures the layer end to end (BENCH_ingest.json:
-// ~10M events/sec single-core, ~27× smaller than exact counting at a
-// 1M-shape universe, sketch-folded solved cost within 5 % of exact).
+// testing and benchmarks (NewYCSB, NewSocial), and internal/ingest defines
+// a replayable, epoch-seekable binary trace format for captured streams. The
+// sketch fold alone runs at ~10M events/sec on one core (BenchmarkFold in
+// internal/ingest); decode plus fold, the benchmark's live-ycsb
+// ingest_events_per_cpu_s, runs at 72–98k events per CPU-second on a 2-vCPU
+// shared host. The ingest tests gate the state at ≥ 10× smaller than exact
+// counting at a 1M-shape universe (TestPipelineStateSmallerThanExactCounting
+// logs ~27× under -v) and the sketch-folded solved cost within 5 % of exact.
 // vpartd exposes the same path over HTTP — see "Running as a daemon".
 //
 // # Placement constraints
@@ -311,11 +314,12 @@
 // scripted failures (site loss, flash crowd, capacity shrink, drift burst),
 // and measures the realized cost of the re-solved layouts against a frozen
 // stale control layout — deterministic given the spec, so fixed-seed runs
-// are bit-identical. go run ./cmd/vpart-bench -scenarios writes the gated
-// BENCH_scenarios.json report.
+// are bit-identical. TestRunScenarioSiteLossEndToEnd runs one scenario per
+// failure kind and gates both properties.
 //
 // The experiment harness that regenerates every table of the paper lives in
-// cmd/vpart-experiments; see EXPERIMENTS.md for the measured results.
+// cmd/vpart-experiments; go run ./cmd/vpart-experiments -table all prints
+// them.
 //
 // # Invariants
 //

@@ -2,6 +2,7 @@ package vpart_test
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 
@@ -88,6 +89,81 @@ func TestSessionIngestor(t *testing.T) {
 	if sol == nil || !rstats.Warm {
 		t.Fatalf("warm resolve stats = %+v, want Warm", rstats)
 	}
+}
+
+// TestIngestorSketchCostNearExact folds the same YCSB stream (seed 21) into
+// two SA sessions on 4 sites and requires their warm re-solves to land within
+// 5 % of each other. One session tracks a quarter of the shapes as heavy
+// hitters. The other counts every shape exactly through the same fold path:
+// a top-k wider than the shape universe never evicts, a wide sketch admits
+// with (near-)true counts, and a vanishing scale tolerance re-emits every
+// frequency. The full row is skipped under -short.
+func TestIngestorSketchCostNearExact(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		full           bool
+		shapes, events int
+	}{
+		{name: "2000-shapes", shapes: 2000, events: 1 << 16},
+		{name: "4000-shapes", full: true, shapes: 4000, events: 1 << 18},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.full && testing.Short() {
+				t.Skip("full configuration")
+			}
+			sketch := foldAndResolve(t, tc.shapes, tc.events, vpart.IngestConfig{
+				Shards: 1, EpochEvents: 1 << 30, TopK: tc.shapes / 4,
+				SketchWidth: 1 << 15, SketchDepth: 4, ScaleTol: 0.2,
+			})
+			exact := foldAndResolve(t, tc.shapes, tc.events, vpart.IngestConfig{
+				Shards: 1, EpochEvents: 1 << 30, TopK: 2 * tc.shapes,
+				SketchWidth: 1 << 18, SketchDepth: 4, ScaleTol: 1e-9,
+			})
+			if gap := math.Abs(sketch-exact) / exact; gap > 0.05 {
+				t.Fatalf("sketch-folded solved cost %.6g is %.2f%% off the exact-count cost %.6g (gate: 5%%)",
+					sketch, 100*gap, exact)
+			}
+		})
+	}
+}
+
+// foldAndResolve anchors an SA session on a YCSB stream's base instance,
+// folds events through an Ingestor with cfg in batches of 8192, flushes the
+// epoch and returns the balanced cost of the warm re-solve.
+func foldAndResolve(t *testing.T, shapes, events int, cfg vpart.IngestConfig) float64 {
+	t.Helper()
+	ctx := context.Background()
+	stream, err := randgen.NewYCSB(randgen.YCSBParams{Shapes: shapes}, 21)
+	if err != nil {
+		t.Fatalf("NewYCSB: %v", err)
+	}
+	sess, err := vpart.NewSession(stream.Base(), vpart.Options{Sites: 4, Solver: "sa", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sess.Resolve(ctx); err != nil {
+		t.Fatalf("cold resolve: %v", err)
+	}
+	ing, err := sess.NewIngestor(cfg)
+	if err != nil {
+		t.Fatalf("NewIngestor: %v", err)
+	}
+	defer ing.Close()
+	batch := make([]vpart.QueryEvent, 8192)
+	for done := 0; done < events; done += len(batch) {
+		stream.Fill(batch)
+		if _, err := ing.Ingest(batch); err != nil {
+			t.Fatalf("Ingest: %v", err)
+		}
+	}
+	if _, err := ing.FlushEpoch(); err != nil {
+		t.Fatalf("FlushEpoch: %v", err)
+	}
+	sol, _, err := sess.Resolve(ctx)
+	if err != nil {
+		t.Fatalf("warm resolve: %v", err)
+	}
+	return sol.Cost.Balanced
 }
 
 // TestIngestorBreaksOnBadEvents: an event referencing a table the schema

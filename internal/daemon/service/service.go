@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"log/slog"
 	"regexp"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -244,7 +245,7 @@ func (s *Service) Create(name string, inst *vpart.Instance, opts vpart.Options) 
 	s.reg.Gauge("vpartd_sessions", "live sessions", nil).Set(float64(count))
 	s.logger.Info("session created", "session", name, "solver", opts.Solver,
 		"sites", opts.Sites, "instance", inst.Name, "constraints", opts.Constraints.Len())
-	m.publish()
+	m.commit(nil)
 	go func() {
 		defer s.wg.Done()
 		m.run(ctx)
@@ -352,7 +353,8 @@ func (s *Service) Enqueue(name string, d vpart.WorkloadDelta) (int, error) {
 // coalesced workload deltas, and a resolve triggered while an epoch is
 // partial force-flushes it first. Like Enqueue it never blocks on a running
 // solve. Each event is validated up front; an invalid one rejects the whole
-// batch.
+// batch. The batch is copied, so the caller may reuse its slice once this
+// returns; the events' access lists are shared and must stay unmodified.
 func (s *Service) EnqueueEvents(name string, events []vpart.QueryEvent) (int, error) {
 	m, err := s.lookup(name)
 	if err != nil {
@@ -366,13 +368,14 @@ func (s *Service) EnqueueEvents(name string, events []vpart.QueryEvent) (int, er
 			return 0, fmt.Errorf("service: event %d: %w: %w", i, err, ErrBadRequest)
 		}
 	}
+	batch := slices.Clone(events)
 	m.mu.Lock()
 	if m.ingBroken != nil {
 		err := m.ingBroken
 		m.mu.Unlock()
 		return 0, fmt.Errorf("service: ingest stream broken: %w: %w", err, ErrBadRequest)
 	}
-	m.evInbox = append(m.evInbox, events)
+	m.evInbox = append(m.evInbox, batch)
 	m.evQueued += len(events)
 	now := time.Now()
 	if m.queuedOps == 0 && m.sessPending == 0 && m.evQueued == len(events) && m.evPartial == 0 {

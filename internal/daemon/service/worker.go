@@ -134,14 +134,12 @@ func (m *session) run(ctx context.Context) {
 	}()
 
 	m.solve(ctx) // initial cold solve
-	m.publish()
 	for {
 		if ctx.Err() != nil {
 			return
 		}
 		m.drain()
 		m.drainEvents()
-		m.publish()
 
 		m.mu.Lock()
 		pending := m.queuedOps + m.sessPending
@@ -190,7 +188,6 @@ func (m *session) run(ctx context.Context) {
 		}
 
 		m.solve(ctx)
-		m.publish()
 	}
 }
 
@@ -205,34 +202,36 @@ func (m *session) drain() {
 	if len(batch) == 0 {
 		return
 	}
-	for _, q := range batch {
-		err := m.sess.Apply(q.delta)
-		m.mu.Lock()
-		m.drainedSeq = q.seq
-		m.queuedOps -= len(q.delta.Ops)
-		if err != nil {
-			m.applyErr[q.seq] = err
-			m.lastErrStr = err.Error()
-			// Bound the map: an unread rejection older than the window is
-			// dropped (its AwaitSeq caller, if any, is long gone).
-			for seq := range m.applyErr {
-				if seq < m.drainedSeq-1024 {
-					delete(m.applyErr, seq)
-				}
-			}
-		} else {
-			m.sessPending = m.sess.Pending()
-		}
-		m.broadcastLocked()
-		m.mu.Unlock()
-		if err != nil {
-			m.svc.logger.Warn("delta rejected", "session", m.name, "seq", q.seq, "error", err)
+	errs := make([]error, len(batch))
+	for i, q := range batch {
+		errs[i] = m.sess.Apply(q.delta)
+		if errs[i] != nil {
+			m.svc.logger.Warn("delta rejected", "session", m.name, "seq", q.seq, "error", errs[i])
 			m.svc.reg.Counter("vpartd_delta_errors_total",
 				"rejected workload deltas", metrics.Labels{"session": m.name}).Inc()
 		} else {
 			m.svc.logger.Debug("delta applied", "session", m.name, "seq", q.seq, "ops", len(q.delta.Ops))
 		}
 	}
+	pending := m.sess.Pending()
+	m.commit(func() {
+		for i, q := range batch {
+			m.drainedSeq = q.seq
+			m.queuedOps -= len(q.delta.Ops)
+			if errs[i] != nil {
+				m.applyErr[q.seq] = errs[i]
+				m.lastErrStr = errs[i].Error()
+			}
+		}
+		// Bound the map: an unread rejection older than the window is
+		// dropped (its AwaitSeq caller, if any, is long gone).
+		for seq := range m.applyErr {
+			if seq < m.drainedSeq-1024 {
+				delete(m.applyErr, seq)
+			}
+		}
+		m.sessPending = pending
+	})
 	m.svc.pendingGauge(m.name).Set(float64(m.pendingOps()))
 }
 
@@ -279,9 +278,7 @@ func (m *session) drainEvents() {
 			// the total has moved past the last boundary is the new partial.
 			m.evPartial = int(stats.Events - epochs[n-1].Events)
 		}
-		m.sessPending = m.sess.Pending()
 		m.ingStats = &stats
-		m.broadcastLocked()
 		m.mu.Unlock()
 		m.recordEpochs(epochs)
 		m.svc.reg.Counter("vpartd_ingest_events_total",
@@ -300,6 +297,8 @@ func (m *session) drainEvents() {
 		m.svc.reg.Gauge("vpartd_ingest_state_bytes",
 			"resident ingest state (sketches + top-k)", labels).Set(float64(stats.StateBytes))
 	}
+	pending := m.sess.Pending()
+	m.commit(func() { m.sessPending = pending })
 	m.svc.pendingGauge(m.name).Set(float64(m.pendingOps()))
 }
 
@@ -328,17 +327,18 @@ func (m *session) failEvents(dropped [][]vpart.QueryEvent, err error) {
 	for _, b := range dropped {
 		lost += len(b)
 	}
-	m.mu.Lock()
-	m.ingBroken = err
-	m.evQueued -= lost
-	m.evPartial = 0
-	m.lastErrStr = err.Error()
-	if m.ingStats != nil {
-		cp := *m.ingStats
-		m.ingStats = &cp
-	}
-	m.broadcastLocked()
-	m.mu.Unlock()
+	pending := m.sess.Pending()
+	m.commit(func() {
+		m.ingBroken = err
+		m.evQueued -= lost
+		m.evPartial = 0
+		m.sessPending = pending
+		m.lastErrStr = err.Error()
+		if m.ingStats != nil {
+			cp := *m.ingStats
+			m.ingStats = &cp
+		}
+	})
 	m.svc.logger.Warn("ingest stream broken", "session", m.name,
 		"dropped_events", lost, "error", err)
 	m.svc.reg.Counter("vpartd_ingest_errors_total",
@@ -361,12 +361,12 @@ func (m *session) flushPartialEpoch() {
 		return
 	}
 	stats := m.ing.Stats()
-	m.mu.Lock()
-	m.evPartial = 0
-	m.sessPending = m.sess.Pending()
-	m.ingStats = &stats
-	m.broadcastLocked()
-	m.mu.Unlock()
+	pending := m.sess.Pending()
+	m.commit(func() {
+		m.evPartial = 0
+		m.sessPending = pending
+		m.ingStats = &stats
+	})
 	if ep != nil {
 		m.recordEpochs([]vpart.IngestEpoch{*ep})
 	}
@@ -378,33 +378,40 @@ func (m *session) solve(ctx context.Context) {
 	if ctx.Err() != nil {
 		return
 	}
-	// Fold the partial epoch first: the solve should price the freshest
+	// Claim the attempt before folding the inboxes in: a ForceResolve that
+	// still finds the force flag set is served by this attempt, so whatever
+	// its caller queued before is drained below; a later one sees resolving
+	// and targets the next attempt.
+	m.mu.Lock()
+	m.force = false
+	m.resolving.Store(true)
+	m.mu.Unlock()
+	m.drain()
+	m.drainEvents()
+	// Fold the partial epoch too: the solve should price the freshest
 	// workload the stream has delivered.
 	m.flushPartialEpoch()
 	m.mu.Lock()
-	m.force = false
 	covered := m.drainedSeq
 	pending := m.sessPending
 	m.mu.Unlock()
 
 	rctx, cancel := context.WithCancel(ctx)
 	m.curCtx.Store(&rctx)
-	m.resolving.Store(true)
 	m.svc.logger.Info("resolve started", "session", m.name, "pending_ops", pending)
 	sol, stats, err := m.sess.Resolve(rctx)
-	m.resolving.Store(false)
 	cancel()
 
 	if err != nil {
-		m.mu.Lock()
-		m.attempts++
-		m.failedSeq = covered
-		m.failErr = err
-		m.lastErrStr = err.Error()
-		m.broadcastLocked()
-		m.mu.Unlock()
 		m.svc.reg.Counter("vpartd_resolves_total", "resolve attempts",
 			metrics.Labels{"session": m.name, "outcome": "error"}).Inc()
+		m.commit(func() {
+			m.resolving.Store(false)
+			m.attempts++
+			m.failedSeq = covered
+			m.failErr = err
+			m.lastErrStr = err.Error()
+		})
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			m.svc.logger.Info("resolve cancelled", "session", m.name, "error", err)
 			return
@@ -418,21 +425,6 @@ func (m *session) solve(ctx context.Context) {
 		}
 		return
 	}
-
-	asg := sol.Partitioning.ToAssignment(sol.Model)
-	m.mu.Lock()
-	m.attempts++
-	m.resolves++
-	m.solvedSeq = covered
-	m.failErr = nil
-	m.lastErrStr = ""
-	m.lastStats = &stats
-	m.lastAsg = asg
-	m.lastCost = stats.Cost
-	m.sessPending = 0
-	m.trajectory = append(m.trajectory, stats.Cost.Balanced)
-	m.broadcastLocked()
-	m.mu.Unlock()
 
 	labels := metrics.Labels{"session": m.name}
 	m.svc.reg.Counter("vpartd_resolves_total", "resolve attempts",
@@ -451,6 +443,20 @@ func (m *session) solve(ctx context.Context) {
 	}
 	m.svc.reg.Gauge("vpartd_incumbent_cost",
 		"balanced objective of the served incumbent", labels).Set(stats.Cost.Balanced)
+	asg := sol.Partitioning.ToAssignment(sol.Model)
+	m.commit(func() {
+		m.resolving.Store(false)
+		m.attempts++
+		m.resolves++
+		m.solvedSeq = covered
+		m.failErr = nil
+		m.lastErrStr = ""
+		m.lastStats = &stats
+		m.lastAsg = asg
+		m.lastCost = stats.Cost
+		m.sessPending = 0
+		m.trajectory = append(m.trajectory, stats.Cost.Balanced)
+	})
 	m.svc.pendingGauge(m.name).Set(float64(m.pendingOps()))
 	m.svc.logger.Info("resolve finished",
 		"session", m.name,
@@ -489,10 +495,12 @@ func (m *session) onProgress(e vpart.Event) {
 	}
 }
 
-// publish refreshes the lock-free state snapshot handlers serve. Only the
-// worker (and Create, before the worker starts) calls it, so reading the
-// wrapped session here cannot block on a running solve.
-func (m *session) publish() {
+// commit runs update on the bookkeeping, then refreshes the lock-free state
+// snapshot handlers serve and wakes Await callers, all in one critical
+// section: a caller whose Await condition holds reads a State that already
+// reflects it. Only the worker (and Create, before the worker starts) calls
+// it, so reading the wrapped session here cannot block on a running solve.
+func (m *session) commit(update func()) {
 	st := &SessionState{
 		Name:      m.name,
 		CreatedAt: m.createdAt,
@@ -502,6 +510,10 @@ func (m *session) publish() {
 		Staleness: m.sess.Staleness(),
 	}
 	m.mu.Lock()
+	defer m.mu.Unlock()
+	if update != nil {
+		update()
+	}
 	st.PendingOps = m.queuedOps + m.sessPending
 	st.Resolves = m.resolves
 	st.Incumbent = m.lastAsg
@@ -525,8 +537,8 @@ func (m *session) publish() {
 			st.Ingest.Broken = m.ingBroken.Error()
 		}
 	}
-	m.mu.Unlock()
 	m.state.Store(st)
+	m.broadcastLocked()
 }
 
 // currentState returns the published state plus the live pending-op count

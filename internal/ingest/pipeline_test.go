@@ -1,6 +1,7 @@
 package ingest_test
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -10,62 +11,137 @@ import (
 	"vpart/internal/randgen"
 )
 
-// ycsbEvents generates n events from a small fixed-seed YCSB stream.
-func ycsbEvents(t testing.TB, shapes, n int, seed int64) (*randgen.EventStream, []ingest.Event) {
-	t.Helper()
-	stream, err := randgen.NewYCSB(randgen.YCSBParams{Shapes: shapes, HotShapes: 4096}, seed)
-	if err != nil {
-		t.Fatalf("NewYCSB: %v", err)
+// TestPipelineDeterministicAcrossGOMAXPROCS ingests the same event sequence
+// through a 4-shard pipeline at GOMAXPROCS 1, 4 and NumCPU+3 (and twice at
+// 1): the epoch deltas must be identical, op for op and factor for factor,
+// and so must the pipeline's stats. The full row is skipped under -short.
+func TestPipelineDeterministicAcrossGOMAXPROCS(t *testing.T) {
+	defaults := ingest.DefaultConfig()
+	defaults.Shards = 4
+	for _, tc := range []struct {
+		name   string
+		full   bool
+		params randgen.YCSBParams
+		seed   int64
+		events int
+		cfg    ingest.Config
+	}{
+		{name: "short-epochs", params: randgen.YCSBParams{Shapes: 50_000, HotShapes: 4096}, seed: 11, events: 300_000,
+			cfg: ingest.Config{Shards: 4, EpochEvents: 64_000, TopK: 256, SketchWidth: 1 << 13, SketchDepth: 4, ScaleTol: 0.2}},
+		{name: "default-16-batches", params: randgen.YCSBParams{Shapes: 100_000}, seed: 7, events: 16 * 8192, cfg: defaults},
+		{name: "default-128-batches", full: true, params: randgen.YCSBParams{Shapes: 100_000}, seed: 7, events: 128 * 8192, cfg: defaults},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.full && testing.Short() {
+				t.Skip("full configuration")
+			}
+			run := func(procs int) ([]ingest.Epoch, ingest.Stats) {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				stream, err := randgen.NewYCSB(tc.params, tc.seed)
+				if err != nil {
+					t.Fatalf("NewYCSB: %v", err)
+				}
+				pipe, err := ingest.New(stream.Base(), tc.cfg)
+				if err != nil {
+					t.Fatalf("New: %v", err)
+				}
+				defer pipe.Close()
+				batch := make([]ingest.Event, 8192)
+				var epochs []ingest.Epoch
+				for done := 0; done < tc.events; done += len(batch) {
+					batch = batch[:min(len(batch), tc.events-done)]
+					stream.Fill(batch)
+					eps, err := pipe.Ingest(batch)
+					if err != nil {
+						t.Fatalf("Ingest: %v", err)
+					}
+					epochs = append(epochs, eps...)
+				}
+				if ep, err := pipe.FlushEpoch(); err != nil {
+					t.Fatalf("FlushEpoch: %v", err)
+				} else if ep != nil {
+					epochs = append(epochs, *ep)
+				}
+				return epochs, pipe.Stats()
+			}
+			base, baseStats := run(1)
+			if want := (tc.events + tc.cfg.EpochEvents - 1) / tc.cfg.EpochEvents; len(base) != want {
+				t.Fatalf("epoch count = %d, want %d", len(base), want)
+			}
+			for _, procs := range []int{1, 4, runtime.NumCPU() + 3} {
+				got, stats := run(procs)
+				if !reflect.DeepEqual(base, got) {
+					t.Fatalf("epoch deltas diverge at GOMAXPROCS=%d", procs)
+				}
+				if stats != baseStats {
+					t.Fatalf("stats diverge at GOMAXPROCS=%d:\n got %+v\nwant %+v", procs, stats, baseStats)
+				}
+			}
+		})
 	}
-	events := make([]ingest.Event, n)
-	stream.Fill(events)
-	return stream, events
 }
 
-// TestPipelineDeterministicAcrossGOMAXPROCS ingests the same event sequence
-// through a 4-shard pipeline at GOMAXPROCS 1 and 4 (and twice at 1): the
-// epoch deltas must be identical, op for op and factor for factor.
-func TestPipelineDeterministicAcrossGOMAXPROCS(t *testing.T) {
-	stream, events := ycsbEvents(t, 50_000, 300_000, 11)
-	cfg := ingest.Config{
-		Shards: 4, EpochEvents: 64_000, TopK: 256,
-		SketchWidth: 1 << 13, SketchDepth: 4, ScaleTol: 0.2,
+// TestPipelineStateSmallerThanExactCounting is the bounded-memory claim: on
+// a 2^20-shape YCSB universe and 2M events, the ingest state a DefaultConfig
+// pipeline reports is at least 10× smaller than the heap that exact counting
+// holds — every distinct shape retained as a materialised query plus its
+// count. Skipped under -short.
+func TestPipelineStateSmallerThanExactCounting(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full configuration")
 	}
-	run := func(procs int) []ingest.Epoch {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
-		pipe, err := ingest.New(stream.Base(), cfg)
+	const shapes, events = 1 << 20, 2_000_000
+	stream := func() *randgen.EventStream {
+		s, err := randgen.NewYCSB(randgen.YCSBParams{Shapes: shapes}, 11)
 		if err != nil {
-			t.Fatalf("New: %v", err)
+			t.Fatalf("NewYCSB: %v", err)
 		}
-		defer pipe.Close()
-		var epochs []ingest.Epoch
-		for off := 0; off < len(events); off += 8192 {
-			end := off + 8192
-			if end > len(events) {
-				end = len(events)
-			}
-			eps, err := pipe.Ingest(events[off:end])
-			if err != nil {
-				t.Fatalf("Ingest: %v", err)
-			}
-			epochs = append(epochs, eps...)
-		}
-		if ep, err := pipe.FlushEpoch(); err != nil {
-			t.Fatalf("FlushEpoch: %v", err)
-		} else if ep != nil {
-			epochs = append(epochs, *ep)
-		}
-		return epochs
+		return s
 	}
-	base := run(1)
-	if len(base) != len(events)/64_000+1 {
-		t.Fatalf("epoch count = %d, want %d", len(base), len(events)/64_000+1)
+	batch := make([]ingest.Event, 8192)
+
+	sketched := stream()
+	pipe, err := ingest.New(sketched.Base(), ingest.DefaultConfig())
+	if err != nil {
+		t.Fatalf("New: %v", err)
 	}
-	for _, procs := range []int{1, 4} {
-		got := run(procs)
-		if !reflect.DeepEqual(base, got) {
-			t.Fatalf("epoch deltas diverge at GOMAXPROCS=%d", procs)
+	for done := 0; done < events; done += len(batch) {
+		sketched.Fill(batch)
+		if _, err := pipe.Ingest(batch); err != nil {
+			t.Fatalf("Ingest: %v", err)
 		}
+	}
+	state := pipe.Stats().StateBytes
+	pipe.Close()
+
+	type exactShape struct {
+		ev    ingest.Event
+		count uint64
+	}
+	exact := stream()
+	runtime.GC()
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	counts := make(map[string]*exactShape)
+	for done := 0; done < events; done += len(batch) {
+		exact.Fill(batch)
+		for i := range batch {
+			key := batch[i].Txn + "\x00" + batch[i].Query
+			if e := counts[key]; e != nil {
+				e.count++
+				continue
+			}
+			counts[key] = &exactShape{ev: cloneEvent(&batch[i]), count: 1}
+		}
+	}
+	runtime.GC()
+	runtime.ReadMemStats(&m1)
+	runtime.KeepAlive(counts)
+	exactBytes := m1.HeapAlloc - m0.HeapAlloc
+	ratio := float64(exactBytes) / float64(state)
+	t.Logf("ingest state %d bytes, exact counting %d bytes over %d shapes: ratio %.1f", state, exactBytes, len(counts), ratio)
+	if ratio < 10 {
+		t.Fatalf("exact counting over sketch state ratio %.1f < 10", ratio)
 	}
 }
 
@@ -250,6 +326,48 @@ func TestIngestSteadyStateNoAllocs(t *testing.T) {
 		pipe.Close()
 		if allocs != 0 {
 			t.Errorf("shards=%d: steady-state Ingest allocates %.1f times per batch, want 0", shards, allocs)
+		}
+	}
+}
+
+// BenchmarkFold measures the sharded fold of a DefaultConfig pipeline on
+// pre-generated 8192-event batches of both stream families (100k shapes,
+// seed 7) and reports events per second. Every 2^20 events an epoch
+// compaction runs, as it would in a live session.
+func BenchmarkFold(b *testing.B) {
+	for _, family := range []string{"ycsb", "social"} {
+		for _, shards := range []int{1, 4} {
+			b.Run(fmt.Sprintf("%s/shards=%d", family, shards), func(b *testing.B) {
+				var stream *randgen.EventStream
+				var err error
+				if family == "social" {
+					stream, err = randgen.NewSocial(randgen.SocialParams{Shapes: 100_000}, 7)
+				} else {
+					stream, err = randgen.NewYCSB(randgen.YCSBParams{Shapes: 100_000}, 7)
+				}
+				if err != nil {
+					b.Fatal(err)
+				}
+				batches := make([][]ingest.Event, 16)
+				for i := range batches {
+					batches[i] = make([]ingest.Event, 8192)
+					stream.Fill(batches[i])
+				}
+				cfg := ingest.DefaultConfig()
+				cfg.Shards = shards
+				pipe, err := ingest.New(stream.Base(), cfg)
+				if err != nil {
+					b.Fatal(err)
+				}
+				defer pipe.Close()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, err := pipe.Ingest(batches[i%len(batches)]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.N)*8192/b.Elapsed().Seconds(), "events/s")
+			})
 		}
 	}
 }

@@ -217,20 +217,28 @@ func TestGeneratedInstancesAlwaysCompile(t *testing.T) {
 }
 
 func TestComponentsKnob(t *testing.T) {
-	p := MultiComponent(4, 32, 120, 10)
-	if p.Name != "rndAt32x120c4" {
-		t.Fatalf("MultiComponent name = %q", p.Name)
-	}
-	inst, err := Generate(p, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, err := core.Decompose(inst, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.NumShards() < 4 {
-		t.Fatalf("instance splits into %d components, want >= 4", d.NumShards())
+	for _, c := range []struct {
+		components, tables, txns int
+		name                     string
+	}{
+		{4, 32, 120, "rndAt32x120c4"},
+		{8, 128, 400, "rndAt128x400c8"}, // the decompose benchmark instance
+	} {
+		p := MultiComponent(c.components, c.tables, c.txns, 10)
+		if p.Name != c.name {
+			t.Fatalf("MultiComponent name = %q, want %q", p.Name, c.name)
+		}
+		inst, err := Generate(p, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d, err := core.Decompose(inst, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if d.NumShards() < c.components {
+			t.Fatalf("%s splits into %d components, want >= %d", c.name, d.NumShards(), c.components)
+		}
 	}
 	// The knob must not disturb the unconstrained generator: Components 0
 	// and 1 draw the identical random sequence.

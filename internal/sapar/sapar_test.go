@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -18,15 +19,7 @@ import (
 // -race.
 func testModel(t *testing.T) *core.Model {
 	t.Helper()
-	inst, err := randgen.Generate(randgen.ClassA(8, 24, 12), 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := core.NewModel(inst, core.DefaultModelOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
+	return classModel(t, randgen.ClassA(8, 24, 12), 7)
 }
 
 // testOptions is the shared fixed-seed configuration of the determinism
@@ -73,24 +66,68 @@ func TestSolveDeterministicAcrossRuns(t *testing.T) {
 	}
 }
 
-// TestSolveDeterministicAcrossBudgets pins the stronger property: the
-// concurrency budget (including full serialisation at cap 1) changes only
-// wall-clock, never the result.
-func TestSolveDeterministicAcrossBudgets(t *testing.T) {
-	m := testModel(t)
-	base, err := Solve(context.Background(), m, testOptions(nil))
+// budgetCases are the fixed-seed configurations of the determinism and
+// quality gates. The determinism gate solves once per GOMAXPROCS point p,
+// with a budget of p slots; the full row is skipped under -short.
+var budgetCases = []struct {
+	name            string
+	full            bool
+	class           randgen.Params
+	genSeed         int64
+	sites, replicas int
+	seed            int64
+	procs           []int
+}{
+	{name: "rndAt8x24", class: randgen.ClassA(8, 24, 12), genSeed: 7, sites: 3, replicas: 4, seed: 11, procs: []int{1, 2, 8}},
+	{name: "rndAt16x60", class: randgen.ClassA(16, 60, 10), genSeed: 1, sites: 4, replicas: 4, seed: 1, procs: []int{1, 2}},
+	{name: "rndAt64x200", full: true, class: randgen.ClassA(64, 200, 10), genSeed: 1, sites: 8, replicas: 8, seed: 1, procs: []int{1, 2, 4, 8}},
+}
+
+// classModel compiles the fixed-seed instance of a random class.
+func classModel(tb testing.TB, class randgen.Params, seed int64) *core.Model {
+	tb.Helper()
+	inst, err := randgen.Generate(class, seed)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
-	want := fingerprint(base)
-	for _, cap := range []int{1, 2, 8} {
-		res, err := Solve(context.Background(), m, testOptions(conc.NewBudget(cap)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := fingerprint(res); got != want {
-			t.Fatalf("budget cap %d diverged:\n got %s\nwant %s", cap, got, want)
-		}
+	m, err := core.NewModel(inst, core.DefaultModelOptions())
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m
+}
+
+// TestSolveDeterministicAcrossBudgets pins the stronger property: GOMAXPROCS
+// and the concurrency budget (including full serialisation at cap 1) change
+// only wall-clock, never the result or the iteration count.
+func TestSolveDeterministicAcrossBudgets(t *testing.T) {
+	for _, tc := range budgetCases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.full && testing.Short() {
+				t.Skip("full configuration")
+			}
+			m := classModel(t, tc.class, tc.genSeed)
+			o := sa.DefaultOptions(tc.sites)
+			o.Seed = tc.seed
+			opts := Options{SA: o, Replicas: tc.replicas}
+			base, err := Solve(context.Background(), m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, p := range tc.procs {
+				opts.Budget = conc.NewBudget(p)
+				prev := runtime.GOMAXPROCS(p)
+				res, err := Solve(context.Background(), m, opts)
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if fingerprint(res) != fingerprint(base) || res.Iterations != base.Iterations {
+					t.Fatalf("GOMAXPROCS and budget %d diverged:\n got %d iterations, %s\nwant %d iterations, %s",
+						p, res.Iterations, fingerprint(res), base.Iterations, fingerprint(base))
+				}
+			}
+		})
 	}
 }
 
@@ -135,30 +172,39 @@ func TestSolveSingleReplicaMatchesSA(t *testing.T) {
 	}
 }
 
-// TestSolveNotWorseThanWorstCase: the population's polished best must be
-// feasible and at least as good as a plain single-seed SA run is — allowing a
-// tiny epsilon — because replica 0 alone explores at the monolithic schedule
-// and exchanges can only improve incumbents. (Deterministic: fixed seeds.)
+// TestSolveQualityReasonable: the population's polished best must be
+// feasible and cost at most 3 % more than a plain single-seed SA run, because
+// replica 0 alone explores at the monolithic schedule and exchanges can only
+// improve incumbents. (Deterministic: fixed seeds.)
 func TestSolveQualityReasonable(t *testing.T) {
-	m := testModel(t)
-	res, err := Solve(context.Background(), m, testOptions(nil))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := res.Partitioning.Validate(m); err != nil {
-		t.Fatalf("infeasible result: %v", err)
-	}
-	mono, err := sa.Solve(context.Background(), m, testOptions(nil).SA)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cost.Balanced > mono.Cost.Balanced*1.03+1e-9 {
-		t.Fatalf("sa-par cost %g more than 3%% above monolithic SA %g",
-			res.Cost.Balanced, mono.Cost.Balanced)
-	}
-	if res.Iterations <= mono.Iterations {
-		t.Fatalf("population iterations %d not above a single chain's %d",
-			res.Iterations, mono.Iterations)
+	for _, tc := range budgetCases {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.full && testing.Short() {
+				t.Skip("full configuration")
+			}
+			m := classModel(t, tc.class, tc.genSeed)
+			o := sa.DefaultOptions(tc.sites)
+			o.Seed = tc.seed
+			res, err := Solve(context.Background(), m, Options{SA: o, Replicas: tc.replicas})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := res.Partitioning.Validate(m); err != nil {
+				t.Fatalf("infeasible result: %v", err)
+			}
+			mono, err := sa.Solve(context.Background(), m, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Cost.Balanced > mono.Cost.Balanced*1.03+1e-9 {
+				t.Fatalf("sa-par cost %g more than 3%% above monolithic SA %g",
+					res.Cost.Balanced, mono.Cost.Balanced)
+			}
+			if res.Iterations <= mono.Iterations {
+				t.Fatalf("population iterations %d not above a single chain's %d",
+					res.Iterations, mono.Iterations)
+			}
+		})
 	}
 }
 
@@ -265,4 +311,27 @@ func TestOptionsValidate(t *testing.T) {
 			t.Fatalf("options %+v accepted", opts)
 		}
 	}
+}
+
+// BenchmarkSolveRndAt64x200 measures a fixed-seed sa-par solve of the paper's
+// largest random instance family — 8 replicas on 8 sites, confined by a
+// budget of GOMAXPROCS slots — and reports the population's iterations per
+// second. Sweep GOMAXPROCS to see how the replicas scale:
+//
+//	go test -run '^$' -bench . -cpu 1,2,4,8 ./internal/sapar
+func BenchmarkSolveRndAt64x200(b *testing.B) {
+	m := classModel(b, randgen.ClassA(64, 200, 10), 1)
+	o := sa.DefaultOptions(8)
+	o.Seed = 1
+	opts := Options{SA: o, Replicas: 8, Budget: conc.NewBudget(runtime.GOMAXPROCS(0))}
+	iters := 0
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := Solve(context.Background(), m, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		iters += res.Iterations
+	}
+	b.ReportMetric(float64(iters)/b.Elapsed().Seconds(), "iters/s")
 }

@@ -3,6 +3,7 @@ package vpart_test
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -443,5 +444,78 @@ func TestSessionResolveReportsWarmRejected(t *testing.T) {
 		t.Fatal(err)
 	} else if !stats.Warm || stats.WarmRejected != "" {
 		t.Fatalf("warm resolve: warm=%v rejected=%q, want warm and no rejection", stats.Warm, stats.WarmRejected)
+	}
+}
+
+// TestSessionWarmResolveTracksColdSolve replays a drift trace (churn 0.05,
+// drift seed 2) through a session anchored on a portfolio solve. At every
+// step the warm Resolve must come from the warm path and cost no more than
+// a cold SA solve of the same instance from scratch, within tol. Seeds are
+// fixed, so a second replay must give identical costs. The full row is
+// skipped under -short.
+func TestSessionWarmResolveTracksColdSolve(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		full         bool
+		class        vpart.RandomParams
+		sites, steps int
+		tol          float64
+	}{
+		{name: "rndAt16x60", class: vpart.ClassA(16, 60, 10), sites: 4, steps: 5, tol: 1e-9},
+		{name: "rndAt64x200", full: true, class: vpart.ClassA(64, 200, 10), sites: 8, steps: 10, tol: 0.01},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.full && testing.Short() {
+				t.Skip("full configuration")
+			}
+			ctx := context.Background()
+			inst, err := vpart.RandomInstance(tc.class, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			trace, err := vpart.Drift(inst, tc.steps, 0.05, 2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts := vpart.Options{Sites: tc.sites, Solver: "sa", Seed: 1}
+			replay := func() (costs []float64) {
+				sess, err := vpart.NewSession(inst, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				anchor, err := vpart.Solve(ctx, inst, vpart.Options{Sites: tc.sites, Solver: "portfolio", Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := sess.Adopt(anchor); err != nil {
+					t.Fatal(err)
+				}
+				for k, delta := range trace {
+					if err := sess.Apply(delta); err != nil {
+						t.Fatal(err)
+					}
+					warm, _, err := sess.Resolve(ctx)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cold, err := vpart.Solve(ctx, sess.Instance(), opts)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !warm.WarmStart {
+						t.Fatalf("step %d: the resolve did not come out of the warm path", k+1)
+					}
+					if warm.Cost.Balanced > cold.Cost.Balanced*(1+tc.tol) {
+						t.Fatalf("step %d: warm cost %.6g exceeds cold cost %.6g (%.2f%%)", k+1,
+							warm.Cost.Balanced, cold.Cost.Balanced, 100*warm.Cost.Balanced/cold.Cost.Balanced)
+					}
+					costs = append(costs, warm.Cost.Balanced, cold.Cost.Balanced)
+				}
+				return costs
+			}
+			if first, second := replay(), replay(); !slices.Equal(first, second) {
+				t.Fatalf("replays differ:\n%v\n%v", first, second)
+			}
+		})
 	}
 }
