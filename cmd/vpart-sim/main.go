@@ -39,11 +39,13 @@ func run(ctx context.Context, args []string) error {
 		lambda       = fs.Float64("lambda", vpart.DefaultLambda, "load balancing weight λ")
 		rounds       = fs.Int("rounds", 1, "number of times to execute the whole workload")
 		rowsPerTable = fs.Int("rows", 64, "synthetic rows materialised per table fraction")
-		concurrent   = fs.Bool("concurrent", false, "execute transactions concurrently")
 		seed         = fs.Int64("seed", 1, "SA solver seed")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if *rounds < 1 {
+		return fmt.Errorf("-rounds must be at least 1, got %d", *rounds)
 	}
 
 	var inst *vpart.Instance
@@ -93,7 +95,7 @@ func run(ctx context.Context, args []string) error {
 
 	cost := model.Evaluate(part)
 	meas, err := vpart.Simulate(ctx, inst, mo, part, vpart.SimOptions{
-		Rounds: *rounds, RowsPerTable: *rowsPerTable, Concurrent: *concurrent,
+		Rounds: *rounds, RowsPerTable: *rowsPerTable,
 	})
 	if err != nil {
 		return err

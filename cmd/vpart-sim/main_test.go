@@ -79,7 +79,7 @@ func TestSimWithStoredAssignment(t *testing.T) {
 	}
 
 	out, err := captureOutput(t, func() error {
-		return run(context.Background(), []string{"-instance", instPath, "-assignment", layoutPath, "-concurrent"})
+		return run(context.Background(), []string{"-instance", instPath, "-assignment", layoutPath})
 	})
 	if err != nil {
 		t.Fatalf("run failed: %v", err)
@@ -96,6 +96,8 @@ func TestSimErrors(t *testing.T) {
 		{"-instance", "/does/not/exist.json"},  // missing file
 		{"-tpcc", "-assignment", "/nope.json"}, // missing assignment
 		{"-tpcc", "-sites", "0"},               // invalid sites for solving
+		{"-tpcc", "-rounds", "0"},              // no round to average over
+		{"-tpcc", "-rounds", "-2"},             // negative round count
 	}
 	for i, args := range cases {
 		if _, err := captureOutput(t, func() error { return run(context.Background(), args) }); err == nil {

@@ -47,14 +47,6 @@ func (n *Network) Messages() int {
 	return n.messages
 }
 
-// Reset zeroes the counters.
-func (n *Network) Reset() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.bytes = 0
-	n.messages = 0
-}
-
 // Cluster is a set of sites plus the network connecting them.
 type Cluster struct {
 	sites   []*storage.Store
@@ -102,12 +94,4 @@ func (c *Cluster) SiteBytes() []float64 {
 		out[i] = cnt.BytesRead + cnt.BytesWritten
 	}
 	return out
-}
-
-// Reset zeroes all storage and network counters.
-func (c *Cluster) Reset() {
-	for _, s := range c.sites {
-		s.ResetCounters()
-	}
-	c.network.Reset()
 }

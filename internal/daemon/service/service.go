@@ -409,6 +409,13 @@ func (s *Service) ForceResolve(name string) (int, error) {
 // AwaitSeq blocks until the delta with the given sequence number (0 = just
 // the first solve) is reflected in the incumbent, its apply was rejected, or
 // the resolve covering it failed; the two failure cases return the error.
+//
+// When AwaitSeq returns, State already reflects the resolve, rejection or
+// failure it reports: the worker updates its bookkeeping, publishes the state
+// snapshot and wakes waiters in one critical section (session.commit). For a
+// rejection the "delta rejected" line is already logged, because the worker
+// logs it before that commit. The "resolve finished" line is logged after the
+// wake-up, so it may not be written yet.
 func (s *Service) AwaitSeq(ctx context.Context, name string, seq int) error {
 	m, err := s.lookup(name)
 	if err != nil {

@@ -32,16 +32,6 @@ func BenchmarkRunTPCCSequential(b *testing.B) {
 	}
 }
 
-func BenchmarkRunTPCCConcurrent(b *testing.B) {
-	m, p := benchSetup(b, 3)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Run(context.Background(), m, p, Options{Concurrent: true}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkRunTPCCManyRounds(b *testing.B) {
 	m, p := benchSetup(b, 2)
 	b.ResetTimer()

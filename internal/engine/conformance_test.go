@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"vpart/internal/core"
@@ -12,8 +13,8 @@ import (
 // randomConformanceInstance draws a random instance class and generates it.
 // All generator statistics are small integers, so every measured and modelled
 // quantity is an integer-valued float64 and sums are exact regardless of
-// accumulation order — which is what makes byte-for-byte comparison sound
-// even for concurrent runs.
+// accumulation order — which is what makes byte-for-byte comparison with the
+// model sound, although the simulator adds the terms in another order.
 func randomConformanceInstance(t *testing.T, rng *rand.Rand) *core.Instance {
 	t.Helper()
 	p := randgen.Params{
@@ -103,12 +104,10 @@ func TestSimulatorConformanceProperty(t *testing.T) {
 	}
 }
 
-// TestSimulatorConformancePropertyConcurrent replays the property with
-// concurrent transaction execution and several rounds. Run with -race this
-// also exercises the thread safety of the storage and network layers; the
-// integer-valued statistics keep the float sums order-independent, so the
-// byte-for-byte contract holds even though the accumulation order is
-// nondeterministic.
+// TestSimulatorConformancePropertyConcurrent replays the property over
+// several rounds, launching several runs at once on each shared model and
+// layout; every run must still match the model byte for byte. Run with -race
+// this also checks that concurrent callers share nothing mutable.
 func TestSimulatorConformancePropertyConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for trial := 0; trial < 15; trial++ {
@@ -120,14 +119,32 @@ func TestSimulatorConformancePropertyConcurrent(t *testing.T) {
 		sites := 1 + rng.Intn(4)
 		p := randomFeasiblePartitioning(rng, m, sites)
 		rounds := 1 + rng.Intn(3)
-		meas, _, err := Run(context.Background(), m, p, Options{
-			RowsPerTable: 4,
-			Rounds:       rounds,
-			Concurrent:   true,
-		})
+		want := m.Evaluate(p)
+		for _, meas := range runConcurrently(t, 3, m, p, Options{RowsPerTable: 4, Rounds: rounds}) {
+			requireExact(t, trial, meas, want, float64(rounds))
+		}
+	}
+}
+
+// runConcurrently launches n Run calls at once on one shared model and layout
+// and returns their measurements in launch order.
+func runConcurrently(t *testing.T, n int, m *core.Model, p *core.Partitioning, opts Options) []*Measured {
+	t.Helper()
+	meas := make([]*Measured, n)
+	errs := make([]error, n)
+	var wg sync.WaitGroup
+	for i := range n {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			meas[i], _, errs[i] = Run(context.Background(), m, p, opts)
+		}()
+	}
+	wg.Wait()
+	for _, err := range errs {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requireExact(t, trial, meas, m.Evaluate(p), float64(rounds))
 	}
+	return meas
 }

@@ -9,7 +9,6 @@ package engine
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"vpart/internal/cluster"
 	"vpart/internal/core"
@@ -19,25 +18,12 @@ import (
 // Options configure a simulation run.
 type Options struct {
 	// RowsPerTable is the number of synthetic rows materialised per table
-	// fraction (default 64). Accounting does not depend on it; it only
-	// controls how much real data the storage layer touches.
+	// fraction (values below 1 mean 64). Accounting does not depend on it; it
+	// only controls how much real data the storage layer touches.
 	RowsPerTable int
-	// Rounds is how many times the whole workload is executed (default 1).
+	// Rounds is how many times the whole workload is executed (0 means 1;
+	// negative is an error).
 	Rounds int
-	// Concurrent executes the transactions of each round concurrently, one
-	// goroutine per transaction, exercising the thread safety of the storage
-	// and network layers.
-	Concurrent bool
-}
-
-func (o Options) withDefaults() Options {
-	if o.RowsPerTable == 0 {
-		o.RowsPerTable = 64
-	}
-	if o.Rounds == 0 {
-		o.Rounds = 1
-	}
-	return o
 }
 
 // Measured is the outcome of a simulation run.
@@ -63,92 +49,43 @@ type Measured struct {
 	NetworkMessages int
 	// RemoteReadBytes is the subset of ReadBytes served by donor sites on
 	// behalf of transactions whose primary site lacked a read attribute.
-	// Only degraded layouts replayed through a Replayer produce it; Run
-	// executes feasible layouts, where it is always zero.
+	// Zero on a feasible layout.
 	RemoteReadBytes float64
-	// Faults counts transaction executions a Replayer could not complete:
-	// the primary site was down, or a read attribute had no live replica.
-	// Always zero for Run.
+	// Faults counts transaction executions that could not complete: the
+	// primary site was down, or a read attribute had no live replica. Zero
+	// while no site is down.
 	Faults int
-	// DegradedWrites counts write fan-outs a Replayer skipped because the
-	// target replica's site was down. Always zero for Run.
+	// DegradedWrites counts write fan-outs skipped because the target
+	// replica's site was down. Zero while no site is down.
 	DegradedWrites int
 }
 
-// Run builds a cluster for the partitioning, executes the workload and
-// returns the measurements together with the cluster (whose storage state can
-// be inspected further). Cancelling the context stops the run between
-// transactions (sequential mode) or rounds (concurrent mode) with an error
-// wrapping ctx.Err().
+// Run deploys a feasible partitioning on a fresh cluster, replays the whole
+// workload once per round on a Replayer and returns the totals together with
+// the cluster (whose storage state can be inspected further). Cancelling the
+// context stops the run between transactions with an error wrapping
+// ctx.Err().
 func Run(ctx context.Context, m *core.Model, p *core.Partitioning, opts Options) (*Measured, *cluster.Cluster, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opts = opts.withDefaults()
+	if opts.Rounds < 0 {
+		return nil, nil, fmt.Errorf("engine: negative round count %d", opts.Rounds)
+	}
 	if err := p.Validate(m); err != nil {
 		return nil, nil, fmt.Errorf("engine: infeasible partitioning: %w", err)
 	}
-	cl, err := cluster.New(p.Sites, m.Options().Penalty)
-	if err != nil {
+	r := NewReplayer(opts.RowsPerTable)
+	if err := r.SetLayout(m, p); err != nil {
 		return nil, nil, err
 	}
-	if err := deploy(m, p, cl, opts.RowsPerTable); err != nil {
-		return nil, nil, err
-	}
-
-	queries := m.Queries()
-	byTxn := make([][]core.QueryInfo, m.NumTxns())
-	for _, q := range queries {
-		byTxn[q.Txn] = append(byTxn[q.Txn], q)
-	}
-
-	meas := &Measured{}
-	var mu sync.Mutex
-	execTxn := func(t int) {
-		local := executeTransaction(m, p, cl, byTxn[t], t)
-		mu.Lock()
-		meas.TransferBytes += local
-		meas.Transactions++
-		mu.Unlock()
-	}
-
-	for round := 0; round < opts.Rounds; round++ {
-		if err := ctx.Err(); err != nil {
-			return nil, nil, fmt.Errorf("engine: %w", err)
-		}
-		if opts.Concurrent {
-			var wg sync.WaitGroup
-			for t := 0; t < m.NumTxns(); t++ {
-				if ctx.Err() != nil {
-					break // stop launching; already-running transactions drain
-				}
-				wg.Add(1)
-				go func(t int) {
-					defer wg.Done()
-					execTxn(t)
-				}(t)
-			}
-			wg.Wait()
-			if err := ctx.Err(); err != nil {
-				return nil, nil, fmt.Errorf("engine: %w", err)
-			}
-		} else {
-			for t := 0; t < m.NumTxns(); t++ {
-				if err := ctx.Err(); err != nil {
-					return nil, nil, fmt.Errorf("engine: %w", err)
-				}
-				execTxn(t)
-			}
+	for round := 0; round < max(opts.Rounds, 1); round++ {
+		if err := r.ReplayWorkload(ctx); err != nil {
+			return nil, nil, err
 		}
 	}
-
-	counters := cl.Counters()
-	meas.ReadBytes = counters.BytesRead
-	meas.WriteBytes = counters.BytesWritten
-	meas.SiteBytes = cl.SiteBytes()
-	meas.PenalisedCost = meas.ReadBytes + meas.WriteBytes + m.Options().Penalty*meas.TransferBytes
-	meas.NetworkMessages = cl.Network().Messages()
-	return meas, cl, nil
+	meas := r.Total()
+	return &meas, r.cl, nil
 }
 
 // deploy creates, on every site, one fraction per table holding exactly the
@@ -175,49 +112,4 @@ func deploy(m *core.Model, p *core.Partitioning, cl *cluster.Cluster, rows int) 
 		}
 	}
 	return nil
-}
-
-// executeTransaction runs all queries of one transaction at its primary site
-// and returns the bytes it transferred over the network.
-func executeTransaction(m *core.Model, p *core.Partitioning, cl *cluster.Cluster, queries []core.QueryInfo, t int) float64 {
-	site := p.TxnSite[t]
-	store := cl.Site(site)
-	transferred := 0.0
-	for _, q := range queries {
-		for _, acc := range q.Accesses {
-			table := m.TableName(acc.Table)
-			if !q.Write {
-				wanted := make([]string, len(acc.Attrs))
-				for i, a := range acc.Attrs {
-					wanted[i] = m.Attr(a).Qualified.Attr
-				}
-				store.ReadRows(table, wanted, acc.Rows, q.Freq)
-				continue
-			}
-			// Write queries update every site holding a fraction of the table
-			// ("access all attributes") and ship the written attributes to
-			// every remote replica.
-			for s := 0; s < p.Sites; s++ {
-				remote := cl.Site(s)
-				if len(remote.Fractions(table)) == 0 {
-					continue
-				}
-				remote.WriteRows(table, acc.Rows, q.Freq)
-				if s == site {
-					continue
-				}
-				bytes := 0.0
-				for _, a := range acc.Attrs {
-					if p.AttrSites[a][s] {
-						bytes += float64(m.Attr(a).Width) * acc.Rows * q.Freq
-					}
-				}
-				if bytes > 0 {
-					cl.Network().Transfer(site, s, bytes)
-					transferred += bytes
-				}
-			}
-		}
-	}
-	return transferred
 }

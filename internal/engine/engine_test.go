@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"vpart/internal/core"
@@ -116,9 +117,10 @@ func TestRoundsScaleLinearly(t *testing.T) {
 	}
 }
 
-// TestConcurrentMatchesSequential runs the same workload concurrently and
-// checks the measured totals are identical (the accounting is deterministic
-// regardless of interleaving).
+// TestConcurrentMatchesSequential launches several runs at once on one shared
+// model and layout and checks each measures exactly what a lone run does.
+// Under -race it also checks that concurrent callers (vpart.Simulate from
+// several goroutines) share nothing mutable.
 func TestConcurrentMatchesSequential(t *testing.T) {
 	m := tpccModel(t)
 	res, err := sa.Solve(context.Background(), m, sa.DefaultOptions(2))
@@ -129,14 +131,10 @@ func TestConcurrentMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, _, err := Run(context.Background(), m, res.Partitioning, Options{Rounds: 2, Concurrent: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almostEqual(seq.ReadBytes, par.ReadBytes) ||
-		!almostEqual(seq.WriteBytes, par.WriteBytes) ||
-		!almostEqual(seq.TransferBytes, par.TransferBytes) {
-		t.Fatalf("concurrent run measured different totals:\nseq: %+v\npar: %+v", seq, par)
+	for i, par := range runConcurrently(t, 4, m, res.Partitioning, Options{Rounds: 2}) {
+		if !reflect.DeepEqual(seq, par) {
+			t.Fatalf("concurrent run %d measured different totals:\nseq: %+v\npar: %+v", i, seq, par)
+		}
 	}
 }
 
@@ -145,6 +143,27 @@ func TestRunRejectsInfeasiblePartitioning(t *testing.T) {
 	p := core.NewPartitioning(m.NumTxns(), m.NumAttrs(), 2) // nothing placed
 	if _, _, err := Run(context.Background(), m, p, Options{}); err == nil {
 		t.Fatal("infeasible partitioning accepted")
+	}
+}
+
+// TestRunRejectsNegativeRounds: a negative round count is an error, and zero
+// means one round.
+func TestRunRejectsNegativeRounds(t *testing.T) {
+	m := tpccModel(t)
+	p := core.SingleSite(m, 1)
+	if _, _, err := Run(context.Background(), m, p, Options{Rounds: -2}); err == nil {
+		t.Fatal("negative Rounds accepted")
+	}
+	zero, _, err := Run(context.Background(), m, p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, _, err := Run(context.Background(), m, p, Options{Rounds: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(zero, one) {
+		t.Fatalf("Rounds 0 measured %+v, Rounds 1 %+v", zero, one)
 	}
 }
 

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -8,36 +9,6 @@ import (
 	"vpart/internal/core"
 	"vpart/internal/ingest"
 )
-
-// FaultKind classifies a replay fault: what a transaction ran into when the
-// layout it executed against was degraded or a site was down.
-type FaultKind int
-
-const (
-	// FaultTxnSiteDown: the transaction's primary site is down; the whole
-	// execution is lost.
-	FaultTxnSiteDown FaultKind = iota
-	// FaultReadUnavailable: a read attribute has no live replica anywhere;
-	// the read cannot be served even remotely.
-	FaultReadUnavailable
-	// FaultWriteSkipped: a write fan-out targeted a replica on a down site;
-	// the transaction completes but the replica misses the update.
-	FaultWriteSkipped
-)
-
-// String names the fault kind.
-func (k FaultKind) String() string {
-	switch k {
-	case FaultTxnSiteDown:
-		return "txn-site-down"
-	case FaultReadUnavailable:
-		return "read-unavailable"
-	case FaultWriteSkipped:
-		return "write-skipped"
-	default:
-		return fmt.Sprintf("FaultKind(%d)", int(k))
-	}
-}
 
 // FaultTally counts replay faults by kind.
 type FaultTally struct {
@@ -52,11 +23,9 @@ type FaultTally struct {
 	WriteSkipped int
 }
 
-// Total sums the tally.
-func (f FaultTally) Total() int { return f.TxnSiteDown + f.ReadUnavailable + f.WriteSkipped }
-
 // A Replayer executes traffic against a deployed layout and accumulates the
-// same byte accounting as Run, with three extensions Run does not need:
+// simulator's byte accounting; Run is a Replayer replaying the compiled
+// workload once per round. Beyond that:
 //
 //   - the layout need not be feasible: a transaction whose primary site lacks
 //     a read attribute fetches it from the lowest-index live site holding it,
@@ -103,8 +72,8 @@ type Replayer struct {
 }
 
 // NewReplayer returns a replayer materialising rowsPerTable synthetic rows
-// per deployed fraction (0 means the Run default of 64; the byte accounting
-// does not depend on it). Call SetLayout before replaying.
+// per deployed fraction (values below 1 mean 64; the byte accounting does not
+// depend on it). Call SetLayout before replaying.
 func NewReplayer(rowsPerTable int) *Replayer {
 	if rowsPerTable <= 0 {
 		rowsPerTable = 64
@@ -114,12 +83,11 @@ func NewReplayer(rowsPerTable int) *Replayer {
 
 // SetLayout (re)deploys a layout: a fresh cluster is built with one fraction
 // per (table, site) the partitioning assigns, and subsequent replays execute
-// against it. Unlike Run, the layout is only shape-checked — single-sitedness
-// may be violated (that is the point: stale layouts are priced, not
-// rejected) — but every transaction must have an in-range site and every
-// attribute at least one replica. The running totals, marks, fault tally and
-// down-set survive the re-deploy; the site count must not change across
-// SetLayout calls.
+// against it. The layout is only shape-checked — single-sitedness may be
+// violated (that is the point: stale layouts are priced, not rejected) — but
+// every transaction must have an in-range site and every attribute at least
+// one replica. The running totals, marks, fault tally and down-set survive
+// the re-deploy; the site count must not change across SetLayout calls.
 func (r *Replayer) SetLayout(m *core.Model, p *core.Partitioning) error {
 	if m == nil || p == nil {
 		return fmt.Errorf("engine: replay: nil model or partitioning")
@@ -234,10 +202,11 @@ func (r *Replayer) Replay(events []ingest.Event) error {
 }
 
 // ReplayWorkload executes every compiled query of the current model once at
-// its modelled frequency — one round of Run's workload, through the degraded
-// execution paths. For a feasible layout with no down sites the resulting
-// mark equals the analytic cost model byte for byte.
-func (r *Replayer) ReplayWorkload() error {
+// its modelled frequency: one round of the workload. For a feasible layout
+// with no down sites the resulting mark equals the analytic cost model byte
+// for byte. Cancelling the context stops the round between transactions with
+// an error wrapping ctx.Err().
+func (r *Replayer) ReplayWorkload(ctx context.Context) error {
 	if r.cl == nil {
 		return fmt.Errorf("engine: replay: ReplayWorkload before SetLayout")
 	}
@@ -247,6 +216,9 @@ func (r *Replayer) ReplayWorkload() error {
 		byTxn[q.Txn] = append(byTxn[q.Txn], q)
 	}
 	for t := 0; t < r.m.NumTxns(); t++ {
+		if err := ctx.Err(); err != nil {
+			return fmt.Errorf("engine: %w", err)
+		}
 		r.txns++
 		site := r.p.TxnSite[t]
 		if r.down[site] {
@@ -355,8 +327,7 @@ func (r *Replayer) readAccess(site, tbl int, attrs []int, rows, weight float64) 
 
 // writeAccess fans one write access out to every live site holding a
 // fraction of the table ("access all attributes") and ships the written
-// widths to remote replicas, exactly like Run; fan-outs to down sites are
-// skipped and tallied.
+// widths to remote replicas; fan-outs to down sites are skipped and tallied.
 func (r *Replayer) writeAccess(site, tbl int, attrs []int, rows, weight float64) {
 	table := r.m.TableName(tbl)
 	for s := 0; s < r.sites; s++ {
@@ -449,8 +420,3 @@ func (r *Replayer) Mark() Measured {
 
 // Faults returns the cumulative fault tally by kind.
 func (r *Replayer) Faults() FaultTally { return r.tally }
-
-// Down reports whether a site is currently marked down.
-func (r *Replayer) Down(site int) bool {
-	return site >= 0 && site < len(r.down) && r.down[site]
-}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestReplayWorkloadConformance(t *testing.T) {
 		if err := r.SetLayout(m, p); err != nil {
 			t.Fatal(err)
 		}
-		if err := r.ReplayWorkload(); err != nil {
+		if err := r.ReplayWorkload(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		meas := r.Mark()
@@ -98,7 +99,7 @@ func TestReplayMarkDeltas(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := r.ReplayWorkload(); err != nil {
+		if err := r.ReplayWorkload(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		meas := r.Mark()
@@ -119,7 +120,7 @@ func TestReplayRemoteReadPricing(t *testing.T) {
 	if err := r.SetLayout(m, p); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ReplayWorkload(); err != nil {
+	if err := r.ReplayWorkload(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	meas := r.Mark()
@@ -159,7 +160,7 @@ func TestReplaySiteDownFaults(t *testing.T) {
 	if err := r.SetSiteDown(1, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ReplayWorkload(); err != nil {
+	if err := r.ReplayWorkload(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	meas := r.Mark()
@@ -181,7 +182,7 @@ func TestReplaySiteDownFaults(t *testing.T) {
 	if err := r.SetSiteDown(0, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ReplayWorkload(); err != nil {
+	if err := r.ReplayWorkload(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	meas = r.Mark()
@@ -199,7 +200,7 @@ func TestReplaySiteDownFaults(t *testing.T) {
 	if err := r.SetSiteDown(1, false); err != nil {
 		t.Fatal(err)
 	}
-	if err := r.ReplayWorkload(); err != nil {
+	if err := r.ReplayWorkload(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	if meas = r.Mark(); meas.Faults != 0 || meas.ReadBytes != 12 {

@@ -267,10 +267,10 @@ func Run(ctx context.Context, spec Spec, factory Factory) (*Result, error) {
 				return nil, fmt.Errorf("scenario %s: epoch %d: advisor replay: %w", spec.Name, e, err)
 			}
 		} else {
-			if err := staleRep.ReplayWorkload(); err != nil {
+			if err := staleRep.ReplayWorkload(ctx); err != nil {
 				return nil, fmt.Errorf("scenario %s: epoch %d: stale replay: %w", spec.Name, e, err)
 			}
-			if err := advRep.ReplayWorkload(); err != nil {
+			if err := advRep.ReplayWorkload(ctx); err != nil {
 				return nil, fmt.Errorf("scenario %s: epoch %d: advisor replay: %w", spec.Name, e, err)
 			}
 		}

@@ -90,20 +90,6 @@ func (s *Store) CreateFraction(table string, cols []Column) (*Fraction, error) {
 	return f, nil
 }
 
-// Fractions returns the fractions of a table stored on this site.
-func (s *Store) Fractions(table string) []*Fraction {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return append([]*Fraction(nil), s.fractions[table]...)
-}
-
-// Tables returns the number of tables with at least one fraction here.
-func (s *Store) Tables() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.fractions)
-}
-
 // Populate fills every fraction of a table with n synthetic rows (zero-filled
 // payloads of the fraction's width).
 func (s *Store) Populate(table string, n int) {
@@ -185,11 +171,4 @@ func (s *Store) Counters() Counters {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.counters
-}
-
-// ResetCounters zeroes the counters (the data stays).
-func (s *Store) ResetCounters() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.counters = Counters{}
 }
