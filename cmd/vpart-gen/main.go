@@ -24,6 +24,7 @@ import (
 	"strings"
 
 	"vpart"
+	"vpart/internal/daemon/server"
 	"vpart/internal/randgen"
 )
 
@@ -158,13 +159,6 @@ func runEvents(family string, shapes, n int, seed int64, basePath, out string) e
 	}
 	w := bufio.NewWriter(dst)
 	enc := json.NewEncoder(w)
-	// One NDJSON line per event, matching the daemon's EventDTO wire form.
-	type eventDTO struct {
-		Txn      string              `json:"txn"`
-		Query    string              `json:"query"`
-		Kind     vpart.QueryKind     `json:"kind"`
-		Accesses []vpart.TableAccess `json:"accesses"`
-	}
 	batch := make([]vpart.QueryEvent, 8192)
 	for done := 0; done < n; {
 		if rest := n - done; rest < len(batch) {
@@ -172,7 +166,7 @@ func runEvents(family string, shapes, n int, seed int64, basePath, out string) e
 		}
 		stream.Fill(batch)
 		for i := range batch {
-			if err := enc.Encode(eventDTO{
+			if err := enc.Encode(server.EventDTO{
 				Txn: batch[i].Txn, Query: batch[i].Query,
 				Kind: batch[i].Kind, Accesses: batch[i].Accesses,
 			}); err != nil {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"vpart"
+	"vpart/internal/daemon/server"
 )
 
 func TestParseWidths(t *testing.T) {
@@ -66,6 +67,34 @@ func TestGenerateCustomParameters(t *testing.T) {
 		for _, a := range tbl.Attributes {
 			if a.Width != 2 && a.Width != 16 {
 				t.Errorf("width %d outside the allowed set", a.Width)
+			}
+		}
+	}
+}
+
+// TestGenerateEventsDecode checks that -events writes the wire form vpartd
+// decodes: every line parses with server.ParseEventsRequest into a valid
+// event, for both stream families.
+func TestGenerateEventsDecode(t *testing.T) {
+	for _, family := range []string{"ycsb", "social"} {
+		out := filepath.Join(t.TempDir(), "events.ndjson")
+		if err := run([]string{"-events", "-family", family, "-n", "1000", "-shapes", "500", "-out", out}); err != nil {
+			t.Fatalf("%s: run failed: %v", family, err)
+		}
+		data, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		events, err := server.ParseEventsRequest(data)
+		if err != nil {
+			t.Fatalf("%s: decode: %v", family, err)
+		}
+		if len(events) != 1000 {
+			t.Fatalf("%s: decoded %d events, want 1000", family, len(events))
+		}
+		for i := range events {
+			if err := events[i].Validate(); err != nil {
+				t.Fatalf("%s: event %d: %v", family, i, err)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"time"
 
@@ -13,7 +14,7 @@ import (
 // The wire types of the vpartd HTTP API. Request decoding is strict
 // (DisallowUnknownFields) so a typo in a curl invocation fails with a 400
 // instead of silently configuring nothing; the decoders are fuzzed in
-// FuzzDaemonRequests.
+// FuzzDaemonRequests and FuzzEventsRequest.
 
 // SessionOptions is the JSON form of the solver options a session is created
 // with. Zero-valued fields select the daemon defaults.
@@ -166,7 +167,8 @@ func ParseDeltaRequest(data []byte) (vpart.WorkloadDelta, error) {
 }
 
 // EventDTO is one observed query execution on the wire — one NDJSON line of
-// POST /v1/sessions/{name}/events.
+// POST /v1/sessions/{name}/events. json.Encoder writes it in the canonical
+// form ParseEventsRequest scans without encoding/json.
 type EventDTO struct {
 	// Txn names the transaction the execution belongs to.
 	Txn string `json:"txn"`
@@ -175,7 +177,8 @@ type EventDTO struct {
 	// Kind is "read" or "write".
 	Kind vpart.QueryKind `json:"kind"`
 	// Accesses lists the tables the execution touched, in the vpart
-	// table-access JSON format.
+	// table-access JSON format. Decoded events share one list per distinct
+	// array text, so the lists are read-only.
 	Accesses []vpart.TableAccess `json:"accesses"`
 }
 
@@ -197,8 +200,21 @@ const maxEventBatch = 100_000
 // validation (non-empty names, known kinds, positive rows) is the service
 // layer's job; this decoder only guarantees well-formed JSON of the right
 // shape.
+//
+// Each line is scanned once. A line in the canonical form json.Encoder
+// writes — exact lowercase keys, each at most once; printable-ASCII strings
+// without escapes; kind "read" or "write"; rows a JSON number — is decoded
+// by the scanner. Any other line goes to the encoding/json reference
+// decoder, so the accepted inputs, the decoded events and the error text are
+// the reference's.
+//
+// The result owns its memory: no string aliases data. Names are interned
+// for the call, and events whose accesses array text is byte-identical
+// share one capacity-clipped access list. The lists are read-only, as
+// service.EnqueueEvents requires.
 func ParseEventsRequest(data []byte) ([]vpart.QueryEvent, error) {
-	var events []vpart.QueryEvent
+	events := make([]vpart.QueryEvent, 0, min(bytes.Count(data, []byte{'\n'})+1, maxEventBatch))
+	sc := newEventScanner()
 	line := 0
 	for len(data) > 0 {
 		line++
@@ -212,27 +228,36 @@ func ParseEventsRequest(data []byte) ([]vpart.QueryEvent, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		dec := json.NewDecoder(bytes.NewReader(raw))
-		dec.DisallowUnknownFields()
-		var dto EventDTO
-		if err := dec.Decode(&dto); err != nil {
-			return nil, fmt.Errorf("events: line %d: %w", line, err)
-		}
-		if dec.More() {
-			return nil, fmt.Errorf("events: line %d: trailing data after event object", line)
+		ev, ok := sc.event(raw)
+		if !ok {
+			var err error
+			if ev, err = decodeEventLine(raw); err != nil {
+				return nil, fmt.Errorf("events: line %d: %w", line, err)
+			}
 		}
 		if len(events) >= maxEventBatch {
 			return nil, fmt.Errorf("events: batch exceeds %d events", maxEventBatch)
 		}
-		events = append(events, vpart.QueryEvent{
-			Txn:      dto.Txn,
-			Query:    dto.Query,
-			Kind:     dto.Kind,
-			Accesses: dto.Accesses,
-		})
+		events = append(events, ev)
 	}
 	if len(events) == 0 {
 		return nil, fmt.Errorf("events: empty batch")
 	}
 	return events, nil
+}
+
+// decodeEventLine is the reference decoder of one trimmed, non-blank NDJSON
+// line: encoding/json, strict about unknown fields, and requiring that the
+// event object is the whole line.
+func decodeEventLine(raw []byte) (vpart.QueryEvent, error) {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	var dto EventDTO
+	if err := dec.Decode(&dto); err != nil {
+		return vpart.QueryEvent{}, err
+	}
+	if dec.InputOffset() != int64(len(raw)) {
+		return vpart.QueryEvent{}, errors.New("trailing data after event object")
+	}
+	return vpart.QueryEvent{Txn: dto.Txn, Query: dto.Query, Kind: dto.Kind, Accesses: dto.Accesses}, nil
 }

@@ -3,10 +3,10 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"vpart"
-	"vpart/internal/randgen"
 )
 
 // FuzzDaemonRequests fuzzes the HTTP request decoders of the vpartd API —
@@ -17,7 +17,7 @@ import (
 // re-encodable delta), and a decoded delta must be a fixed point after one
 // encode→decode cycle. The seed corpus embeds real instance and constraint
 // documents the same way FuzzInstanceJSON and FuzzConstraintsJSON seed
-// theirs.
+// theirs. FuzzEventsRequest covers the event body.
 func FuzzDaemonRequests(f *testing.F) {
 	// Seed with well-formed create requests around real instances.
 	addCreate := func(name string, inst *vpart.Instance, opts SessionOptions, cons *vpart.Constraints) {
@@ -61,38 +61,6 @@ func FuzzDaemonRequests(f *testing.F) {
 		f.Add("delta", buf.Bytes())
 	}
 
-	// Seed with well-formed NDJSON event batches from both stream families.
-	for _, family := range []string{"ycsb", "social"} {
-		var stream *randgen.EventStream
-		var err error
-		if family == "ycsb" {
-			stream, err = randgen.NewYCSB(randgen.YCSBParams{Shapes: 2000, HotShapes: 128}, 13)
-		} else {
-			stream, err = randgen.NewSocial(randgen.SocialParams{Shapes: 2000, HotShapes: 128}, 13)
-		}
-		if err != nil {
-			f.Fatal(err)
-		}
-		batch := make([]vpart.QueryEvent, 64)
-		stream.Fill(batch)
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		for i := range batch {
-			if err := enc.Encode(EventDTO{
-				Txn: batch[i].Txn, Query: batch[i].Query,
-				Kind: batch[i].Kind, Accesses: batch[i].Accesses,
-			}); err != nil {
-				f.Fatal(err)
-			}
-		}
-		f.Add("events", buf.Bytes())
-	}
-	f.Add("events", []byte(""))
-	f.Add("events", []byte("\n\n\n"))
-	f.Add("events", []byte(`{"txn":"t","query":"q","kind":"scan","accesses":[]}`))
-	f.Add("events", []byte(`{"txn":"t","query":"q","kind":"read","accesses":[{"table":"x","attributes":["a"],"rows":1}]} trailing`))
-	f.Add("events", []byte(`{"unknown_field":1}`))
-
 	// Malformed documents steer the fuzzer towards the error paths.
 	f.Add("create", []byte(`{}`))
 	f.Add("create", []byte(`{"name":"x","instance":{},"options":{"sites":0}}`))
@@ -104,33 +72,6 @@ func FuzzDaemonRequests(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, kind string, data []byte) {
 		switch kind {
-		case "events":
-			events, err := ParseEventsRequest(data)
-			if err != nil {
-				return // invalid input: rejecting it is the correct behaviour
-			}
-			if len(events) == 0 {
-				t.Fatal("decoder accepted an empty event batch")
-			}
-			// Accepted events must re-encode and decode to the same batch —
-			// the NDJSON form is a fixed point like the delta form.
-			var buf bytes.Buffer
-			enc := json.NewEncoder(&buf)
-			for i := range events {
-				if err := enc.Encode(EventDTO{
-					Txn: events[i].Txn, Query: events[i].Query,
-					Kind: events[i].Kind, Accesses: events[i].Accesses,
-				}); err != nil {
-					t.Fatalf("re-encode of accepted event failed: %v", err)
-				}
-			}
-			again, err := ParseEventsRequest(buf.Bytes())
-			if err != nil {
-				t.Fatalf("decode of re-encoded events failed: %v", err)
-			}
-			if len(again) != len(events) {
-				t.Fatalf("round trip changed the batch size: %d → %d", len(events), len(again))
-			}
 		case "delta":
 			d, err := ParseDeltaRequest(data)
 			if err != nil {
@@ -178,6 +119,46 @@ func FuzzDaemonRequests(f *testing.F) {
 					t.Fatalf("decoder returned invalid constraints: %v", err)
 				}
 			}
+		}
+	})
+}
+
+// FuzzEventsRequest checks ParseEventsRequest against referenceEvents, the
+// same batch decoded line by line by encoding/json alone: both reject an
+// input with the same error text, or both accept it with deeply equal
+// events. Accepted events must also be a fixed point of one encode→decode
+// cycle. The seeds are bodies of both stream families and eventRows, the
+// non-canonical lines the scanner hands to the reference.
+func FuzzEventsRequest(f *testing.F) {
+	f.Add(streamBody(f, "ycsb", 2000, 8, 13))
+	f.Add(streamBody(f, "social", 2000, 8, 13))
+	for _, row := range eventRows {
+		f.Add([]byte(row.body))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		events, err := checkAgainstReference(t, data)
+		if err != nil {
+			return // invalid input: rejecting it is the correct behaviour
+		}
+		if len(events) == 0 {
+			t.Fatal("decoder accepted an empty event batch")
+		}
+		var buf bytes.Buffer
+		enc := json.NewEncoder(&buf)
+		for i := range events {
+			if err := enc.Encode(EventDTO{
+				Txn: events[i].Txn, Query: events[i].Query,
+				Kind: events[i].Kind, Accesses: events[i].Accesses,
+			}); err != nil {
+				t.Fatalf("re-encode of accepted event failed: %v", err)
+			}
+		}
+		again, err := ParseEventsRequest(buf.Bytes())
+		if err != nil {
+			t.Fatalf("decode of re-encoded events failed: %v", err)
+		}
+		if !reflect.DeepEqual(again, events) {
+			t.Fatalf("event round trip is not a fixed point:\nfirst:  %#v\nsecond: %#v", events, again)
 		}
 	})
 }
