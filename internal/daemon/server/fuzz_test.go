@@ -10,14 +10,15 @@ import (
 )
 
 // FuzzDaemonRequests fuzzes the HTTP request decoders of the vpartd API —
-// the session-create body (instance + options + constraints) and the
-// workload-delta body. The property is the one the library's own JSON fuzz
-// targets enforce: any bytes the decoders accept must produce values the
-// solver layer can consume (a validated instance, validated options, a
-// re-encodable delta), and a decoded delta must be a fixed point after one
-// encode→decode cycle. The seed corpus embeds real instance and constraint
-// documents the same way FuzzInstanceJSON and FuzzConstraintsJSON seed
-// theirs. FuzzEventsRequest covers the event body.
+// the session-create body (instance + options + constraints), the
+// workload-delta body and the NDJSON event body. The property is the one the
+// library's own JSON fuzz targets enforce: any bytes the decoders accept must
+// produce values the solver layer can consume (a validated instance,
+// validated options, a re-encodable delta), and a decoded delta or event
+// batch must be a fixed point after one encode→decode cycle. Event bodies
+// get the checks of FuzzEventsRequest. The seed corpus embeds real instance
+// and constraint documents the same way FuzzInstanceJSON and
+// FuzzConstraintsJSON seed theirs.
 func FuzzDaemonRequests(f *testing.F) {
 	// Seed with well-formed create requests around real instances.
 	addCreate := func(name string, inst *vpart.Instance, opts SessionOptions, cons *vpart.Constraints) {
@@ -61,6 +62,15 @@ func FuzzDaemonRequests(f *testing.F) {
 		f.Add("delta", buf.Bytes())
 	}
 
+	// Seed with well-formed NDJSON event batches from both stream families.
+	f.Add("events", streamBody(f, "ycsb", 2000, 64, 13))
+	f.Add("events", streamBody(f, "social", 2000, 64, 13))
+	f.Add("events", []byte(""))
+	f.Add("events", []byte("\n\n\n"))
+	f.Add("events", []byte(`{"txn":"t","query":"q","kind":"scan","accesses":[]}`))
+	f.Add("events", []byte(`{"txn":"t","query":"q","kind":"read","accesses":[{"table":"x","attributes":["a"],"rows":1}]} trailing`))
+	f.Add("events", []byte(`{"unknown_field":1}`))
+
 	// Malformed documents steer the fuzzer towards the error paths.
 	f.Add("create", []byte(`{}`))
 	f.Add("create", []byte(`{"name":"x","instance":{},"options":{"sites":0}}`))
@@ -72,6 +82,8 @@ func FuzzDaemonRequests(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, kind string, data []byte) {
 		switch kind {
+		case "events":
+			checkEventsRequest(t, data)
 		case "delta":
 			d, err := ParseDeltaRequest(data)
 			if err != nil {
@@ -123,11 +135,8 @@ func FuzzDaemonRequests(f *testing.F) {
 	})
 }
 
-// FuzzEventsRequest checks ParseEventsRequest against referenceEvents, the
-// same batch decoded line by line by encoding/json alone: both reject an
-// input with the same error text, or both accept it with deeply equal
-// events. Accepted events must also be a fixed point of one encode→decode
-// cycle. The seeds are bodies of both stream families and eventRows, the
+// FuzzEventsRequest fuzzes the event body alone with checkEventsRequest.
+// The seeds are bodies of both stream families and eventRows, the
 // non-canonical lines the scanner hands to the reference.
 func FuzzEventsRequest(f *testing.F) {
 	f.Add(streamBody(f, "ycsb", 2000, 8, 13))
@@ -135,30 +144,38 @@ func FuzzEventsRequest(f *testing.F) {
 	for _, row := range eventRows {
 		f.Add([]byte(row.body))
 	}
-	f.Fuzz(func(t *testing.T, data []byte) {
-		events, err := checkAgainstReference(t, data)
-		if err != nil {
-			return // invalid input: rejecting it is the correct behaviour
+	f.Fuzz(checkEventsRequest)
+}
+
+// checkEventsRequest checks ParseEventsRequest against referenceEvents, the
+// same batch decoded line by line by encoding/json alone: both reject an
+// input with the same error text, or both accept it with deeply equal
+// events. Accepted events must also be a fixed point of one encode→decode
+// cycle.
+func checkEventsRequest(t *testing.T, data []byte) {
+	t.Helper()
+	events, err := checkAgainstReference(t, data)
+	if err != nil {
+		return // invalid input: rejecting it is the correct behaviour
+	}
+	if len(events) == 0 {
+		t.Fatal("decoder accepted an empty event batch")
+	}
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for i := range events {
+		if err := enc.Encode(EventDTO{
+			Txn: events[i].Txn, Query: events[i].Query,
+			Kind: events[i].Kind, Accesses: events[i].Accesses,
+		}); err != nil {
+			t.Fatalf("re-encode of accepted event failed: %v", err)
 		}
-		if len(events) == 0 {
-			t.Fatal("decoder accepted an empty event batch")
-		}
-		var buf bytes.Buffer
-		enc := json.NewEncoder(&buf)
-		for i := range events {
-			if err := enc.Encode(EventDTO{
-				Txn: events[i].Txn, Query: events[i].Query,
-				Kind: events[i].Kind, Accesses: events[i].Accesses,
-			}); err != nil {
-				t.Fatalf("re-encode of accepted event failed: %v", err)
-			}
-		}
-		again, err := ParseEventsRequest(buf.Bytes())
-		if err != nil {
-			t.Fatalf("decode of re-encoded events failed: %v", err)
-		}
-		if !reflect.DeepEqual(again, events) {
-			t.Fatalf("event round trip is not a fixed point:\nfirst:  %#v\nsecond: %#v", events, again)
-		}
-	})
+	}
+	again, err := ParseEventsRequest(buf.Bytes())
+	if err != nil {
+		t.Fatalf("decode of re-encoded events failed: %v", err)
+	}
+	if !reflect.DeepEqual(again, events) {
+		t.Fatalf("event round trip is not a fixed point:\nfirst:  %#v\nsecond: %#v", events, again)
+	}
 }
