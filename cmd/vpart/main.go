@@ -118,7 +118,7 @@ func run(ctx context.Context, args []string) error {
 	}
 
 	fmt.Printf("solver: %s  sites: %d  attribute groups: %d (of %d attributes)  runtime: %v\n",
-		sol.Algorithm, *sites, sol.AttributeGroups, st.Attributes, sol.Runtime.Round(time.Millisecond))
+		sol.Solver, *sites, sol.AttributeGroups, st.Attributes, sol.Runtime.Round(time.Millisecond))
 	if len(sol.Shards) > 0 {
 		fmt.Printf("decomposed into %d shard(s):\n", len(sol.Shards))
 		for _, sh := range sol.Shards {
@@ -126,7 +126,7 @@ func run(ctx context.Context, args []string) error {
 				sh.Shard, sh.Tables, sh.Attrs, sh.Txns, sh.Solver, sh.Objective, sh.Runtime.Round(time.Millisecond))
 		}
 	}
-	if strings.HasSuffix(string(sol.Algorithm), string(vpart.AlgorithmQP)) {
+	if strings.HasSuffix(sol.Solver, "qp") {
 		fmt.Printf("optimal: %v  gap: %.4f  nodes: %d\n", sol.Optimal, sol.Gap, sol.Nodes)
 	}
 	c := sol.Cost

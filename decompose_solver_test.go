@@ -38,8 +38,8 @@ func TestDecomposeSingleComponentBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wrapped.Algorithm != "decompose/sa" {
-		t.Errorf("wrapped algorithm = %q, want decompose/sa", wrapped.Algorithm)
+	if wrapped.Solver != "decompose/sa" {
+		t.Errorf("wrapped solver = %q, want decompose/sa", wrapped.Solver)
 	}
 	if len(wrapped.Shards) != 1 {
 		t.Fatalf("wrapped solve reports %d shards, want 1", len(wrapped.Shards))
@@ -185,8 +185,8 @@ func TestDecomposeDefaultsToPortfolioInner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Algorithm != "decompose/portfolio" {
-		t.Errorf("algorithm = %q, want decompose/portfolio", sol.Algorithm)
+	if sol.Solver != "decompose/portfolio" {
+		t.Errorf("solver = %q, want decompose/portfolio", sol.Solver)
 	}
 	for _, sh := range sol.Shards {
 		if !strings.HasPrefix(sh.Solver, "portfolio/") {
@@ -333,8 +333,8 @@ func TestDecomposePreprocessHonoursExplicitInner(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Algorithm != "decompose/sa" {
-		t.Errorf("algorithm = %q, want decompose/sa (explicit inner solver ignored)", sol.Algorithm)
+	if sol.Solver != "decompose/sa" {
+		t.Errorf("solver = %q, want decompose/sa (explicit inner solver ignored)", sol.Solver)
 	}
 }
 

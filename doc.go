@@ -45,9 +45,9 @@
 //
 // The "sa-par" solver runs K replicas of the SA chain (Options.Parallel
 // .Replicas, default 4), replica k seeded independently and annealing at
-// temperature τ0·Stagger^k — replica 0 coldest (exploitation), the hottest
-// replica crossing cost barriers the cold ones cannot. Every ExchangeEvery
-// temperature levels, adjacent replicas probabilistically swap their current
+// temperature τ0·1.5^k — replica 0 coldest (exploitation), the hottest
+// replica crossing cost barriers the cold ones cannot. Every 2 temperature
+// levels, adjacent replicas probabilistically swap their current
 // states with the classic parallel-tempering acceptance rule, so a good
 // region found at high temperature migrates down the ladder to be refined.
 //
@@ -186,15 +186,14 @@
 // The fold is sharded but deterministic: shards own disjoint shape sets, so
 // a fixed seed and shard count produce bit-identical sessions at any
 // GOMAXPROCS. randgen provides two synthetic event-stream families for
-// testing and benchmarks (NewYCSB, NewSocial), and internal/ingest defines
-// a replayable, epoch-seekable binary trace format for captured streams. The
-// sketch fold alone runs at ~10M events/sec on one core (BenchmarkFold in
-// internal/ingest); decode plus fold, the benchmark's live-ycsb
-// ingest_events_per_cpu_s, runs at ~1.42M events per CPU-second (median of
-// ten 50 s runs) on a 2-vCPU shared host. The ingest tests gate the state
-// at ≥ 10× smaller than exact counting at a 1M-shape universe
-// (TestPipelineStateSmallerThanExactCounting logs ~27× under -v) and the
-// sketch-folded solved cost within 5 % of exact.
+// testing and benchmarks (NewYCSB, NewSocial); a fixed stream seed replays
+// the same events. The sketch fold alone runs at ~10M events/sec on one
+// core (BenchmarkFold in internal/ingest); decode plus fold, the
+// benchmark's live-ycsb ingest_events_per_cpu_s, runs at ~1.42M events per
+// CPU-second (median of ten 50 s runs) on a 2-vCPU shared host. The ingest
+// tests gate the state at ≥ 10× smaller than exact counting at a 1M-shape
+// universe (TestPipelineStateSmallerThanExactCounting logs ~27× under -v)
+// and the sketch-folded solved cost within 5 % of exact.
 // vpartd exposes the same path over HTTP — see "Running as a daemon".
 //
 // # Placement constraints

@@ -91,7 +91,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("preprocess=decompose: cost %8.0f   (algorithm %q)\n", pre.Cost.Objective, pre.Algorithm)
+	fmt.Printf("preprocess=decompose: cost %8.0f   (solver %q)\n", pre.Cost.Objective, pre.Solver)
 
 	// The merged cost is exact: re-evaluating the merged partitioning under
 	// the original model reproduces it bit for bit.

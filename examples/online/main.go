@@ -42,7 +42,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("anchor: %s cost %.0f bytes (balanced %.0f) in %v\n\n",
-		anchor.Algorithm, anchor.Cost.Objective, anchor.Cost.Balanced, anchor.Runtime.Round(time.Millisecond))
+		anchor.Solver, anchor.Cost.Objective, anchor.Cost.Balanced, anchor.Runtime.Round(time.Millisecond))
 
 	// A deterministic drift trace: every step re-weights, adds or retires a
 	// few queries (and occasionally grows a table).
@@ -64,7 +64,7 @@ func main() {
 		improve := 100 * (1 - stats.Cost.Balanced/stats.StaleCost.Balanced)
 		fmt.Printf("%-5d %-5d %12.0f %12.0f %8.2f%% %7s %s\n",
 			i+1, stats.DeltaOps, stats.StaleCost.Balanced, stats.Cost.Balanced,
-			improve, stats.Runtime.Round(time.Millisecond), sol.Algorithm)
+			improve, stats.Runtime.Round(time.Millisecond), sol.Solver)
 	}
 
 	final := sess.Incumbent()

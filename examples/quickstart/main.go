@@ -123,7 +123,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("=== %s solver (winner: %s) ===\n", solver, sol.Algorithm)
+		fmt.Printf("=== %s solver (winner: %s) ===\n", solver, sol.Solver)
 		fmt.Printf("cost: %.0f bytes (%.1f%% below single site), runtime %v\n",
 			sol.Cost.Objective, 100*(1-sol.Cost.Objective/single.Objective), sol.Runtime)
 		fmt.Println(sol.Partitioning.Format(sol.Model))

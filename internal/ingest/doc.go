@@ -51,30 +51,4 @@
 // (estimate ≥ true count) and bounded by ε·N with probability 1−δ for
 // ε = e/width and δ = e^−depth; a top-k entry's true count lies within
 // [count−err, count] for the entry's recorded admission error.
-//
-// # Trace format
-//
-// Captured streams become reproducible benchmarks through a compact
-// length-prefixed binary trace format (TraceWriter/TraceReader):
-//
-//	file   := magic record*
-//	magic  := "VPTRACE1" (8 bytes)
-//	record := uvarint(len) body          // len = len(body), body ≥ 1 byte
-//	body   := 0x01 string-bytes          // strdef: id = #strdefs so far (per epoch)
-//	        | 0x02 event                 // see below
-//	        | 0x03 uvarint(epoch)        // epoch marker, 1-based
-//	        | 0x04 index                 // footer, written by Close
-//	event  := uvarint(txnID) uvarint(queryID) byte(kind)
-//	          uvarint(nAcc) acc*
-//	acc    := uvarint(tableID) uvarint(nAttr) uvarint(attrID)* 8-byte-LE(rows)
-//	index  := uvarint(nEpochs) uvarint(delta-encoded epoch offsets)*
-//	trailer:= 8-byte-LE(index record offset) "VPTE" (after the index record)
-//
-// Strings (transaction, query, table and attribute names) are interned: the
-// first use inside an epoch emits a strdef record and later uses reference
-// its id, so repeated shapes cost a few bytes per event. The dictionary
-// resets at every epoch marker, which makes each epoch independently
-// decodable: SeekEpoch jumps straight to a marker via the footer index and
-// replay continues from there. Decoding never panics on corrupt input
-// (FuzzTraceFormat), and encode∘decode is a byte-identical fixed point.
 package ingest

@@ -145,6 +145,18 @@ func TestPipelineStateSmallerThanExactCounting(t *testing.T) {
 	}
 }
 
+// cloneEvent deep-copies an event, so the exact counter owns every shape it
+// stores instead of sharing the stream's cached shape structures.
+func cloneEvent(e *ingest.Event) ingest.Event {
+	cp := *e
+	cp.Accesses = nil
+	for _, acc := range e.Accesses {
+		acc.Attributes = append([]string(nil), acc.Attributes...)
+		cp.Accesses = append(cp.Accesses, acc)
+	}
+	return cp
+}
+
 // TestPipelineFoldsValidInstances applies every epoch delta of both stream
 // families to the base instance and checks the folded instance stays valid
 // with the heavy hitters installed.

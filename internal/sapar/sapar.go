@@ -38,7 +38,8 @@ import (
 	"vpart/internal/seeds"
 )
 
-// Defaults for the parallel-tempering controls.
+// The parallel-tempering controls: the default ladder size, and the exchange
+// cadence and temperature stagger every run uses.
 const (
 	// DefaultReplicas is the temperature-ladder size K. Four replicas keep a
 	// useful hot tail without oversubscribing small machines; the portfolio
@@ -48,7 +49,7 @@ const (
 	// replica anneals between exchange attempts.
 	DefaultExchangeEvery = 2
 	// DefaultStagger is the geometric spacing of the temperature ladder:
-	// replica k starts at τ0·Stagger^k.
+	// replica k starts at τ0·DefaultStagger^k.
 	DefaultStagger = 1.5
 )
 
@@ -61,17 +62,11 @@ type Options struct {
 	SA sa.Options
 
 	// Replicas is K, the number of concurrent chains (default
-	// DefaultReplicas). K = 1 degenerates to plain sa.Solve.
+	// DefaultReplicas). K = 1 degenerates to plain sa.Solve. Replica k
+	// starts at τ0·DefaultStagger^k, with τ0 taken from replica 0's
+	// Section 5.1 rule (or SA.Temperature when set), and replicas attempt
+	// state exchanges every DefaultExchangeEvery temperature levels.
 	Replicas int
-
-	// ExchangeEvery is E: replicas attempt state exchanges every E
-	// temperature levels (default DefaultExchangeEvery).
-	ExchangeEvery int
-
-	// Stagger is the geometric temperature-ladder factor (default
-	// DefaultStagger); replica k starts at τ0·Stagger^k, with τ0 taken from
-	// replica 0's Section 5.1 rule (or SA.Temperature when set).
-	Stagger float64
 
 	// Budget, when non-nil, bounds how many replicas anneal simultaneously:
 	// each replica holds one slot per temperature level and releases it at
@@ -86,12 +81,6 @@ func (o Options) withDefaults() Options {
 	if o.Replicas == 0 {
 		o.Replicas = DefaultReplicas
 	}
-	if o.ExchangeEvery == 0 {
-		o.ExchangeEvery = DefaultExchangeEvery
-	}
-	if o.Stagger == 0 {
-		o.Stagger = DefaultStagger
-	}
 	return o
 }
 
@@ -99,12 +88,6 @@ func (o Options) withDefaults() Options {
 func (o Options) validate() error {
 	if o.Replicas < 1 {
 		return fmt.Errorf("sapar: Replicas must be >= 1, got %d", o.Replicas)
-	}
-	if o.ExchangeEvery < 1 {
-		return fmt.Errorf("sapar: ExchangeEvery must be >= 1, got %d", o.ExchangeEvery)
-	}
-	if o.Stagger < 1 {
-		return fmt.Errorf("sapar: Stagger must be >= 1, got %g", o.Stagger)
 	}
 	return nil
 }
@@ -133,7 +116,7 @@ func Solve(ctx context.Context, m *core.Model, opts Options) (*sa.Result, error)
 
 	// Build the ladder: replica k gets its own chain, its own RNG seeded
 	// seeds.Replica(base, k) — provably disjoint from portfolio-child and
-	// decompose-shard seed blocks — and temperature τ0·Stagger^k.
+	// decompose-shard seed blocks — and temperature τ0·DefaultStagger^k.
 	chains := make([]*sa.Chain, opts.Replicas)
 	for k := range chains {
 		o := opts.SA
@@ -150,7 +133,7 @@ func Solve(ctx context.Context, m *core.Model, opts Options) (*sa.Result, error)
 	}
 	tau0 := chains[0].Temperature()
 	for k, c := range chains {
-		c.SetTemperature(tau0 * math.Pow(opts.Stagger, float64(k)))
+		c.SetTemperature(tau0 * math.Pow(DefaultStagger, float64(k)))
 	}
 
 	// Round loop: every live replica anneals one temperature level between
@@ -196,7 +179,7 @@ func Solve(ctx context.Context, m *core.Model, opts Options) (*sa.Result, error)
 
 		// Replica exchange between consecutive live rungs, in index order,
 		// each decided by the colder (lower-index) replica's RNG.
-		if (round+1)%opts.ExchangeEvery == 0 {
+		if (round+1)%DefaultExchangeEvery == 0 {
 			prev := -1
 			for k, c := range chains {
 				if c.Stopped() {

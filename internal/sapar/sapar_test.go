@@ -304,8 +304,6 @@ func TestOptionsValidate(t *testing.T) {
 	m := testModel(t)
 	for _, opts := range []Options{
 		{SA: sa.DefaultOptions(3), Replicas: -2},
-		{SA: sa.DefaultOptions(3), ExchangeEvery: -1},
-		{SA: sa.DefaultOptions(3), Stagger: 0.5},
 	} {
 		if _, err := Solve(context.Background(), m, opts); err == nil {
 			t.Fatalf("options %+v accepted", opts)

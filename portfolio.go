@@ -22,13 +22,6 @@ type PortfolioOptions struct {
 	// Options.Seed (or a derived seed when it is zero), so a portfolio run
 	// with a fixed non-zero seed is deterministic.
 	SASeeds int
-	// WarmSeeds is the number of SA runs seeded from the Options.Warm hint
-	// when one is present (the remaining SASeeds-WarmSeeds runs start cold,
-	// keeping the race honest: a drifted workload whose old incumbent traps
-	// the warm children in a stale basin is still explored from scratch).
-	// Zero means 1; values above SASeeds are clamped. Ignored without a warm
-	// hint.
-	WarmSeeds int
 	// QP additionally races the exact QP solver. When it proves gap-free
 	// optimality the still-running SA seeds are cancelled immediately —
 	// their results cannot beat a proven optimum.
@@ -115,18 +108,13 @@ func (portfolioSolver) Solve(ctx context.Context, m *Model, opts Options) (*Resu
 	if base == 0 {
 		base = seedCounter.Add(int64(total)) - int64(total) + 1
 	}
-	// With a warm hint the first WarmSeeds children anneal from the hint
-	// (cooler start, local refinement) while the rest start cold — the race
-	// decides whether the previous incumbent's basin still wins.
+	// With a warm hint the first SA child anneals from the hint (cooler
+	// start, local refinement) while the rest start cold, keeping the race
+	// honest: a drifted workload whose old incumbent traps the warm child in
+	// a stale basin is still explored from scratch.
 	warmChildren := 0
 	if warmHint(opts) != nil {
-		warmChildren = opts.Portfolio.WarmSeeds
-		if warmChildren <= 0 {
-			warmChildren = 1
-		}
-		if warmChildren > n {
-			warmChildren = n
-		}
+		warmChildren = 1
 	}
 	outcomes := make(chan childOutcome, total)
 

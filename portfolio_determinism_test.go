@@ -32,9 +32,9 @@ func TestPortfolioFixedSeedBitIdentical(t *testing.T) {
 			t.Fatalf("run %d: balanced cost %v differs bitwise from reference %v",
 				run, sol.Cost.Balanced, ref.Cost.Balanced)
 		}
-		if sol.Algorithm != ref.Algorithm || sol.Seed != ref.Seed {
+		if sol.Solver != ref.Solver || sol.Seed != ref.Seed {
 			t.Fatalf("run %d: winner %s/seed %d, reference %s/seed %d",
-				run, sol.Algorithm, sol.Seed, ref.Algorithm, ref.Seed)
+				run, sol.Solver, sol.Seed, ref.Solver, ref.Seed)
 		}
 		if !reflect.DeepEqual(sol.Partitioning, ref.Partitioning) {
 			t.Fatalf("run %d: partitioning differs from reference", run)

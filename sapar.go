@@ -23,16 +23,11 @@ var solverBudget = conc.Default()
 // solvers ignore them. The zero value selects the defaults.
 type ParallelOptions struct {
 	// Replicas is the temperature-ladder size K: that many annealing chains
-	// run concurrently at staggered temperatures and exchange states. Zero
+	// run concurrently at staggered temperatures (replica k starts at
+	// τ0·1.5^k) and attempt state exchanges every 2 temperature levels. Zero
 	// selects the default (4); 1 degenerates to plain SA. See the package
 	// documentation for choosing K.
 	Replicas int
-	// ExchangeEvery is the number of temperature levels each replica anneals
-	// between state-exchange attempts (default 2).
-	ExchangeEvery int
-	// Stagger is the geometric spacing of the temperature ladder: replica k
-	// starts at τ0·Stagger^k (default 1.5).
-	Stagger float64
 }
 
 // saparSolver adapts internal/sapar to the Solver interface under the name
@@ -45,11 +40,9 @@ func (saparSolver) Solve(ctx context.Context, m *Model, opts Options) (*Result, 
 	so := saOptions(opts, effectiveSeed(opts.Seed))
 	so.Progress = opts.Progress.Named("sa-par")
 	res, err := sapar.Solve(ctx, m, sapar.Options{
-		SA:            so,
-		Replicas:      opts.Parallel.Replicas,
-		ExchangeEvery: opts.Parallel.ExchangeEvery,
-		Stagger:       opts.Parallel.Stagger,
-		Budget:        solverBudget,
+		SA:       so,
+		Replicas: opts.Parallel.Replicas,
+		Budget:   solverBudget,
 	})
 	if err != nil {
 		return nil, err

@@ -24,8 +24,8 @@ func TestSolveSAParSolver(t *testing.T) {
 	if first.Partitioning == nil {
 		t.Fatal("sa-par returned no partitioning")
 	}
-	if first.Algorithm != "sa-par" {
-		t.Errorf("algorithm = %q, want sa-par", first.Algorithm)
+	if first.Solver != "sa-par" {
+		t.Errorf("solver = %q, want sa-par", first.Solver)
 	}
 	if first.Seed != 5 {
 		t.Errorf("seed = %d, want 5", first.Seed)
@@ -44,10 +44,10 @@ func TestSolveSAParSolver(t *testing.T) {
 		t.Errorf("fixed-seed sa-par costs differ: %+v vs %+v", first.Cost, second.Cost)
 	}
 
-	// An explicit ladder configuration threads through Options.Parallel.
+	// An explicit ladder size threads through Options.Parallel.
 	small, err := vpart.Solve(context.Background(), inst, vpart.Options{
 		Sites: 3, Solver: "sa-par", Seed: 5,
-		Parallel: vpart.ParallelOptions{Replicas: 2, ExchangeEvery: 1, Stagger: 2},
+		Parallel: vpart.ParallelOptions{Replicas: 2},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -87,8 +87,8 @@ func TestDecomposeWithSAParInner(t *testing.T) {
 	if sol.Partitioning == nil {
 		t.Fatal("decompose/sa-par returned no partitioning")
 	}
-	if !strings.HasPrefix(string(sol.Algorithm), "decompose/") {
-		t.Errorf("algorithm = %q, want decompose/ prefix", sol.Algorithm)
+	if !strings.HasPrefix(sol.Solver, "decompose/") {
+		t.Errorf("solver = %q, want decompose/ prefix", sol.Solver)
 	}
 	if len(sol.Shards) < 2 {
 		t.Errorf("expected a multi-shard solve, got %d shard(s)", len(sol.Shards))

@@ -96,7 +96,7 @@ func (sa *sessionAdvisor) UpdateConstraints(cons *core.Constraints) error {
 }
 
 func (sa *sessionAdvisor) Adopt(p *core.Partitioning) error {
-	return sa.sess.Adopt(&Solution{Partitioning: p, Algorithm: "scenario-degrade"})
+	return sa.sess.Adopt(&Solution{Partitioning: p, Solver: "scenario-degrade"})
 }
 
 func (sa *sessionAdvisor) Resolve(ctx context.Context) (scenario.ResolveInfo, error) {

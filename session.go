@@ -139,6 +139,7 @@ type Session struct {
 	inst      *Instance
 	model     *Model // patched incrementally on Apply; prices StaleCost
 	incumbent *Solution
+	anchor    *Assignment // the incumbent's layout by name; see incumbentLayout
 	dirty     *DirtySet
 	pending   int // delta ops since the last successful resolve
 	resolves  int
@@ -165,31 +166,10 @@ func NewSession(inst *Instance, opts Options) (*Session, error) {
 	if opts.Warm != nil || opts.WarmDirty != nil {
 		return nil, fmt.Errorf("vpart: session: Options.Warm and Options.WarmDirty are session-managed; leave them unset")
 	}
-	mo := DefaultModelOptions()
-	if opts.Model != nil {
-		mo = *opts.Model
-	}
-	if opts.Constraints.Empty() {
-		opts.Constraints = nil
-	} else {
-		if opts.Disjoint {
-			return nil, fmt.Errorf("vpart: session: placement constraints are not supported together with Disjoint")
-		}
-		if err := opts.Constraints.Validate(); err != nil {
-			return nil, fmt.Errorf("vpart: session: %w", err)
-		}
-		// Snapshot the set: the session recompiles it on every Apply, so a
-		// caller mutating their value later must not change what the session
-		// enforces.
-		opts.Constraints = opts.Constraints.Clone()
-	}
 	// The session's model carries the compiled constraints, so Apply keeps
 	// them resolved across deltas and Adopt can judge anchors against them.
-	model, err := core.NewModelConstrained(inst, mo, opts.Constraints)
+	model, opts, err := compileModel(inst, opts)
 	if err != nil {
-		return nil, err
-	}
-	if err := model.ValidateConstraintSites(opts.Sites); err != nil {
 		return nil, fmt.Errorf("vpart: session: %w", err)
 	}
 	return &Session{
@@ -263,6 +243,7 @@ func (s *Session) Adopt(sol *Solution) error {
 	cp.Partitioning = adapted
 	cp.Cost = s.model.Evaluate(adapted)
 	s.incumbent = &cp
+	s.anchor = adapted.ToAssignment(s.model)
 	s.dirty = NewDirtySet()
 	s.pending = 0
 	return nil
@@ -303,30 +284,13 @@ func (s *Session) Apply(delta WorkloadDelta) error {
 func (s *Session) UpdateConstraints(cons *Constraints) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if cons.Empty() {
-		cons = nil
-	} else {
-		if s.opts.Disjoint {
-			return fmt.Errorf("vpart: session: placement constraints are not supported together with Disjoint")
-		}
-		if err := cons.Validate(); err != nil {
-			return fmt.Errorf("vpart: session: %w", err)
-		}
-		cons = cons.Clone()
-	}
-	mo := DefaultModelOptions()
-	if s.opts.Model != nil {
-		mo = *s.opts.Model
-	}
-	model, err := core.NewModelConstrained(s.inst, mo, cons)
+	opts := s.opts
+	opts.Constraints = cons
+	model, opts, err := compileModel(s.inst, opts)
 	if err != nil {
 		return fmt.Errorf("vpart: session: %w", err)
 	}
-	if err := model.ValidateConstraintSites(s.opts.Sites); err != nil {
-		return fmt.Errorf("vpart: session: %w", err)
-	}
-	s.opts.Constraints = cons
-	s.model = model
+	s.opts, s.model = opts, model
 	return nil
 }
 
@@ -351,14 +315,16 @@ func (s *Session) Resolve(ctx context.Context) (*Solution, ResolveStats, error) 
 	}
 	opts := s.opts
 	if s.incumbent != nil {
-		opts.Warm = s.incumbent
+		layout, err := s.incumbentLayout()
+		if err != nil {
+			return nil, stats, fmt.Errorf("vpart: session: %w", err)
+		}
+		opts.Warm = &Solution{Partitioning: layout}
 		opts.WarmDirty = s.dirty.Clone()
 		stats.Warm = true
 		// The "do nothing" baseline: the previous layout re-priced under the
-		// drifted workload (adapted to any grown dimensions).
-		if adapted, err := core.AdaptPartitioning(s.model, s.incumbent.Partitioning); err == nil {
-			stats.StaleCost = s.model.Evaluate(adapted)
-		}
+		// drifted workload.
+		stats.StaleCost = s.model.Evaluate(layout)
 	}
 
 	var trajMu sync.Mutex
@@ -388,6 +354,7 @@ func (s *Session) Resolve(ctx context.Context) (*Solution, ResolveStats, error) 
 	}
 
 	s.incumbent = sol
+	s.anchor = sol.Partitioning.ToAssignment(sol.Model)
 	s.dirty = NewDirtySet()
 	s.pending = 0
 	s.resolves++
@@ -397,7 +364,7 @@ func (s *Session) Resolve(ctx context.Context) (*Solution, ResolveStats, error) 
 	stats.Cost = sol.Cost
 	stats.ShardsTotal = len(sol.Shards)
 	stats.ShardsReused = sol.ShardsReused()
-	stats.Solver = string(sol.Algorithm)
+	stats.Solver = sol.Solver
 	stats.Seed = sol.Seed
 	stats.Runtime = sol.Runtime
 
@@ -435,9 +402,24 @@ func (s *Session) Staleness() float64 {
 	if base <= 0 {
 		return 0
 	}
-	adapted, err := core.AdaptPartitioning(s.model, s.incumbent.Partitioning)
+	layout, err := s.incumbentLayout()
 	if err != nil {
 		return math.Inf(1)
 	}
-	return s.model.Evaluate(adapted).Balanced/base - 1
+	return s.model.Evaluate(layout).Balanced/base - 1
+}
+
+// incumbentLayout rebuilds the incumbent's layout over the current model
+// from its by-name record. Matching by name matters: a column added to any
+// table but the last renumbers the attributes of every later table, so an
+// index-based copy would hand each of them its neighbour's placement.
+// Attributes added since are placed by Repair, as AdaptPartitioning does.
+// Callers hold s.mu and have checked that an incumbent exists.
+func (s *Session) incumbentLayout() (*Partitioning, error) {
+	p, err := core.FromAssignment(s.model, s.anchor)
+	if err != nil {
+		return nil, err
+	}
+	p.Repair(s.model)
+	return p, nil
 }

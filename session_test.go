@@ -3,6 +3,8 @@ package vpart_test
 import (
 	"bytes"
 	"context"
+	"maps"
+	"reflect"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -154,6 +156,76 @@ func TestSessionRejectsBadConfigs(t *testing.T) {
 	}
 }
 
+// TestSessionAddAttrKeepsIncumbentNames: a column added to any table but
+// the last renumbers the attributes of every later table. The session must
+// still match its incumbent to the drifted instance by name — in the
+// snapshot, in Staleness and StaleCost, and through a snapshot round trip.
+// TPC-C's first table renumbers every later attribute; its last renumbers
+// none.
+func TestSessionAddAttrKeepsIncumbentNames(t *testing.T) {
+	ctx := context.Background()
+	for _, table := range []string{"Warehouse", "Stock"} {
+		t.Run(table, func(t *testing.T) {
+			sess, err := vpart.NewSession(vpart.TPCC(), vpart.Options{Sites: 3, Solver: "sa", Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			sol, _, err := sess.Resolve(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			solved := sol.Partitioning.ToAssignment(sol.Model)
+			if err := sess.Apply(vpart.WorkloadDelta{Ops: []vpart.DeltaOp{
+				vpart.AddAttr{Table: table, Attr: vpart.Attribute{Name: "zz_new", Width: 4}},
+			}}); err != nil {
+				t.Fatal(err)
+			}
+
+			// The reference: the solved layout matched to the drifted
+			// instance by name, the new column placed by Repair.
+			m, err := vpart.NewModel(sess.Instance(), vpart.DefaultModelOptions())
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := vpart.FromAssignment(m, solved)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref.Repair(m)
+			refCost := m.Evaluate(ref)
+
+			snap := sess.Snapshot()
+			for _, name := range slices.Sorted(maps.Keys(solved.Attributes)) {
+				if got, sites := snap.Incumbent.Attributes[name], solved.Attributes[name]; !slices.Equal(got, sites) {
+					t.Errorf("snapshot places %s on %v, the solve on %v", name, got, sites)
+				}
+			}
+			if !maps.Equal(snap.Incumbent.Transactions, solved.Transactions) {
+				t.Errorf("snapshot transactions %v, solved %v", snap.Incumbent.Transactions, solved.Transactions)
+			}
+			if got, want := sess.Staleness(), refCost.Balanced/sol.Cost.Balanced-1; got != want {
+				t.Errorf("Staleness = %.4f, by name %.4f", got, want)
+			}
+
+			restored, err := vpart.NewSessionFromSnapshot(snap, vpart.Options{Seed: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := restored.Snapshot().Incumbent, ref.ToAssignment(m); !reflect.DeepEqual(got, want) {
+				t.Errorf("snapshot round trip restored %v, want %v", got, want)
+			}
+
+			_, stats, err := sess.Resolve(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(stats.StaleCost, refCost) {
+				t.Errorf("StaleCost = %+v, by name %+v", stats.StaleCost, refCost)
+			}
+		})
+	}
+}
+
 // TestSessionDecomposeReusesShards drives a session with the decompose
 // pipeline over a multi-component instance: a delta touching one component
 // must leave the others reused.
@@ -201,8 +273,8 @@ func TestSessionDecomposeReusesShards(t *testing.T) {
 	if warm.ShardsReused() != warmStats.ShardsReused {
 		t.Errorf("Solution.ShardsReused %d != stats %d", warm.ShardsReused(), warmStats.ShardsReused)
 	}
-	if !strings.HasPrefix(string(warm.Algorithm), "decompose/") {
-		t.Errorf("warm algorithm %q", warm.Algorithm)
+	if !strings.HasPrefix(warm.Solver, "decompose/") {
+		t.Errorf("warm solver %q", warm.Solver)
 	}
 	_ = cold
 }
@@ -252,7 +324,7 @@ func TestSolveWarmPortfolioTagsWinner(t *testing.T) {
 		Solver:    "portfolio",
 		Seed:      1,
 		Warm:      cold,
-		Portfolio: vpart.PortfolioOptions{SASeeds: 3, WarmSeeds: 1},
+		Portfolio: vpart.PortfolioOptions{SASeeds: 3},
 		Progress: func(e vpart.Event) {
 			// Called concurrently from the portfolio's children.
 			if strings.Contains(e.Solver, "sa+warm[") {
@@ -273,8 +345,8 @@ func TestSolveWarmPortfolioTagsWinner(t *testing.T) {
 	if sol.Cost.Balanced > cold.Cost.Balanced+1e-9 {
 		t.Errorf("warm portfolio %.6f worse than its hint %.6f", sol.Cost.Balanced, cold.Cost.Balanced)
 	}
-	if strings.Contains(string(sol.Algorithm), "sa+warm") != sol.WarmStart {
-		t.Errorf("WarmStart %v inconsistent with winner %q", sol.WarmStart, sol.Algorithm)
+	if strings.Contains(sol.Solver, "sa+warm") != sol.WarmStart {
+		t.Errorf("WarmStart %v inconsistent with winner %q", sol.WarmStart, sol.Solver)
 	}
 }
 

@@ -23,8 +23,10 @@ type SessionSnapshot struct {
 	// Constraints is the session's placement-constraint set (nil when
 	// unconstrained).
 	Constraints *Constraints `json:"constraints,omitempty"`
-	// Incumbent is the current incumbent layout in its name-based form; nil
-	// before the first successful resolve.
+	// Incumbent is the current incumbent layout in its name-based form, over
+	// the snapshot's instance (attributes added since the resolve are placed
+	// as the next warm resolve would place them); nil before the first
+	// successful resolve.
 	Incumbent *Assignment `json:"incumbent,omitempty"`
 	// IncumbentCost is the incumbent's cost breakdown at resolve (or adopt)
 	// time. Meaningful only when Incumbent is set.
@@ -56,9 +58,11 @@ func (s *Session) Snapshot() *SessionSnapshot {
 		Resolves:    s.resolves,
 		History:     append([]ResolveStats(nil), s.history...),
 	}
-	if s.incumbent != nil && s.incumbent.Partitioning != nil {
-		snap.Incumbent = s.incumbent.Partitioning.ToAssignment(s.model)
-		snap.IncumbentCost = s.incumbent.Cost
+	if s.incumbent != nil {
+		if layout, err := s.incumbentLayout(); err == nil {
+			snap.Incumbent = layout.ToAssignment(s.model)
+			snap.IncumbentCost = s.incumbent.Cost
+		}
 	}
 	return snap
 }

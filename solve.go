@@ -4,22 +4,6 @@ import (
 	"time"
 )
 
-// Algorithm names a registered solver. It survives from the pre-registry API,
-// where it selected one of two hard-coded algorithms; today any name listed
-// by Solvers() is valid.
-type Algorithm string
-
-const (
-	// AlgorithmQP is the exact algorithm: the linearised quadratic program of
-	// Section 2, solved with the built-in branch-and-bound MIP solver.
-	AlgorithmQP Algorithm = "qp"
-	// AlgorithmSA is the simulated annealing heuristic of Section 3.
-	AlgorithmSA Algorithm = "sa"
-	// AlgorithmPortfolio races several SA seeds (and optionally the QP
-	// solver) concurrently and returns the best incumbent.
-	AlgorithmPortfolio Algorithm = "portfolio"
-)
-
 // Solution is the result of a Solve call, expressed over the original
 // (ungrouped) instance.
 type Solution struct {
@@ -33,10 +17,10 @@ type Solution struct {
 	// Model is the compiled cost model of the original instance (useful for
 	// formatting and further evaluation).
 	Model *Model
-	// Algorithm is the registered name of the solver that produced the
+	// Solver is the registered name of the solver that produced the
 	// solution (for the portfolio, the winning child, e.g.
 	// "portfolio/sa[2]").
-	Algorithm Algorithm
+	Solver string
 	// Seed is the SA seed that produced the solution: the value passed in
 	// Options.Seed, or the derived seed when that was zero. Zero for the
 	// pure QP path, which uses no randomness.

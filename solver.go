@@ -2,6 +2,7 @@ package vpart
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -115,8 +116,8 @@ type Options struct {
 	// when set — and merged exactly). Empty keeps the historical behaviour:
 	// grouping unless DisableGrouping.
 	Preprocess string
-	// Parallel configures the "sa-par" parallel-tempering solver (replica
-	// count, exchange cadence, temperature stagger); other solvers ignore it.
+	// Parallel configures the "sa-par" parallel-tempering solver (its replica
+	// count); other solvers ignore it.
 	Parallel ParallelOptions
 	// Portfolio configures the "portfolio" solver; other solvers ignore it.
 	Portfolio PortfolioOptions
@@ -310,30 +311,7 @@ func Solve(ctx context.Context, inst *Instance, opts Options) (*Solution, error)
 	if !ok {
 		return nil, fmt.Errorf("vpart: unknown solver %q (registered: %v)", name, Solvers())
 	}
-	mo := DefaultModelOptions()
-	if opts.Model != nil {
-		mo = *opts.Model
-	}
-	// Normalise the constraint set: an empty set is the unconstrained fast
-	// path and must behave identically to a nil one.
-	cons := opts.Constraints
-	if cons.Empty() {
-		cons = nil
-		opts.Constraints = nil
-	}
-	if cons != nil {
-		if opts.Disjoint {
-			return nil, fmt.Errorf("vpart: placement constraints are not supported together with Disjoint")
-		}
-		if err := cons.Validate(); err != nil {
-			return nil, fmt.Errorf("vpart: %w", err)
-		}
-		// Snapshot the set: the compiled models retain it, so a caller
-		// mutating their Constraints value after (or during) the solve must
-		// not change — or race — what this solve enforces.
-		cons = cons.Clone()
-		opts.Constraints = cons
-	}
+	mo := opts.modelOptions()
 	if v, ok := solver.(OptionsValidator); ok {
 		if err := v.ValidateOptions(opts, mo); err != nil {
 			return nil, err
@@ -342,13 +320,11 @@ func Solve(ctx context.Context, inst *Instance, opts Options) (*Solution, error)
 
 	// Compile the original model (used for final evaluation and formatting),
 	// with the constraint set resolved against it.
-	origModel, err := core.NewModelConstrained(inst, mo, cons)
+	origModel, opts, err := compileModel(inst, opts)
 	if err != nil {
-		return nil, err
-	}
-	if err := origModel.ValidateConstraintSites(opts.Sites); err != nil {
 		return nil, fmt.Errorf("vpart: %w", err)
 	}
+	cons := opts.Constraints
 
 	// Reasonable-cuts preprocessing. Under constraints the grouping is
 	// profile-aware — attributes with differing constraints never merge — and
@@ -409,7 +385,7 @@ func Solve(ctx context.Context, inst *Instance, opts Options) (*Solution, error)
 
 	sol := &Solution{
 		Model:           origModel,
-		Algorithm:       Algorithm(res.Solver),
+		Solver:          res.Solver,
 		Seed:            res.Seed,
 		AttributeGroups: solveModel.NumAttrs(),
 		Optimal:         res.Optimal,
@@ -422,8 +398,8 @@ func Solve(ctx context.Context, inst *Instance, opts Options) (*Solution, error)
 		WarmRejected:    warmRejected,
 		Shards:          res.Shards,
 	}
-	if sol.Algorithm == "" {
-		sol.Algorithm = Algorithm(name)
+	if sol.Solver == "" {
+		sol.Solver = name
 	}
 	if res.Partitioning == nil {
 		// Time-out without any integer solution (the paper's "t/o").
@@ -446,6 +422,45 @@ func Solve(ctx context.Context, inst *Instance, opts Options) (*Solution, error)
 	sol.Cost = origModel.Evaluate(final)
 	sol.Runtime = time.Since(start)
 	return sol, nil
+}
+
+// modelOptions returns the cost-model parameters, the paper's defaults when
+// Model is unset.
+func (o Options) modelOptions() ModelOptions {
+	if o.Model != nil {
+		return *o.Model
+	}
+	return DefaultModelOptions()
+}
+
+// compileModel checks the options' constraint set and compiles the cost
+// model of inst against it, for Solve, NewSession and
+// Session.UpdateConstraints alike. An empty set is the unconstrained fast
+// path and becomes nil; a non-empty one is rejected together with Disjoint,
+// validated and cloned — the model retains it, so a caller mutating their
+// value later must not change, or race, what is enforced — and must fit
+// opts.Sites. The returned options carry the normalised set. Errors are
+// unprefixed; callers wrap them.
+func compileModel(inst *Instance, opts Options) (*Model, Options, error) {
+	if opts.Constraints.Empty() {
+		opts.Constraints = nil
+	} else {
+		if opts.Disjoint {
+			return nil, opts, errors.New("placement constraints are not supported together with Disjoint")
+		}
+		if err := opts.Constraints.Validate(); err != nil {
+			return nil, opts, err
+		}
+		opts.Constraints = opts.Constraints.Clone()
+	}
+	m, err := core.NewModelConstrained(inst, opts.modelOptions(), opts.Constraints)
+	if err != nil {
+		return nil, opts, err
+	}
+	if err := m.ValidateConstraintSites(opts.Sites); err != nil {
+		return nil, opts, err
+	}
+	return m, opts, nil
 }
 
 // warmToSolveSpace maps a caller-supplied warm hint (expressed over the

@@ -53,7 +53,7 @@ func TestRegisterExternalSolver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sol.Partitioning == nil || sol.Algorithm != "single-site" {
+	if sol.Partitioning == nil || sol.Solver != "single-site" {
 		t.Fatalf("external solver not used: %+v", sol)
 	}
 
@@ -283,8 +283,8 @@ func TestPortfolioNotWorseThanBestSingleSeedSA(t *testing.T) {
 		t.Fatalf("portfolio cost %.6f worse than best single-seed SA cost %.6f",
 			pf.Cost.Balanced, bestSingle)
 	}
-	if !strings.HasPrefix(string(pf.Algorithm), "portfolio/") {
-		t.Errorf("portfolio winner tag = %q", pf.Algorithm)
+	if !strings.HasPrefix(pf.Solver, "portfolio/") {
+		t.Errorf("portfolio winner tag = %q", pf.Solver)
 	}
 	// The lineup is the SASeeds plain SA children (seeds 1..seeds for base 1)
 	// plus the sa-par child (seed seeds+1).
@@ -321,10 +321,10 @@ func TestPortfolioAcceptsProvenOptimalQP(t *testing.T) {
 		t.Fatal("portfolio returned no partitioning")
 	}
 	if !sol.Optimal {
-		t.Errorf("portfolio with QP did not report a proven-optimal result (winner %s)", sol.Algorithm)
+		t.Errorf("portfolio with QP did not report a proven-optimal result (winner %s)", sol.Solver)
 	}
-	if sol.Algorithm != "portfolio/qp" {
-		t.Logf("winner was %s (an SA seed tied the optimum before preference kicked in?)", sol.Algorithm)
+	if sol.Solver != "portfolio/qp" {
+		t.Logf("winner was %s (an SA seed tied the optimum before preference kicked in?)", sol.Solver)
 	}
 }
 

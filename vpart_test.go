@@ -50,7 +50,7 @@ func TestSolveSAOnTPCC(t *testing.T) {
 	if sol.AttributeGroups >= 92 {
 		t.Errorf("grouping did not reduce the attribute count: %d", sol.AttributeGroups)
 	}
-	if sol.Algorithm != vpart.AlgorithmSA || sol.Runtime <= 0 {
+	if sol.Solver != "sa" || sol.Runtime <= 0 {
 		t.Error("solution metadata incomplete")
 	}
 }
