@@ -146,7 +146,9 @@
 // trap the search; and the decompose meta-solver, given Options.WarmDirty
 // (the table/transaction names the deltas touched, see WorkloadDelta.Touch),
 // re-solves only the components containing a dirty name and reuses the
-// projection of the previous solution for the rest, verbatim.
+// projection of the previous solution for the rest, verbatim. The hint is
+// matched to the drifted instance by name: a column added to any table but
+// the last renumbers the attributes of every later table.
 //
 // Session ties the loop together: it owns the current instance, an
 // incrementally patched model and the incumbent solution. Apply feeds in a

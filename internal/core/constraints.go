@@ -615,18 +615,23 @@ func (cs *ConstraintSet) validateSites(m *Model, sites int) error {
 }
 
 // check verifies a partitioning against the compiled set. With partial set,
-// references beyond the partitioning's dimensions are skipped — the mode
-// Session.Adopt uses to judge an anchor that predates delta-grown
-// dimensions.
+// only what the partitioning places is judged: transactions and attributes
+// beyond its dimensions, transactions on a negative site and attributes
+// stored nowhere are skipped — the mode Session.Adopt uses to judge an
+// anchor that predates delta-grown dimensions (NamedPartitioning.Over leaves
+// the grown ones unplaced).
 func (cs *ConstraintSet) check(m *Model, p *Partitioning, partial bool) error {
 	nT, nA := len(p.TxnSite), len(p.AttrSites)
-	inTxn := func(t int) bool { return t < nT }
-	inAttr := func(a int) bool { return a < nA }
+	inTxn := func(t int) bool { return t < nT && (!partial || p.TxnSite[t] >= 0) }
+	inAttr := func(a int) bool { return a < nA && (!partial || p.Replicas(a) > 0) }
 	if !partial && (nT != m.NumTxns() || nA != m.NumAttrs()) {
 		return fmt.Errorf("constraints: partitioning has %d txns × %d attrs, model has %d × %d",
 			nT, nA, m.NumTxns(), m.NumAttrs())
 	}
-	for t := 0; t < m.NumTxns() && inTxn(t); t++ {
+	for t := 0; t < m.NumTxns(); t++ {
+		if !inTxn(t) {
+			continue
+		}
 		if pin := cs.txnPin[t]; pin >= 0 {
 			if int(pin) >= p.Sites {
 				return fmt.Errorf("constraints: transaction %q pinned to site %d, partitioning has %d site(s)",
@@ -638,7 +643,10 @@ func (cs *ConstraintSet) check(m *Model, p *Partitioning, partial bool) error {
 			}
 		}
 	}
-	for a := 0; a < m.NumAttrs() && inAttr(a); a++ {
+	for a := 0; a < m.NumAttrs(); a++ {
+		if !inAttr(a) {
+			continue
+		}
 		row := p.AttrSites[a]
 		for _, s := range cs.attrRequired[a] {
 			if int(s) >= p.Sites || !row[s] {
@@ -697,7 +705,7 @@ func (cs *ConstraintSet) check(m *Model, p *Partitioning, partial bool) error {
 				continue
 			}
 			var used int64
-			for a := 0; a < m.NumAttrs() && inAttr(a); a++ {
+			for a := 0; a < min(m.NumAttrs(), nA); a++ {
 				if p.AttrSites[a][s] {
 					used += int64(m.Attr(a).Width)
 				}

@@ -533,9 +533,10 @@ func (m *Model) CheckConstraints(p *Partitioning) error {
 }
 
 // CheckConstraintsPartial is CheckConstraints for a partitioning that may
-// predate delta-grown dimensions: constraint references beyond its
-// transaction/attribute counts are skipped. Session.Adopt uses it to reject
-// constraint-violating anchors before adapting them.
+// predate delta-grown dimensions: constraint references to what it does not
+// place — transactions and attributes beyond its counts, transactions on a
+// negative site, attributes stored nowhere — are skipped. Session.Adopt uses
+// it to reject constraint-violating anchors before adapting them.
 func (m *Model) CheckConstraintsPartial(p *Partitioning) error {
 	if m.cons == nil {
 		return nil

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -374,6 +375,77 @@ func AdaptPartitioning(m *Model, p *Partitioning) (*Partitioning, error) {
 	return out, nil
 }
 
+// NamedPartitioning is a partitioning together with the names its indices
+// denote. Model.Patch recompiles when a column is added to any table but the
+// last, which renumbers the attributes of every later table, so a layout
+// kept across patches (a session's incumbent) or carried from one model to
+// another (a warm hint, an adopted anchor) must be matched by name, not by
+// index.
+type NamedPartitioning struct {
+	P *Partitioning
+	// Txns[t] and Attrs[a] name transaction t and attribute a of P.
+	Txns  []string
+	Attrs []QualifiedAttr
+}
+
+// Named records p, a partitioning over m, with m's current names. The name
+// lists are copies: later patches of m do not change them.
+func Named(m *Model, p *Partitioning) NamedPartitioning {
+	n := NamedPartitioning{
+		P:     p,
+		Txns:  slices.Clone(m.txnNames),
+		Attrs: make([]QualifiedAttr, len(m.attrs)),
+	}
+	for a, info := range m.attrs {
+		n.Attrs[a] = info.Qualified
+	}
+	return n
+}
+
+// Over re-expresses the layout over m by name. Transactions and attributes
+// of m that the layout does not name — added since it was recorded — are
+// left unplaced (site -1, no replica): CheckConstraintsPartial skips them,
+// and AdaptPartitioning or Repair places them as AdaptPartitioning places
+// grown dimensions. A name m lacks is an error. While m's indices still
+// match the recorded names, as they do unless a patch renumbered them, each
+// lookup is one comparison; transactions are never renumbered.
+func (n NamedPartitioning) Over(m *Model) (*Partitioning, error) {
+	p := n.P
+	if p.Sites <= 0 {
+		return nil, fmt.Errorf("map: non-positive site count %d", p.Sites)
+	}
+	if len(n.Txns) != len(p.TxnSite) || len(n.Attrs) != len(p.AttrSites) {
+		return nil, fmt.Errorf("map: partitioning has %d txns × %d attrs, its names %d × %d",
+			len(p.TxnSite), len(p.AttrSites), len(n.Txns), len(n.Attrs))
+	}
+	out := NewPartitioning(m.NumTxns(), m.NumAttrs(), p.Sites)
+	for t := range out.TxnSite {
+		out.TxnSite[t] = -1
+	}
+	for t, name := range n.Txns {
+		id, ok := t, t < m.NumTxns() && m.txnNames[t] == name
+		if !ok {
+			if id, ok = m.TxnIndex(name); !ok {
+				return nil, fmt.Errorf("map: unknown transaction %q", name)
+			}
+		}
+		out.TxnSite[id] = p.TxnSite[t]
+	}
+	for a, q := range n.Attrs {
+		id, ok := a, a < m.NumAttrs() && m.attrs[a].Qualified == q
+		if !ok {
+			if id, ok = m.AttrID(q); !ok {
+				return nil, fmt.Errorf("map: unknown attribute %s", q)
+			}
+		}
+		if len(p.AttrSites[a]) != p.Sites {
+			return nil, fmt.Errorf("map: attribute %s has %d site slots, want %d", q, len(p.AttrSites[a]), p.Sites)
+		}
+		copy(out.AttrSites[id], p.AttrSites[a])
+	}
+	return out, nil
+}
+
 // Format renders the partitioning in the style of the paper's Table 4: one
 // section per site with the transactions executed there followed by the
 // attributes stored there.
@@ -465,13 +537,9 @@ func FromAssignment(m *Model, as *Assignment) (*Partitioning, error) {
 	sort.Strings(attrNames)
 	for _, name := range attrNames {
 		sites := as.Attributes[name]
-		qa, err := ParseQualifiedAttr(name)
+		a, err := attrByName(m, name)
 		if err != nil {
 			return nil, fmt.Errorf("assignment: %w", err)
-		}
-		a, ok := m.AttrID(qa)
-		if !ok {
-			return nil, fmt.Errorf("assignment: unknown attribute %q", name)
 		}
 		for _, s := range sites {
 			if s < 0 || s >= as.Sites {
@@ -481,4 +549,32 @@ func FromAssignment(m *Model, as *Assignment) (*Partitioning, error) {
 		}
 	}
 	return p, nil
+}
+
+// attrByName resolves a "Table.Attr" string, as ToAssignment writes it, to
+// an attribute id of m. Table and attribute names may contain dots
+// themselves ("public.users"), so every split point is tried; a string that
+// names two attributes (table "a" with attribute "b.c", table "a.b" with
+// attribute "c") is ambiguous.
+func attrByName(m *Model, s string) (int, error) {
+	id, n := 0, 0
+	for i := 1; i < len(s)-1; i++ {
+		if s[i] != '.' {
+			continue
+		}
+		if a, ok := m.AttrID(QualifiedAttr{Table: s[:i], Attr: s[i+1:]}); ok {
+			id, n = a, n+1
+		}
+	}
+	switch n {
+	case 0:
+		if _, err := ParseQualifiedAttr(s); err != nil {
+			return 0, err
+		}
+		return 0, fmt.Errorf("unknown attribute %q", s)
+	case 1:
+		return id, nil
+	default:
+		return 0, fmt.Errorf("ambiguous attribute %q names %d attributes", s, n)
+	}
 }

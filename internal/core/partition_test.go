@@ -2,6 +2,8 @@ package core
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -240,5 +242,111 @@ func TestRepairAlwaysFeasible(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80, Rand: rng}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestNamedPartitioningOver: a layout recorded by name survives a patch
+// that renumbers attributes (a column added to R, not the last table), and
+// what the patch added is left unplaced for Repair — and for
+// CheckConstraintsPartial to skip.
+func TestNamedPartitioningOver(t *testing.T) {
+	m := testModel(t)
+	p := testPartitioning(m)
+	named := Named(m, p)
+	cons := &Constraints{PinTxns: []PinTxn{{Txn: "T3", Site: 1}}}
+	grown := WorkloadDelta{Ops: []DeltaOp{
+		AddAttr{Table: "R", Attr: Attribute{Name: "a4", Width: 2}},
+		AddQuery{Txn: "T3", Query: NewRead("q4", "R", []string{"a4"}, 1, 1)},
+	}}
+	next, err := ApplyDelta(testInstance(), grown)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := NewModelConstrained(next, m.Options(), cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Patch(grown); err != nil {
+		t.Fatal(err)
+	}
+	if id := attrID(t, m, "S", "b1"); id == attrID(t, testModel(t), "S", "b1") {
+		t.Fatal("fixture delta no longer renumbers S")
+	}
+
+	got, err := named.Over(m2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a, q := range named.Attrs {
+		if id, _ := m2.AttrID(q); !slices.Equal(got.AttrSites[id], p.AttrSites[a]) {
+			t.Errorf("%s placed on %v, recorded %v", q, got.AttrSites[id], p.AttrSites[a])
+		}
+	}
+	if got.Replicas(attrID(t, m2, "R", "a4")) != 0 {
+		t.Error("the added attribute was placed")
+	}
+	t3, _ := m2.TxnIndex("T3")
+	if got.TxnSite[0] != 0 || got.TxnSite[1] != 1 || got.TxnSite[t3] != -1 {
+		t.Errorf("transaction sites %v, want [0 1 -1]", got.TxnSite)
+	}
+	if err := m2.CheckConstraintsPartial(got); err != nil {
+		t.Errorf("partial check judged the unplaced pinned transaction: %v", err)
+	}
+	if _, err := AdaptPartitioning(m2, got); err != nil {
+		t.Fatal(err)
+	}
+	if err := m2.CheckConstraints(got); err == nil {
+		t.Error("full check accepted the unplaced pinned transaction")
+	}
+
+	// Names the target model lacks are an error.
+	if _, err := Named(m2, got).Over(testModel(t)); err == nil {
+		t.Error("layout naming an unknown attribute mapped")
+	}
+}
+
+// TestAssignmentDottedNames: table and attribute names may contain dots.
+// FromAssignment resolves "Table.Attr" strings at whichever dot names an
+// attribute, and rejects a string that names two; a NamedPartitioning keeps
+// such attributes apart.
+func TestAssignmentDottedNames(t *testing.T) {
+	inst := &Instance{
+		Name: "dotted",
+		Schema: Schema{Tables: []Table{
+			{Name: "a", Attributes: []Attribute{{Name: "b.c", Width: 4}}},
+			{Name: "a.b", Attributes: []Attribute{{Name: "c", Width: 4}, {Name: "d", Width: 4}}},
+		}},
+		Workload: Workload{Transactions: []Transaction{
+			{Name: "T1", Queries: []Query{NewRead("q1", "a", []string{"b.c"}, 1, 1)}},
+			{Name: "T2", Queries: []Query{NewRead("q2", "a.b", []string{"c", "d"}, 1, 1)}},
+		}},
+	}
+	m, err := NewModel(inst, DefaultModelOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPartitioning(2, 3, 2)
+	p.TxnSite[1] = 1
+	p.AttrSites[attrID(t, m, "a", "b.c")][0] = true
+	p.AttrSites[attrID(t, m, "a.b", "c")][1] = true
+	p.AttrSites[attrID(t, m, "a.b", "d")][1] = true
+
+	got, err := FromAssignment(m, &Assignment{Sites: 2, Attributes: map[string][]int{"a.b.d": {1}}})
+	if err != nil {
+		t.Fatalf("dotted table name: %v", err)
+	}
+	if !got.AttrSites[attrID(t, m, "a.b", "d")][1] {
+		t.Error("a.b.d not placed on site 1")
+	}
+	if _, err := FromAssignment(m, p.ToAssignment(m)); err == nil || !strings.Contains(err.Error(), "ambiguous") {
+		t.Errorf("a.b.c names two attributes, FromAssignment returned %v", err)
+	}
+
+	back, err := Named(m, p).Over(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(back, p) {
+		t.Errorf("by-name round trip gave %+v, want %+v", back, p)
 	}
 }

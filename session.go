@@ -139,7 +139,7 @@ type Session struct {
 	inst      *Instance
 	model     *Model // patched incrementally on Apply; prices StaleCost
 	incumbent *Solution
-	anchor    *Assignment // the incumbent's layout by name; see incumbentLayout
+	anchor    core.NamedPartitioning // the incumbent's layout with its names; see incumbentLayout
 	dirty     *DirtySet
 	pending   int // delta ops since the last successful resolve
 	resolves  int
@@ -166,9 +166,13 @@ func NewSession(inst *Instance, opts Options) (*Session, error) {
 	if opts.Warm != nil || opts.WarmDirty != nil {
 		return nil, fmt.Errorf("vpart: session: Options.Warm and Options.WarmDirty are session-managed; leave them unset")
 	}
+	opts, err := opts.checkConstraints()
+	if err != nil {
+		return nil, fmt.Errorf("vpart: session: %w", err)
+	}
 	// The session's model carries the compiled constraints, so Apply keeps
 	// them resolved across deltas and Adopt can judge anchors against them.
-	model, opts, err := compileModel(inst, opts)
+	model, err := compileModel(inst, opts)
 	if err != nil {
 		return nil, fmt.Errorf("vpart: session: %w", err)
 	}
@@ -213,8 +217,10 @@ func (s *Session) Pending() int {
 // after a restart. The solution must use the session's site count and is
 // adapted to the current instance (it may predate grown dimensions) and
 // re-priced under the current model; drift bookkeeping resets, so the next
-// Resolve treats the adopted layout as current. On error the session is
-// unchanged.
+// Resolve treats the adopted layout as current. A solution that carries its
+// Model (every Solve result does) is matched to the current instance by
+// name; without one, its indices are taken to be the current model's. On
+// error the session is unchanged.
 func (s *Session) Adopt(sol *Solution) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -225,14 +231,22 @@ func (s *Session) Adopt(sol *Solution) error {
 		return fmt.Errorf("vpart: session: adopted solution uses %d sites, session uses %d",
 			sol.Partitioning.Sites, s.opts.Sites)
 	}
+	anchor := sol.Partitioning
+	if sol.Model != nil {
+		mapped, err := core.Named(sol.Model, anchor).Over(s.model)
+		if err != nil {
+			return fmt.Errorf("vpart: session: %w", err)
+		}
+		anchor = mapped
+	}
 	// Judge the anchor as handed in, before the adaptation's repair could
 	// silently rewrite it into compliance: a constraint-violating anchor is
-	// rejected, not fixed up. References beyond the anchor's (possibly
-	// pre-delta) dimensions are skipped.
-	if err := s.model.CheckConstraintsPartial(sol.Partitioning); err != nil {
+	// rejected, not fixed up. What the anchor does not place — dimensions
+	// grown since it was computed — is skipped.
+	if err := s.model.CheckConstraintsPartial(anchor); err != nil {
 		return fmt.Errorf("vpart: session: cannot adopt a constraint-violating anchor: %w", err)
 	}
-	adapted, err := core.AdaptPartitioning(s.model, sol.Partitioning)
+	adapted, err := core.AdaptPartitioning(s.model, anchor)
 	if err != nil {
 		return fmt.Errorf("vpart: session: %w", err)
 	}
@@ -243,7 +257,7 @@ func (s *Session) Adopt(sol *Solution) error {
 	cp.Partitioning = adapted
 	cp.Cost = s.model.Evaluate(adapted)
 	s.incumbent = &cp
-	s.anchor = adapted.ToAssignment(s.model)
+	s.anchor = core.Named(s.model, adapted)
 	s.dirty = NewDirtySet()
 	s.pending = 0
 	return nil
@@ -286,7 +300,11 @@ func (s *Session) UpdateConstraints(cons *Constraints) error {
 	defer s.mu.Unlock()
 	opts := s.opts
 	opts.Constraints = cons
-	model, opts, err := compileModel(s.inst, opts)
+	opts, err := opts.checkConstraints()
+	if err != nil {
+		return fmt.Errorf("vpart: session: %w", err)
+	}
+	model, err := compileModel(s.inst, opts)
 	if err != nil {
 		return fmt.Errorf("vpart: session: %w", err)
 	}
@@ -354,7 +372,7 @@ func (s *Session) Resolve(ctx context.Context) (*Solution, ResolveStats, error) 
 	}
 
 	s.incumbent = sol
-	s.anchor = sol.Partitioning.ToAssignment(sol.Model)
+	s.anchor = core.Named(sol.Model, sol.Partitioning)
 	s.dirty = NewDirtySet()
 	s.pending = 0
 	s.resolves++
@@ -409,14 +427,14 @@ func (s *Session) Staleness() float64 {
 	return s.model.Evaluate(layout).Balanced/base - 1
 }
 
-// incumbentLayout rebuilds the incumbent's layout over the current model
-// from its by-name record. Matching by name matters: a column added to any
-// table but the last renumbers the attributes of every later table, so an
-// index-based copy would hand each of them its neighbour's placement.
-// Attributes added since are placed by Repair, as AdaptPartitioning does.
+// incumbentLayout maps the incumbent's layout onto the current model by
+// name. Matching by name matters: a column added to any table but the last
+// renumbers the attributes of every later table, so an index-based copy
+// would hand each of them its neighbour's placement. Transactions and
+// attributes added since are placed by Repair, as AdaptPartitioning does.
 // Callers hold s.mu and have checked that an incumbent exists.
 func (s *Session) incumbentLayout() (*Partitioning, error) {
-	p, err := core.FromAssignment(s.model, s.anchor)
+	p, err := s.anchor.Over(s.model)
 	if err != nil {
 		return nil, err
 	}

@@ -3,6 +3,7 @@ package vpart_test
 import (
 	"bytes"
 	"context"
+	"errors"
 	"maps"
 	"reflect"
 	"slices"
@@ -161,12 +162,19 @@ func TestSessionRejectsBadConfigs(t *testing.T) {
 // still match its incumbent to the drifted instance by name — in the
 // snapshot, in Staleness and StaleCost, and through a snapshot round trip.
 // TPC-C's first table renumbers every later attribute; its last renumbers
-// none.
+// none. Table names may contain dots, as schema-qualified names do.
 func TestSessionAddAttrKeepsIncumbentNames(t *testing.T) {
 	ctx := context.Background()
-	for _, table := range []string{"Warehouse", "Stock"} {
-		t.Run(table, func(t *testing.T) {
-			sess, err := vpart.NewSession(vpart.TPCC(), vpart.Options{Sites: 3, Solver: "sa", Seed: 1})
+	for _, tc := range []struct {
+		name, table string
+		inst        *vpart.Instance
+	}{
+		{"Warehouse", "Warehouse", vpart.TPCC()},
+		{"Stock", "Stock", vpart.TPCC()},
+		{"schema_qualified", "tpcc.Warehouse", schemaQualified(vpart.TPCC(), "tpcc")},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sess, err := vpart.NewSession(tc.inst, vpart.Options{Sites: 3, Solver: "sa", Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -176,7 +184,7 @@ func TestSessionAddAttrKeepsIncumbentNames(t *testing.T) {
 			}
 			solved := sol.Partitioning.ToAssignment(sol.Model)
 			if err := sess.Apply(vpart.WorkloadDelta{Ops: []vpart.DeltaOp{
-				vpart.AddAttr{Table: table, Attr: vpart.Attribute{Name: "zz_new", Width: 4}},
+				vpart.AddAttr{Table: tc.table, Attr: vpart.Attribute{Name: "zz_new", Width: 4}},
 			}}); err != nil {
 				t.Fatal(err)
 			}
@@ -195,6 +203,9 @@ func TestSessionAddAttrKeepsIncumbentNames(t *testing.T) {
 			refCost := m.Evaluate(ref)
 
 			snap := sess.Snapshot()
+			if snap.Incumbent == nil {
+				t.Fatal("snapshot dropped the incumbent")
+			}
 			for _, name := range slices.Sorted(maps.Keys(solved.Attributes)) {
 				if got, sites := snap.Incumbent.Attributes[name], solved.Attributes[name]; !slices.Equal(got, sites) {
 					t.Errorf("snapshot places %s on %v, the solve on %v", name, got, sites)
@@ -224,6 +235,24 @@ func TestSessionAddAttrKeepsIncumbentNames(t *testing.T) {
 			}
 		})
 	}
+}
+
+// schemaQualified prefixes every table name of inst with schema and a dot,
+// as in "public.users".
+func schemaQualified(inst *vpart.Instance, schema string) *vpart.Instance {
+	inst = inst.Clone()
+	for i := range inst.Schema.Tables {
+		inst.Schema.Tables[i].Name = schema + "." + inst.Schema.Tables[i].Name
+	}
+	for i := range inst.Workload.Transactions {
+		for j := range inst.Workload.Transactions[i].Queries {
+			q := &inst.Workload.Transactions[i].Queries[j]
+			for k := range q.Accesses {
+				q.Accesses[k].Table = schema + "." + q.Accesses[k].Table
+			}
+		}
+	}
+	return inst
 }
 
 // TestSessionDecomposeReusesShards drives a session with the decompose
@@ -432,17 +461,109 @@ func TestSessionAdoptRejectsStaleDimensionsBeyondModel(t *testing.T) {
 	}
 
 	// The legitimate direction — an anchor that predates delta-grown
-	// dimensions — still adopts: stale anchors are adapted, not rejected.
-	sess2, err := vpart.NewSession(grown, vpart.Options{Sites: 3, Solver: "sa", Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	// dimensions — still adopts: stale anchors are adapted by name, not
+	// rejected. tpccDelta grows the last table, which renumbers nothing; a
+	// column added to the first table renumbers every later attribute.
 	stale, err := vpart.Solve(ctx, inst, vpart.Options{Sites: 3, Solver: "sa", Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sess2.Adopt(stale); err != nil {
-		t.Fatalf("stale-but-adaptable anchor rejected: %v", err)
+	first, err := vpart.ApplyDelta(inst, vpart.WorkloadDelta{Ops: []vpart.DeltaOp{
+		vpart.AddAttr{Table: inst.Schema.Tables[0].Name, Attr: vpart.Attribute{Name: "zz_new", Width: 4}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, target := range []*vpart.Instance{grown, first} {
+		sess2, err := vpart.NewSession(target, vpart.Options{Sites: 3, Solver: "sa", Seed: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sess2.Adopt(stale); err != nil {
+			t.Fatalf("stale-but-adaptable anchor rejected: %v", err)
+		}
+		if bad := misplaced(sess2.Snapshot().Incumbent, byName(t, target, stale)); len(bad) > 0 {
+			t.Errorf("adopted layout differs from the stale one matched by name at %v", bad)
+		}
+	}
+}
+
+// byName is sol's layout matched to inst by name, with what inst added since
+// placed by Repair: the reference for adopted anchors and warm hints.
+func byName(t *testing.T, inst *vpart.Instance, sol *vpart.Solution) *vpart.Assignment {
+	t.Helper()
+	m, err := vpart.NewModel(inst, vpart.DefaultModelOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := vpart.FromAssignment(m, sol.Partitioning.ToAssignment(sol.Model))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.Repair(m)
+	return p.ToAssignment(m)
+}
+
+// misplaced lists the names of the transactions and attributes got places
+// differently from want, both assignments over the same instance.
+func misplaced(got, want *vpart.Assignment) []string {
+	var bad []string
+	for _, name := range slices.Sorted(maps.Keys(want.Transactions)) {
+		if site, ok := got.Transactions[name]; !ok || site != want.Transactions[name] {
+			bad = append(bad, name)
+		}
+	}
+	for _, name := range slices.Sorted(maps.Keys(want.Attributes)) {
+		if !slices.Equal(got.Attributes[name], want.Attributes[name]) {
+			bad = append(bad, name)
+		}
+	}
+	if len(got.Transactions) != len(want.Transactions) || len(got.Attributes) != len(want.Attributes) {
+		bad = append(bad, "(names differ)")
+	}
+	return bad
+}
+
+// hintEchoSolver returns its warm hint unchanged, exposing what the Solve
+// facade hands a solver.
+type hintEchoSolver struct{}
+
+func (hintEchoSolver) Name() string { return "hint-echo" }
+
+func (hintEchoSolver) Solve(_ context.Context, m *vpart.Model, opts vpart.Options) (*vpart.Result, error) {
+	if opts.Warm == nil {
+		return nil, errors.New("hint-echo: no warm hint")
+	}
+	p := opts.Warm.Partitioning.Clone()
+	return &vpart.Result{Partitioning: p, Cost: m.Evaluate(p), Solver: "hint-echo", WarmStart: true}, nil
+}
+
+func init() { vpart.RegisterSolver(hintEchoSolver{}) }
+
+// TestSolveWarmHintMatchedByName: a hint from a solve of an earlier instance
+// carries its Model, so Solve matches it to the grown instance by name even
+// when a column added to the first table renumbered every later attribute.
+func TestSolveWarmHintMatchedByName(t *testing.T) {
+	ctx := context.Background()
+	inst := vpart.TPCC()
+	stale, err := vpart.Solve(ctx, inst, vpart.Options{Sites: 3, Solver: "sa", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, err := vpart.ApplyDelta(inst, vpart.WorkloadDelta{Ops: []vpart.DeltaOp{
+		vpart.AddAttr{Table: inst.Schema.Tables[0].Name, Attr: vpart.Attribute{Name: "zz_new", Width: 4}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sol, err := vpart.Solve(ctx, grown, vpart.Options{
+		Sites: 3, Solver: "hint-echo", Preprocess: vpart.PreprocessNone, Warm: stale,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bad := misplaced(sol.Partitioning.ToAssignment(sol.Model), byName(t, grown, stale)); len(bad) > 0 {
+		t.Errorf("solver's hint differs from the stale layout matched by name at %v", bad)
 	}
 }
 

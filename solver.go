@@ -96,10 +96,11 @@ type Options struct {
 	// the instance, are silently ignored (the solve falls back to cold).
 	//
 	// Callers pass the hint over the original instance; the Solve facade
-	// adapts it to grown dimensions and rewrites it into the (grouped) solve
-	// space, so Solver implementations always receive Warm.Partitioning
-	// expressed over their model — the Partitioning field is the only field
-	// of the hint that is forwarded.
+	// matches it to the instance by name when the hint carries its Model (by
+	// index otherwise), adapts it to grown dimensions and rewrites it into
+	// the (grouped) solve space, so Solver implementations always receive
+	// Warm.Partitioning expressed over their model — the Partitioning field
+	// is the only field of the hint that is forwarded.
 	Warm *Solution
 	// WarmDirty lists the table and transaction names the workload deltas
 	// since Warm touched (see WorkloadDelta.Touch). The decompose meta-solver
@@ -311,6 +312,10 @@ func Solve(ctx context.Context, inst *Instance, opts Options) (*Solution, error)
 	if !ok {
 		return nil, fmt.Errorf("vpart: unknown solver %q (registered: %v)", name, Solvers())
 	}
+	opts, err := opts.checkConstraints()
+	if err != nil {
+		return nil, fmt.Errorf("vpart: %w", err)
+	}
 	mo := opts.modelOptions()
 	if v, ok := solver.(OptionsValidator); ok {
 		if err := v.ValidateOptions(opts, mo); err != nil {
@@ -320,7 +325,7 @@ func Solve(ctx context.Context, inst *Instance, opts Options) (*Solution, error)
 
 	// Compile the original model (used for final evaluation and formatting),
 	// with the constraint set resolved against it.
-	origModel, opts, err := compileModel(inst, opts)
+	origModel, err := compileModel(inst, opts)
 	if err != nil {
 		return nil, fmt.Errorf("vpart: %w", err)
 	}
@@ -433,41 +438,50 @@ func (o Options) modelOptions() ModelOptions {
 	return DefaultModelOptions()
 }
 
-// compileModel checks the options' constraint set and compiles the cost
-// model of inst against it, for Solve, NewSession and
-// Session.UpdateConstraints alike. An empty set is the unconstrained fast
-// path and becomes nil; a non-empty one is rejected together with Disjoint,
-// validated and cloned — the model retains it, so a caller mutating their
-// value later must not change, or race, what is enforced — and must fit
-// opts.Sites. The returned options carry the normalised set. Errors are
-// unprefixed; callers wrap them.
-func compileModel(inst *Instance, opts Options) (*Model, Options, error) {
-	if opts.Constraints.Empty() {
-		opts.Constraints = nil
-	} else {
-		if opts.Disjoint {
-			return nil, opts, errors.New("placement constraints are not supported together with Disjoint")
-		}
-		if err := opts.Constraints.Validate(); err != nil {
-			return nil, opts, err
-		}
-		opts.Constraints = opts.Constraints.Clone()
+// checkConstraints returns the options with their constraint set checked,
+// for Solve, NewSession and Session.UpdateConstraints alike. An empty set is
+// the unconstrained fast path and becomes nil; a non-empty one is rejected
+// together with Disjoint, validated and cloned — the compiled model retains
+// it, so a caller mutating their value later must not change, or race, what
+// is enforced. Errors are unprefixed; callers wrap them.
+func (o Options) checkConstraints() (Options, error) {
+	if o.Constraints.Empty() {
+		o.Constraints = nil
+		return o, nil
 	}
+	if o.Disjoint {
+		return o, errors.New("placement constraints are not supported together with Disjoint")
+	}
+	if err := o.Constraints.Validate(); err != nil {
+		return o, err
+	}
+	o.Constraints = o.Constraints.Clone()
+	return o, nil
+}
+
+// compileModel compiles the cost model of inst against the checked
+// constraint set of opts (see checkConstraints) and checks that the set fits
+// opts.Sites. Errors are unprefixed; callers wrap them.
+func compileModel(inst *Instance, opts Options) (*Model, error) {
 	m, err := core.NewModelConstrained(inst, opts.modelOptions(), opts.Constraints)
 	if err != nil {
-		return nil, opts, err
+		return nil, err
 	}
 	if err := m.ValidateConstraintSites(opts.Sites); err != nil {
-		return nil, opts, err
+		return nil, err
 	}
-	return m, opts, nil
+	return m, nil
 }
 
 // warmToSolveSpace maps a caller-supplied warm hint (expressed over the
 // original instance) into the space the solver works in: adapted to the
 // original model's — possibly delta-grown — dimensions, reduced under the
-// grouping when one is active, and repaired to feasibility. A hint that does
-// not fit (wrong site count, shrunken dimensions, a constraint violation the
+// grouping when one is active, and repaired to feasibility. A hint that
+// carries its Model (a Solution from an earlier Solve) is matched to the
+// original model by name, so a column added to any table but the last does
+// not shift the placements of later attributes; without one, its indices are
+// taken to be the original model's. A hint that does not fit (wrong site
+// count, unknown names, shrunken dimensions, a constraint violation the
 // repair cannot fix) yields a nil partitioning plus the reason, which makes
 // the solve fall back to a cold start and report why it went cold
 // (Solution.WarmRejected).
@@ -478,7 +492,15 @@ func warmToSolveSpace(warm *Solution, origModel, solveModel *Model, grouping *Gr
 	if warm.Partitioning.Sites != sites {
 		return nil, fmt.Sprintf("hint uses %d site(s), solve uses %d", warm.Partitioning.Sites, sites)
 	}
-	adapted, err := core.AdaptPartitioning(origModel, warm.Partitioning)
+	given := warm.Partitioning
+	if warm.Model != nil {
+		mapped, err := core.Named(warm.Model, given).Over(origModel)
+		if err != nil {
+			return nil, fmt.Sprintf("hint does not fit the model: %v", err)
+		}
+		given = mapped
+	}
+	adapted, err := core.AdaptPartitioning(origModel, given)
 	if err != nil {
 		return nil, fmt.Sprintf("hint does not fit the model dimensions: %v", err)
 	}
