@@ -132,10 +132,9 @@
 // WorkloadDelta is an ordered batch of typed edits — AddQuery, RemoveQuery,
 // ScaleFreq, AddAttr — turning one instance into the next. ApplyDelta
 // applies it to a plain instance (copy-on-write, the input is never
-// mutated); Model.Patch applies it to an already compiled model in place,
-// re-summing exactly the coefficient cells the delta touches in compiled
-// order, so the patched model is bit-for-bit the model a full recompile
-// would produce (property-tested across all write-accounting modes).
+// mutated), and the drifted instance is compiled into its cost model the
+// same way the first one was: there is one compile path, and a compiled
+// Model never changes after NewModel.
 //
 // Solves can start from where the last one ended: Options.Warm carries a
 // previous Solution, and every built-in solver exploits it. The SA
@@ -150,9 +149,10 @@
 // matched to the drifted instance by name: a column added to any table but
 // the last renumbers the attributes of every later table.
 //
-// Session ties the loop together: it owns the current instance, an
-// incrementally patched model and the incumbent solution. Apply feeds in a
-// delta; Resolve re-partitions warm and reports per-resolve stats — the
+// Session ties the loop together: it owns the current instance, its
+// compiled model and the incumbent solution. Apply feeds in a delta and
+// compiles the drifted instance; Resolve re-partitions warm over that model,
+// so a drift step compiles once, and reports per-resolve stats — the
 // stale-incumbent baseline, whether the warm path won, shards reused, and
 // the incumbent cost trajectory. Adopt installs an externally computed
 // solution as the warm anchor (a one-off high-effort portfolio run, or a
@@ -172,8 +172,8 @@
 // IngestConfig.EpochEvents events (event-count-based on purpose — epochs
 // never consult a clock) the tracked set is compacted by diffing it against
 // the session's live instance, emitting a minimal WorkloadDelta
-// (AddQuery/RemoveQuery/ScaleFreq) that flows through the same Model.Patch
-// warm-resolve machinery as hand-written deltas:
+// (AddQuery/RemoveQuery/ScaleFreq) that flows through the same Session.Apply
+// and warm-resolve machinery as hand-written deltas:
 //
 //	sess, _ := vpart.NewSession(inst, vpart.Options{Sites: 4, Solver: "sa", Seed: 1})
 //	sess.Resolve(ctx)                                  // cold anchor

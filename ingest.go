@@ -30,9 +30,9 @@ type (
 func DefaultIngestConfig() IngestConfig { return ingest.DefaultConfig() }
 
 // An Ingestor folds a query-event stream into its Session. Each completed
-// epoch's delta is applied through Session.Apply — i.e. the same incremental
-// Model.Patch warm-resolve path hand-built deltas take — so a Resolve after
-// some ingestion warm-starts exactly as if the drift had been fed by hand.
+// epoch's delta is applied through Session.Apply — the same compile and
+// warm-resolve path hand-built deltas take — so a Resolve after some
+// ingestion warm-starts exactly as if the drift had been fed by hand.
 // Safe for concurrent use; Ingest calls serialise on an internal mutex.
 //
 //	sess, _ := vpart.NewSession(stream.Base(), vpart.Options{Sites: 4, Solver: "decompose"})

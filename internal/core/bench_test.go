@@ -74,22 +74,6 @@ func BenchmarkEvaluateLargeInstance(b *testing.B) {
 	}
 }
 
-func BenchmarkObjectiveOnlyLargeInstance(b *testing.B) {
-	rng := rand.New(rand.NewSource(3))
-	inst := benchInstance(rng, 32, 100)
-	m, err := NewModel(inst, DefaultModelOptions())
-	if err != nil {
-		b.Fatal(err)
-	}
-	p := randomPartitioning(rng, m, 4)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if m.ObjectiveOnly(p) < 0 {
-			b.Fatal("negative objective")
-		}
-	}
-}
-
 func BenchmarkGroupAttributesLargeInstance(b *testing.B) {
 	rng := rand.New(rand.NewSource(4))
 	inst := benchInstance(rng, 32, 100)

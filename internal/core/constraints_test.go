@@ -365,47 +365,41 @@ func TestDecomposeConstrainedWeldsComponents(t *testing.T) {
 	}
 }
 
-func TestModelPatchRecompilesConstraints(t *testing.T) {
+// TestConstraintsSurviveDelta: a name-based constraint set compiles against
+// the instance a delta produces, and a delta that makes the set
+// contradictory fails to compile.
+func TestConstraintsSurviveDelta(t *testing.T) {
 	inst := consFixture(t)
-	cons := &Constraints{PinTxns: []PinTxn{{Txn: "X", Site: 1}}}
-	m, err := NewModelConstrained(inst, DefaultModelOptions(), cons)
+	// Growing the workload keeps the pin resolved and extends the implied
+	// required set to the newly read attribute.
+	grown, err := ApplyDelta(inst, WorkloadDelta{Ops: []DeltaOp{
+		AddQuery{Txn: "X", Query: NewRead("q9", "T1", []string{"c"}, 1, 3)},
+	}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Growing the workload keeps the pin resolved and extends the implied
-	// required set to the newly read attribute.
-	delta := WorkloadDelta{Ops: []DeltaOp{
-		AddQuery{Txn: "X", Query: NewRead("q9", "T1", []string{"c"}, 1, 3)},
-	}}
-	if err := m.Patch(delta); err != nil {
-		t.Fatal(err)
-	}
-	cID, _ := m.AttrID(qa("T1.c"))
-	if !m.Constraints().RequiredAt(cID, 1) {
-		t.Fatal("patched model did not propagate the pin to the newly read attribute")
-	}
-
-	// A delta that makes the set contradictory is rejected and rolls the
-	// model back.
-	m2, err := NewModelConstrained(inst, DefaultModelOptions(), &Constraints{
-		PinTxns:     []PinTxn{{Txn: "X", Site: 1}},
-		ForbidAttrs: []ForbidAttr{{Attr: qa("T1.c"), Site: 1}},
+	m, err := NewModelConstrained(grown, DefaultModelOptions(), &Constraints{
+		PinTxns: []PinTxn{{Txn: "X", Site: 1}},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := m2.Instance()
-	err = m2.Patch(WorkloadDelta{Ops: []DeltaOp{
-		AddQuery{Txn: "X", Query: NewRead("q9", "T1", []string{"c"}, 1, 3)},
-	}})
-	if err == nil {
-		t.Fatal("conflicting delta accepted")
+	cID, _ := m.AttrID(qa("T1.c"))
+	if !m.Constraints().RequiredAt(cID, 1) {
+		t.Fatal("the pin did not propagate to the newly read attribute")
 	}
-	if m2.Instance() != before {
-		t.Fatal("model not rolled back after a conflicting delta")
+
+	// A set forbidding that attribute on the pinned site compiles before the
+	// delta and is contradictory after it.
+	conflicting := &Constraints{
+		PinTxns:     []PinTxn{{Txn: "X", Site: 1}},
+		ForbidAttrs: []ForbidAttr{{Attr: qa("T1.c"), Site: 1}},
 	}
-	if m2.Constraints() == nil {
-		t.Fatal("rollback lost the compiled constraints")
+	if _, err := NewModelConstrained(inst, DefaultModelOptions(), conflicting); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := NewModelConstrained(grown, DefaultModelOptions(), conflicting); err == nil {
+		t.Fatal("contradictory set compiled against the drifted instance")
 	}
 }
 
@@ -631,41 +625,6 @@ func TestRepairClampsUnsatisfiableTxnSite(t *testing.T) {
 	p.Repair(m)       // must not panic
 	if s := p.TxnSite[xi]; s < 0 || s >= 2 {
 		t.Fatalf("Repair left an out-of-range transaction site %d", s)
-	}
-}
-
-// TestModelPatchRollsBackMidLoopConstraintConflict: a conflict that
-// surfaces through an op's full-recompile fallback (AddAttr on a non-last
-// table) must roll the model back exactly like the end-of-delta conflict
-// path does.
-func TestModelPatchRollsBackMidLoopConstraintConflict(t *testing.T) {
-	inst := consFixture(t)
-	m, err := NewModelConstrained(inst, DefaultModelOptions(), &Constraints{
-		PinTxns:     []PinTxn{{Txn: "X", Site: 1}},
-		ForbidAttrs: []ForbidAttr{{Attr: qa("T1.c"), Site: 1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	before := m.Instance()
-	err = m.Patch(WorkloadDelta{Ops: []DeltaOp{
-		// Op 1 creates the contradiction (the pinned X now reads the
-		// forbidden T1.c); op 2 recompiles mid-loop (T1 is not the last
-		// table), which is where the conflict surfaces.
-		AddQuery{Txn: "X", Query: NewRead("q9", "T1", []string{"c"}, 1, 3)},
-		AddAttr{Table: "T1", Attr: Attribute{Name: "z", Width: 4}},
-	}})
-	if err == nil {
-		t.Fatal("conflicting delta accepted")
-	}
-	if m.Instance() != before {
-		t.Fatal("model not rolled back after a mid-loop constraint conflict")
-	}
-	if m.Constraints() == nil {
-		t.Fatal("rollback lost the compiled constraints")
-	}
-	if _, ok := m.AttrID(qa("T1.z")); ok {
-		t.Fatal("rolled-back model still knows the delta's new attribute")
 	}
 }
 

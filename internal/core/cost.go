@@ -206,46 +206,6 @@ func (m *Model) latencyUnits(p *Partitioning) float64 {
 	return units
 }
 
-// ObjectiveOnly computes only the paper's objective (4) of a partitioning.
-// It is cheaper than Evaluate and is the hot path of the SA solver.
-func (m *Model) ObjectiveOnly(p *Partitioning) float64 {
-	if m.opts.WriteAccounting == WriteRelevant {
-		// The relevant-attributes accounting is quadratic in y and has no
-		// c1/c2 decomposition; fall back to the full evaluation.
-		return m.Evaluate(p).Objective
-	}
-	// Σ_{t,a} c1(a,t)·y[a][site(t)] + Σ_a c2(a)·replicas(a)
-	obj := 0.0
-	for t := 0; t < m.NumTxns(); t++ {
-		site := p.TxnSite[t]
-		for _, tc := range m.txnTerms[t] {
-			if p.AttrSites[tc.Attr][site] {
-				obj += tc.C1
-			}
-		}
-		// c1 also carries -p·transferOwn for attributes with no read term;
-		// txnTerms contains every non-zero c1/c3/transfer-own entry so nothing
-		// is missed (pure transfer entries have C1 = 0 when p = 0).
-	}
-	for a := 0; a < m.NumAttrs(); a++ {
-		c2 := m.C2(a)
-		if c2 != 0 {
-			obj += c2 * float64(p.Replicas(a))
-		}
-	}
-	if m.opts.LatencyPenalty > 0 {
-		obj += m.opts.LatencyPenalty * m.latencyUnits(p)
-	}
-	return obj
-}
-
-// BalancedObjective computes the load-balanced objective (6) of a
-// partitioning: λ·objective(4) + (1-λ)·max-site-work.
-func (m *Model) BalancedObjective(p *Partitioning) float64 {
-	c := m.Evaluate(p)
-	return c.Balanced
-}
-
 // CostRatio returns 100·a/b, the percentage used by the paper's "Ratio"
 // columns; it returns NaN when b is zero.
 func CostRatio(a, b float64) float64 {

@@ -67,21 +67,6 @@ func TestEvaluateWithReplication(t *testing.T) {
 	}
 }
 
-func TestObjectiveOnlyMatchesEvaluate(t *testing.T) {
-	for _, acc := range []WriteAccounting{WriteAll, WriteNone, WriteRelevant} {
-		m, err := NewModel(testInstance(), ModelOptions{Penalty: 2, Lambda: 0.1, WriteAccounting: acc})
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := testPartitioning(m)
-		b1 := attrID(t, m, "S", "b1")
-		p.AttrSites[b1][0] = true
-		if got, want := m.ObjectiveOnly(p), m.Evaluate(p).Objective; !almostEqual(got, want) {
-			t.Errorf("accounting %v: ObjectiveOnly = %g, Evaluate = %g", acc, got, want)
-		}
-	}
-}
-
 // TestWriteAccountingModes places b2 (never written) on site 0 and keeps b1
 // on site 1 only: the "relevant" accounting must then charge nothing for the
 // S fraction at site 0 while "all" charges it.
@@ -139,9 +124,6 @@ func TestLatencyExtension(t *testing.T) {
 	if !almostEqual(c.Objective, 270+10) {
 		t.Errorf("objective = %g, want 280", c.Objective)
 	}
-	if !almostEqual(m.ObjectiveOnly(p), c.Objective) {
-		t.Errorf("ObjectiveOnly = %g, want %g", m.ObjectiveOnly(p), c.Objective)
-	}
 
 	// Replicating b1 to T1's site does not remove the latency: the write must
 	// still reach the remaining remote replica on site 1 (Appendix A counts
@@ -180,15 +162,6 @@ func TestSingleSiteCostIndependentOfPenalty(t *testing.T) {
 	}
 }
 
-func TestBalancedObjective(t *testing.T) {
-	m := testModel(t)
-	p := testPartitioning(m)
-	c := m.Evaluate(p)
-	if got := m.BalancedObjective(p); !almostEqual(got, c.Balanced) {
-		t.Fatalf("BalancedObjective = %g, want %g", got, c.Balanced)
-	}
-}
-
 func TestCostRatio(t *testing.T) {
 	if got := CostRatio(64, 100); !almostEqual(got, 64) {
 		t.Fatalf("CostRatio = %g", got)
@@ -198,9 +171,8 @@ func TestCostRatio(t *testing.T) {
 	}
 }
 
-// Property: for random instances and random feasible partitionings,
-// ObjectiveOnly agrees with Evaluate().Objective and all cost components are
-// non-negative with Objective = AR + AW + p·B.
+// Property: for random instances and random feasible partitionings, all
+// cost components are non-negative with Objective = AR + AW + p·B.
 func TestEvaluateProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := func(seed int64) bool {
@@ -224,10 +196,6 @@ func TestEvaluateProperties(t *testing.T) {
 		}
 		if !almostEqual(c.Objective, c.ReadAccess+c.WriteAccess+4*c.Transfer) {
 			t.Logf("objective mismatch: %+v", c)
-			return false
-		}
-		if !almostEqual(c.Objective, m.ObjectiveOnly(p)) {
-			t.Logf("ObjectiveOnly mismatch: %g vs %g", m.ObjectiveOnly(p), c.Objective)
 			return false
 		}
 		maxWork := 0.0
@@ -266,9 +234,9 @@ func TestReplicationDeltaMatchesCoefficients(t *testing.T) {
 		if p.AttrSites[a][s] {
 			return true // nothing to add
 		}
-		before := m.ObjectiveOnly(p)
+		before := m.Evaluate(p).Objective
 		p.AttrSites[a][s] = true
-		after := m.ObjectiveOnly(p)
+		after := m.Evaluate(p).Objective
 
 		delta := m.C2(a)
 		for txn := 0; txn < m.NumTxns(); txn++ {

@@ -71,8 +71,8 @@ func (o AddAttr) String() string { return fmt.Sprintf("add-attr %s.%s", o.Table,
 
 // WorkloadDelta is an ordered batch of edits turning one instance into the
 // next: the unit of workload drift the online re-partitioning layer consumes.
-// Apply it to a plain instance with ApplyDelta or to a compiled model with
-// Model.Patch.
+// ApplyDelta (or Touch, which also records what the delta touched) builds
+// the next instance; compiling that instance gives the next cost model.
 type WorkloadDelta struct {
 	Ops []DeltaOp
 }
@@ -138,54 +138,6 @@ func (s *DirtySet) String() string {
 	return fmt.Sprintf("dirty{tables: %v, txns: %v}", names(s.Tables), names(s.Txns))
 }
 
-// Touch marks in ds every table and transaction the delta touches when
-// applied to inst (the instance the delta is about to be applied to — the
-// removed query of a RemoveQuery op is looked up there). It does not modify
-// inst. An error means the delta does not apply cleanly; ApplyDelta would
-// fail with the same root cause.
-func (d WorkloadDelta) Touch(inst *Instance, ds *DirtySet) error {
-	// Touch must see the instance state each op applies to: an op may address
-	// a query an earlier op of the same delta added. Walk a patched shadow.
-	cur := inst
-	for _, op := range d.Ops {
-		switch op := op.(type) {
-		case AddQuery:
-			ds.Txns[op.Txn] = true
-			for _, acc := range op.Query.Accesses {
-				ds.Tables[acc.Table] = true
-			}
-		case RemoveQuery:
-			q, err := findQuery(cur, op.Txn, op.Query)
-			if err != nil {
-				return fmt.Errorf("delta %s: %w", op, err)
-			}
-			ds.Txns[op.Txn] = true
-			for _, acc := range q.Accesses {
-				ds.Tables[acc.Table] = true
-			}
-		case ScaleFreq:
-			q, err := findQuery(cur, op.Txn, op.Query)
-			if err != nil {
-				return fmt.Errorf("delta %s: %w", op, err)
-			}
-			ds.Txns[op.Txn] = true
-			for _, acc := range q.Accesses {
-				ds.Tables[acc.Table] = true
-			}
-		case AddAttr:
-			ds.Tables[op.Table] = true
-		default:
-			return fmt.Errorf("delta: unknown op type %T", op)
-		}
-		next, err := applyOp(cur, op)
-		if err != nil {
-			return err
-		}
-		cur = next
-	}
-	return nil
-}
-
 // ApplyDelta returns a new instance with the delta applied, op by op in
 // order. The input instance is never mutated; transactions and tables the
 // delta does not touch share memory with it, so applying a small delta to a
@@ -194,6 +146,14 @@ func (d WorkloadDelta) Touch(inst *Instance, ds *DirtySet) error {
 // grow: query ops may append transactions, AddAttr appends attributes, and
 // RemoveQuery refuses to empty a transaction.
 func ApplyDelta(inst *Instance, d WorkloadDelta) (*Instance, error) {
+	return d.Touch(inst, nil)
+}
+
+// Touch is ApplyDelta that also marks in ds, unless ds is nil, every table
+// and transaction the delta touches (the removed query of a RemoveQuery op
+// is looked up in the instance that op applies to). On error ds may be
+// partly marked; mark a scratch clone when that matters.
+func (d WorkloadDelta) Touch(inst *Instance, ds *DirtySet) (*Instance, error) {
 	if inst == nil {
 		return nil, fmt.Errorf("delta: nil instance")
 	}
@@ -202,6 +162,9 @@ func ApplyDelta(inst *Instance, d WorkloadDelta) (*Instance, error) {
 		next, err := applyOp(cur, op)
 		if err != nil {
 			return nil, err
+		}
+		if ds != nil {
+			ds.mark(cur, op)
 		}
 		cur = next
 	}
@@ -214,8 +177,32 @@ func ApplyDelta(inst *Instance, d WorkloadDelta) (*Instance, error) {
 	return cur, nil
 }
 
-// findQuery locates a query by transaction and query name.
-func findQuery(inst *Instance, txn, query string) (*Query, error) {
+// mark marks the table and transaction names op touches. op has just been
+// applied to inst without error, so the query it addresses exists there.
+func (s *DirtySet) mark(inst *Instance, op DeltaOp) {
+	var q *Query
+	switch op := op.(type) {
+	case AddQuery:
+		s.Txns[op.Txn] = true
+		q = &op.Query
+	case RemoveQuery:
+		s.Txns[op.Txn] = true
+		q = findQuery(inst, op.Txn, op.Query)
+	case ScaleFreq:
+		s.Txns[op.Txn] = true
+		q = findQuery(inst, op.Txn, op.Query)
+	case AddAttr:
+		s.Tables[op.Table] = true
+	}
+	if q != nil {
+		for _, acc := range q.Accesses {
+			s.Tables[acc.Table] = true
+		}
+	}
+}
+
+// findQuery locates a query by transaction and query name, nil if absent.
+func findQuery(inst *Instance, txn, query string) *Query {
 	for ti := range inst.Workload.Transactions {
 		tx := &inst.Workload.Transactions[ti]
 		if tx.Name != txn {
@@ -223,12 +210,12 @@ func findQuery(inst *Instance, txn, query string) (*Query, error) {
 		}
 		for qi := range tx.Queries {
 			if tx.Queries[qi].Name == query {
-				return &tx.Queries[qi], nil
+				return &tx.Queries[qi]
 			}
 		}
-		return nil, fmt.Errorf("transaction %q has no query %q", txn, query)
+		return nil
 	}
-	return nil, fmt.Errorf("workload has no transaction %q", txn)
+	return nil
 }
 
 // applyOp applies a single op, returning a new instance that shares all

@@ -30,7 +30,8 @@ func (in *Instance) Validate() error {
 
 // Clone returns an independent deep copy of the instance (nil in, nil out).
 // Sessions hand out clones wherever a caller could otherwise alias their
-// internal, incrementally patched instance.
+// internal instance, which shares untouched structure with the instances
+// ApplyDelta built it from.
 func (in *Instance) Clone() *Instance {
 	if in == nil {
 		return nil

@@ -173,7 +173,10 @@ type attrAccessRef struct {
 
 // Model is the compiled cost model of an instance: the indicator constants
 // and coefficients of the paper's Section 2, precomputed for fast evaluation
-// and for building the integer program.
+// and for building the integer program. A Model never changes after
+// NewModel (or NewModelConstrained) returns: a drifted instance is compiled
+// into a new Model, so Evaluators, partitionings and name lists built over a
+// Model stay valid for as long as it is referenced.
 type Model struct {
 	inst *Instance
 	opts ModelOptions
@@ -225,8 +228,8 @@ type Model struct {
 
 	// Placement constraints: consSrc is the name-based set the model was
 	// compiled with (nil = unconstrained), cons its compiled, index-based
-	// form. Patch recompiles cons after every delta so the name-based set
-	// survives workload drift.
+	// form. Being name-based, one set compiles against every drifted
+	// instance of a workload.
 	consSrc *Constraints
 	cons    *ConstraintSet
 }
@@ -258,41 +261,16 @@ func NewModelConstrained(inst *Instance, opts ModelOptions, cons *Constraints) (
 		return nil, err
 	}
 	m.compileCoefficients()
-	m.compileEvalIndices()
-	if err := m.compileModelConstraints(); err != nil {
-		return nil, err
+	m.compileAttrTerms()
+	m.compileWriteIndices()
+	if cons != nil {
+		cs, err := compileConstraints(m, cons)
+		if err != nil {
+			return nil, err
+		}
+		m.cons = cs
 	}
 	return m, nil
-}
-
-// recompile rebuilds every compiled structure from m.inst and m.opts. It is
-// the from-scratch fallback of Patch for ops the incremental path does not
-// cover.
-func (m *Model) recompile() error {
-	inst, opts, cons := m.inst, m.opts, m.consSrc
-	*m = Model{inst: inst, opts: opts, consSrc: cons}
-	m.compileCatalogue()
-	if err := m.compileQueries(); err != nil {
-		return err
-	}
-	m.compileCoefficients()
-	m.compileEvalIndices()
-	return m.compileModelConstraints()
-}
-
-// compileModelConstraints (re)compiles the model's name-based constraint set
-// into its index-based form. A no-op for unconstrained models.
-func (m *Model) compileModelConstraints() error {
-	if m.consSrc == nil {
-		m.cons = nil
-		return nil
-	}
-	cs, err := compileConstraints(m, m.consSrc)
-	if err != nil {
-		return err
-	}
-	m.cons = cs
-	return nil
 }
 
 func (m *Model) compileCatalogue() {
@@ -407,17 +385,8 @@ func (m *Model) compileCoefficients() {
 	}
 }
 
-// compileEvalIndices builds the reverse indices the incremental Evaluator
-// walks: the attribute-side transpose of txnTerms and the write-query
-// catalogue used by the "access relevant attributes" accounting and the
-// Appendix A latency extension.
-func (m *Model) compileEvalIndices() {
-	m.compileAttrTerms()
-	m.compileWriteIndices()
-}
-
-// compileAttrTerms rebuilds attrTerms, the attribute-side transpose of
-// txnTerms, from scratch.
+// compileAttrTerms builds attrTerms, the attribute-side transpose of
+// txnTerms, which the incremental Evaluator walks.
 func (m *Model) compileAttrTerms() {
 	nA, nT := len(m.attrs), len(m.txnNames)
 	m.attrTerms = make([][]AttrTermCoef, nA)
@@ -431,15 +400,13 @@ func (m *Model) compileAttrTerms() {
 	}
 }
 
-// compileWriteIndices rebuilds the write-query catalogue (attrWriteQ,
+// compileWriteIndices builds the write-query catalogue (attrWriteQ,
 // txnWriteQ, attrWriteAcc, writeQFreq/writeQTxn/writeQAlpha, numWriteAcc)
-// from the compiled query list.
+// from the compiled query list: the reverse indices the incremental
+// Evaluator walks for the "access relevant attributes" accounting and the
+// Appendix A latency extension.
 func (m *Model) compileWriteIndices() {
 	nA, nT := len(m.attrs), len(m.txnNames)
-	m.writeQFreq = nil
-	m.writeQTxn = nil
-	m.writeQAlpha = nil
-	m.numWriteAcc = 0
 	m.attrWriteQ = make([][]attrQueryRef, nA)
 	m.txnWriteQ = make([][]int32, nT)
 	m.attrWriteAcc = make([][]attrAccessRef, nA)

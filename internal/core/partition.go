@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 )
@@ -376,11 +375,10 @@ func AdaptPartitioning(m *Model, p *Partitioning) (*Partitioning, error) {
 }
 
 // NamedPartitioning is a partitioning together with the names its indices
-// denote. Model.Patch recompiles when a column is added to any table but the
-// last, which renumbers the attributes of every later table, so a layout
-// kept across patches (a session's incumbent) or carried from one model to
-// another (a warm hint, an adopted anchor) must be matched by name, not by
-// index.
+// denote. A column added to any table but the last renumbers the attributes
+// of every later table in the model compiled after the delta, so a layout
+// carried from one model to the next (a session's incumbent, a warm hint, an
+// adopted anchor) must be matched by name, not by index.
 type NamedPartitioning struct {
 	P *Partitioning
 	// Txns[t] and Attrs[a] name transaction t and attribute a of P.
@@ -388,12 +386,12 @@ type NamedPartitioning struct {
 	Attrs []QualifiedAttr
 }
 
-// Named records p, a partitioning over m, with m's current names. The name
-// lists are copies: later patches of m do not change them.
+// Named records p, a partitioning over m, with m's names. A Model never
+// changes once compiled, so Txns shares m's list; do not modify it.
 func Named(m *Model, p *Partitioning) NamedPartitioning {
 	n := NamedPartitioning{
 		P:     p,
-		Txns:  slices.Clone(m.txnNames),
+		Txns:  m.txnNames,
 		Attrs: make([]QualifiedAttr, len(m.attrs)),
 	}
 	for a, info := range m.attrs {
@@ -407,8 +405,8 @@ func Named(m *Model, p *Partitioning) NamedPartitioning {
 // left unplaced (site -1, no replica): CheckConstraintsPartial skips them,
 // and AdaptPartitioning or Repair places them as AdaptPartitioning places
 // grown dimensions. A name m lacks is an error. While m's indices still
-// match the recorded names, as they do unless a patch renumbered them, each
-// lookup is one comparison; transactions are never renumbered.
+// match the recorded names, as they do unless an added column renumbered
+// them, each lookup is one comparison; transactions are never renumbered.
 func (n NamedPartitioning) Over(m *Model) (*Partitioning, error) {
 	p := n.P
 	if p.Sites <= 0 {

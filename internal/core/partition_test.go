@@ -245,9 +245,9 @@ func TestRepairAlwaysFeasible(t *testing.T) {
 	}
 }
 
-// TestNamedPartitioningOver: a layout recorded by name survives a patch
+// TestNamedPartitioningOver: a layout recorded by name survives a delta
 // that renumbers attributes (a column added to R, not the last table), and
-// what the patch added is left unplaced for Repair — and for
+// what the delta added is left unplaced for Repair — and for
 // CheckConstraintsPartial to skip.
 func TestNamedPartitioningOver(t *testing.T) {
 	m := testModel(t)
@@ -266,10 +266,7 @@ func TestNamedPartitioningOver(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Patch(grown); err != nil {
-		t.Fatal(err)
-	}
-	if id := attrID(t, m, "S", "b1"); id == attrID(t, testModel(t), "S", "b1") {
+	if attrID(t, m2, "S", "b1") == attrID(t, m, "S", "b1") {
 		t.Fatal("fixture delta no longer renumbers S")
 	}
 

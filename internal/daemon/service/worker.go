@@ -114,9 +114,10 @@ func (m *session) await(ctx context.Context, cond func() (bool, error)) error {
 
 // run is the single-flight worker: it owns every call into the wrapped
 // vpart.Session. The first solve runs cold immediately; afterwards the loop
-// drains queued deltas into the session (cheap incremental patches), decides
-// via the trigger policy when the accumulated drift is worth a re-solve, and
-// publishes a fresh state snapshot after every step.
+// drains queued deltas into the session (one Apply, and so one model
+// compile, per delta), decides via the trigger policy when the accumulated
+// drift is worth a re-solve, and publishes a fresh state snapshot after
+// every step.
 func (m *session) run(ctx context.Context) {
 	defer func() {
 		m.mu.Lock()

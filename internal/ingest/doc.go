@@ -7,7 +7,7 @@
 // space-saving-style top-k structure keeps only the heavy-hitter query
 // shapes as real core.Query objects, and event-count-based epochs compact
 // the tracked set into minimal WorkloadDelta batches a Session consumes
-// through the bit-identical Model.Patch warm-resolve path.
+// through Session.Apply and its warm-resolve path.
 //
 // # Pipeline
 //

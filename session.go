@@ -108,13 +108,14 @@ type ResolveStats struct {
 	Trajectory []TrajectoryPoint
 }
 
-// Session owns a live partitioning problem: the current instance, a compiled
-// cost model kept up to date by incremental patching, and the current
-// incumbent solution. Workload drift is fed in as typed deltas (Apply) or as
-// a raw query-event stream folded into deltas by a bounded-memory ingestor
-// (NewIngestor); Resolve then re-partitions warm — seeding the configured
-// solver from the incumbent and, for the decompose meta-solver, re-solving
-// only the components the deltas since the last resolve touched.
+// Session owns a live partitioning problem: the current instance, its
+// compiled cost model and the current incumbent solution. Workload drift is
+// fed in as typed deltas (Apply) or as a raw query-event stream folded into
+// deltas by a bounded-memory ingestor (NewIngestor); each Apply compiles the
+// drifted instance into a new model. Resolve then re-partitions warm over
+// that model — seeding the configured solver from the incumbent and, for the
+// decompose meta-solver, re-solving only the components the deltas since the
+// last resolve touched.
 //
 // A Session is safe for concurrent use: every method serialises on an
 // internal mutex, so Apply, Resolve, Adopt and the read accessors may be
@@ -137,7 +138,7 @@ type Session struct {
 
 	opts      Options
 	inst      *Instance
-	model     *Model // patched incrementally on Apply; prices StaleCost
+	model     *Model // compiled from inst; Resolve solves over it, Staleness prices with it
 	incumbent *Solution
 	anchor    core.NamedPartitioning // the incumbent's layout with its names; see incumbentLayout
 	dirty     *DirtySet
@@ -254,6 +255,7 @@ func (s *Session) Adopt(sol *Solution) error {
 		return fmt.Errorf("vpart: session: adopted anchor cannot be adapted to a feasible layout: %w", err)
 	}
 	cp := *sol
+	cp.Model = s.model
 	cp.Partitioning = adapted
 	cp.Cost = s.model.Evaluate(adapted)
 	s.incumbent = &cp
@@ -264,24 +266,31 @@ func (s *Session) Adopt(sol *Solution) error {
 }
 
 // Apply feeds workload drift into the session: the delta is validated and
-// applied to the current instance, the compiled model is patched
-// incrementally (in time proportional to the terms the delta touches, not
-// the instance size), and the touched table/transaction names are accumulated
-// for the next resolve's shard reuse. On error the session is unchanged.
+// applied to the current instance in one pass that also accumulates the
+// touched table/transaction names for the next resolve's shard reuse, and
+// the drifted instance is compiled into the cost model the next Resolve
+// solves over. The session's constraints are name-based and compile against
+// the drifted instance too, unless the delta makes them contradictory (a
+// query added to a pinned transaction reads an attribute forbidden on the
+// pin's site): such a delta is rejected. On error the session is unchanged.
 func (s *Session) Apply(delta WorkloadDelta) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	// Touch validates the delta against the current instance as a side
-	// effect; record into a scratch set so a failed delta marks nothing.
-	scratch := s.dirty.Clone()
-	if err := delta.Touch(s.inst, scratch); err != nil {
+	if len(delta.Ops) == 0 {
+		// An ingestion epoch without churn: nothing to recompile.
+		return nil
+	}
+	// Mark a scratch set so a failed delta marks nothing.
+	dirty := s.dirty.Clone()
+	inst, err := delta.Touch(s.inst, dirty)
+	if err != nil {
 		return fmt.Errorf("vpart: session: %w", err)
 	}
-	if err := s.model.Patch(delta); err != nil {
+	model, err := compileModel(inst, s.opts)
+	if err != nil {
 		return fmt.Errorf("vpart: session: %w", err)
 	}
-	s.inst = s.model.Instance()
-	s.dirty = scratch
+	s.inst, s.model, s.dirty = inst, model, dirty
 	s.pending += len(delta.Ops)
 	return nil
 }
@@ -362,7 +371,7 @@ func (s *Session) Resolve(ctx context.Context) (*Solution, ResolveStats, error) 
 		}
 	}
 
-	sol, err := Solve(ctx, s.inst, opts)
+	sol, err := solve(ctx, s.inst, s.model, opts)
 	if err != nil {
 		return nil, stats, err
 	}
@@ -404,12 +413,12 @@ func (s *Session) History() []ResolveStats {
 
 // Staleness estimates how much worse the incumbent has become under the
 // drift applied since it was computed: the incumbent re-priced under the
-// current (patched) cost model, relative to its cost at resolve time, as a
-// fraction (0.05 = 5 % costlier). Negative values mean drift made the layout
-// cheaper. Zero without an incumbent or pending deltas; +Inf when the
-// incumbent can no longer be adapted to the drifted instance. Trigger
-// policies (the daemon's) compare this against a threshold to decide when a
-// re-solve is worth its latency.
+// cost model Apply compiled for the current instance, relative to its cost
+// at resolve time, as a fraction (0.05 = 5 % costlier). Negative values mean
+// drift made the layout cheaper. Zero without an incumbent or pending
+// deltas; +Inf when the incumbent can no longer be adapted to the drifted
+// instance. Trigger policies (the daemon's) compare this against a threshold
+// to decide when a re-solve is worth its latency.
 func (s *Session) Staleness() float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

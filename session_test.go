@@ -308,8 +308,9 @@ func TestSessionDecomposeReusesShards(t *testing.T) {
 	_ = cold
 }
 
-// TestSessionResolveNoDeltasReusesEverything: resolving twice without any
-// Apply must reuse every shard under the decompose pipeline.
+// TestSessionResolveNoDeltasReusesEverything: resolving twice with no drift
+// in between — no Apply, or only an empty delta's, as an ingestion epoch
+// without churn emits — must reuse every shard under the decompose pipeline.
 func TestSessionResolveNoDeltasReusesEverything(t *testing.T) {
 	ctx := context.Background()
 	inst, err := vpart.RandomInstance(vpart.MultiComponentClass(3, 12, 24, 10), 1)
@@ -325,6 +326,13 @@ func TestSessionResolveNoDeltasReusesEverything(t *testing.T) {
 	first, _, err := sess.Resolve(ctx)
 	if err != nil {
 		t.Fatal(err)
+	}
+	before := sess.Instance()
+	if err := sess.Apply(vpart.WorkloadDelta{}); err != nil {
+		t.Fatal(err)
+	}
+	if sess.Instance() != before || sess.Pending() != 0 {
+		t.Error("an empty delta changed the session")
 	}
 	second, stats, err := sess.Resolve(ctx)
 	if err != nil {
@@ -485,6 +493,110 @@ func TestSessionAdoptRejectsStaleDimensionsBeyondModel(t *testing.T) {
 		if bad := misplaced(sess2.Snapshot().Incumbent, byName(t, target, stale)); len(bad) > 0 {
 			t.Errorf("adopted layout differs from the stale one matched by name at %v", bad)
 		}
+	}
+}
+
+// TestSessionIncumbentCarriesItsModel: an incumbent installed by a snapshot
+// restore or by adopting a layout solved before the session's deltas
+// carries the model its partitioning is expressed over, and a later Apply
+// leaves that model as it was.
+func TestSessionIncumbentCarriesItsModel(t *testing.T) {
+	ctx := context.Background()
+	inst := vpart.TPCC()
+	opts := vpart.Options{Sites: 3, Solver: "sa", Seed: 1}
+	ownModel := func(what string, sol *vpart.Solution) {
+		t.Helper()
+		if sol.Model == nil {
+			t.Fatalf("%s: incumbent has no model", what)
+		}
+		if err := sol.Partitioning.Validate(sol.Model); err != nil {
+			t.Fatalf("%s: incumbent does not fit its own model: %v", what, err)
+		}
+		if got, want := sol.Cost, sol.Model.Evaluate(sol.Partitioning); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: incumbent cost %v, its model prices it at %v", what, got, want)
+		}
+	}
+
+	sess, err := vpart.NewSession(inst, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale, _, err := sess.Resolve(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := vpart.NewSessionFromSnapshot(sess.Snapshot(), vpart.Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ownModel("restored", restored.Incumbent())
+	if _, err := vpart.DDL(restored.Incumbent()); err != nil {
+		t.Fatalf("DDL of the restored incumbent: %v", err)
+	}
+
+	// Warehouse is the first table, so the new column renumbers every later
+	// attribute; the stale layout predates it.
+	if err := sess.Apply(vpart.WorkloadDelta{Ops: []vpart.DeltaOp{
+		vpart.AddAttr{Table: "Warehouse", Attr: vpart.Attribute{Name: "W_NEW", Width: 8}},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Adopt(stale); err != nil {
+		t.Fatal(err)
+	}
+	adopted := sess.Incumbent()
+	ownModel("adopted", adopted)
+
+	attrs, queries := adopted.Model.NumAttrs(), adopted.Model.NumQueries()
+	if err := sess.Apply(tpccDelta(t, sess.Instance())); err != nil {
+		t.Fatal(err)
+	}
+	if sess.Incumbent().Model != adopted.Model ||
+		adopted.Model.NumAttrs() != attrs || adopted.Model.NumQueries() != queries {
+		t.Fatal("Apply changed the incumbent's model")
+	}
+	ownModel("after Apply", sess.Incumbent())
+}
+
+// TestSessionApplyRejectsConstraintConflict: a delta that makes the
+// session's constraints contradictory — the pinned transaction now reads an
+// attribute forbidden on its site — is rejected, and the session is left as
+// it was, without the delta's valid first op.
+func TestSessionApplyRejectsConstraintConflict(t *testing.T) {
+	ctx := context.Background()
+	inst := vpart.TPCC()
+	stock := inst.Workload.Transactions[4] // StockLevel never reads Warehouse
+	tax := vpart.QualifiedAttr{Table: "Warehouse", Attr: "W_TAX"}
+	sess, err := vpart.NewSession(inst, vpart.Options{Sites: 3, Solver: "sa", Seed: 1, Constraints: &vpart.Constraints{
+		PinTxns:     []vpart.PinTxn{{Txn: stock.Name, Site: 1}},
+		ForbidAttrs: []vpart.ForbidAttr{{Attr: tax, Site: 1}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sess.Resolve(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Apply(tpccDelta(t, inst)); err != nil {
+		t.Fatal(err)
+	}
+	before, pending, staleness := sess.Instance(), sess.Pending(), sess.Staleness()
+
+	err = sess.Apply(vpart.WorkloadDelta{Ops: []vpart.DeltaOp{
+		vpart.ScaleFreq{Txn: stock.Name, Query: stock.Queries[0].Name, Factor: 4},
+		vpart.AddQuery{Txn: stock.Name, Query: vpart.NewRead("tax", tax.Table, []string{tax.Attr}, 1, 1)},
+	}})
+	if err == nil {
+		t.Fatal("a delta contradicting the session's constraints was applied")
+	}
+	if !strings.Contains(err.Error(), "constraints") {
+		t.Errorf("unexpected rejection reason: %v", err)
+	}
+	if sess.Instance() != before || sess.Pending() != pending || sess.Staleness() != staleness {
+		t.Fatal("the rejected delta changed the session")
+	}
+	if _, _, err := sess.Resolve(ctx); err != nil {
+		t.Fatalf("resolve after the rejected delta: %v", err)
 	}
 }
 

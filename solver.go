@@ -265,6 +265,13 @@ func effectiveSeed(seed int64) int64 {
 // ctx.Err(). The softer opts.TimeLimit instead returns the best incumbent
 // found so far.
 func Solve(ctx context.Context, inst *Instance, opts Options) (*Solution, error) {
+	return solve(ctx, inst, nil, opts)
+}
+
+// solve is Solve over origModel, the model compileModel returns for inst and
+// opts; a nil origModel is compiled here. Session.Resolve passes the model
+// its Apply compiled, so each drift step compiles the instance once.
+func solve(ctx context.Context, inst *Instance, origModel *Model, opts Options) (*Solution, error) {
 	start := time.Now()
 	if ctx == nil {
 		ctx = context.Background()
@@ -325,9 +332,11 @@ func Solve(ctx context.Context, inst *Instance, opts Options) (*Solution, error)
 
 	// Compile the original model (used for final evaluation and formatting),
 	// with the constraint set resolved against it.
-	origModel, err := compileModel(inst, opts)
-	if err != nil {
-		return nil, fmt.Errorf("vpart: %w", err)
+	if origModel == nil {
+		origModel, err = compileModel(inst, opts)
+		if err != nil {
+			return nil, fmt.Errorf("vpart: %w", err)
+		}
 	}
 	cons := opts.Constraints
 
