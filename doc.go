@@ -75,7 +75,8 @@
 // Two cost-preserving reductions run before any solver. The reasonable-cuts
 // grouping of Section 4 (GroupAttributes) merges attributes of a table that
 // every query treats identically; it is on by default and never changes the
-// optimum. On top of it, DecomposeInstance splits the grouped instance into
+// optimum. A grouping that merges nothing is solved over the original model,
+// so the instance is compiled once. On top of it, DecomposeInstance splits the grouped instance into
 // the connected components of its table–transaction access graph: two tables
 // are connected when some transaction accesses both. Components share no
 // term of objective (4) — every Section 2 coefficient is a sum over (query,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -47,6 +48,56 @@ func benchInstance(rng *rand.Rand, tables, txns int) *Instance {
 	return inst
 }
 
+// rangeInstance is a YCSB-like instance: tables tables of 11 fields each,
+// and n queries spread over txns transactions. Query i reads a range of
+// fields of table i mod tables — the first 11 queries one field each, so no
+// two attributes share an access signature — and, with more than one table,
+// every third query also reads a prefix of the next table.
+func rangeInstance(tables, txns, n int) *Instance {
+	inst := &Instance{Name: "ranges"}
+	for ti := 0; ti < tables; ti++ {
+		tbl := Table{Name: fmt.Sprintf("t%d", ti)}
+		for ai := 0; ai < 11; ai++ {
+			tbl.Attributes = append(tbl.Attributes, Attribute{Name: fmt.Sprintf("f%d", ai), Width: 8})
+		}
+		inst.Schema.Tables = append(inst.Schema.Tables, tbl)
+	}
+	fields := func(lo, hi int) []string {
+		var names []string
+		for ai := lo; ai <= hi; ai++ {
+			names = append(names, fmt.Sprintf("f%d", ai))
+		}
+		return names
+	}
+	inst.Workload.Transactions = make([]Transaction, txns)
+	for i := range inst.Workload.Transactions {
+		inst.Workload.Transactions[i].Name = fmt.Sprintf("txn%d", i)
+	}
+	for qi := 0; qi < n; qi++ {
+		lo := qi % 11
+		hi := lo + (qi/11)%(11-lo)
+		q := NewRead(fmt.Sprintf("q%d", qi), fmt.Sprintf("t%d", qi%tables), fields(lo, hi), 1, 1)
+		if tables > 1 && qi%3 == 0 {
+			q.Accesses = append(q.Accesses, TableAccess{Table: fmt.Sprintf("t%d", (qi+1)%tables), Attributes: fields(0, lo), Rows: 2})
+		}
+		txn := &inst.Workload.Transactions[qi%txns]
+		txn.Queries = append(txn.Queries, q)
+	}
+	return inst
+}
+
+func BenchmarkValidateLargeInstance(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	inst := benchInstance(rng, 32, 100)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := inst.Validate(); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkNewModelLargeInstance(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	inst := benchInstance(rng, 32, 100)
@@ -74,14 +125,25 @@ func BenchmarkEvaluateLargeInstance(b *testing.B) {
 	}
 }
 
+// BenchmarkGroupAttributesLargeInstance groups a random instance, whose
+// attributes merge, and an identity-shaped one shaped like a live YCSB
+// epoch (one 11-attribute table, 2,048 queries), whose attributes do not.
 func BenchmarkGroupAttributesLargeInstance(b *testing.B) {
-	rng := rand.New(rand.NewSource(4))
-	inst := benchInstance(rng, 32, 100)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := GroupAttributes(inst); err != nil {
-			b.Fatal(err)
-		}
+	for _, row := range []struct {
+		name string
+		inst *Instance
+	}{
+		{"merging", benchInstance(rand.New(rand.NewSource(4)), 32, 100)},
+		{"identity", rangeInstance(1, 64, 2048)},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := GroupAttributes(row.inst); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

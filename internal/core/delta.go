@@ -35,7 +35,8 @@ type RemoveQuery struct {
 }
 
 // ScaleFreq multiplies the frequency of query Query of transaction Txn by
-// Factor (> 0): the drift primitive for shifting query mixes.
+// Factor (> 0 and finite): the drift primitive for shifting query mixes. The
+// scaled frequency must stay positive and finite.
 type ScaleFreq struct {
 	Txn, Query string
 	Factor     float64
@@ -247,7 +248,7 @@ func applyAddQuery(inst *Instance, op AddQuery) (*Instance, error) {
 	if op.Txn == "" {
 		return nil, fmt.Errorf("delta %s: empty transaction name", op)
 	}
-	if err := validateQuery(&inst.Schema, op.Txn, &op.Query); err != nil {
+	if err := newQueryChecker(&inst.Schema).check(op.Txn, &op.Query); err != nil {
 		return nil, fmt.Errorf("delta %s: %w", op, err)
 	}
 	cp := shallowWorkloadCopy(inst)
@@ -306,6 +307,9 @@ func applyScaleFreq(inst *Instance, op ScaleFreq) (*Instance, error) {
 	if op.Factor <= 0 {
 		return nil, fmt.Errorf("delta %s: non-positive factor", op)
 	}
+	if !finite(op.Factor) {
+		return nil, fmt.Errorf("delta %s: non-finite factor", op)
+	}
 	cp := shallowWorkloadCopy(inst)
 	for ti := range cp.Workload.Transactions {
 		tx := &cp.Workload.Transactions[ti]
@@ -320,6 +324,9 @@ func applyScaleFreq(inst *Instance, op ScaleFreq) (*Instance, error) {
 			qs[qi].Frequency *= op.Factor
 			if qs[qi].Frequency <= 0 {
 				return nil, fmt.Errorf("delta %s: scaled frequency %g is not positive", op, qs[qi].Frequency)
+			}
+			if !finite(qs[qi].Frequency) {
+				return nil, fmt.Errorf("delta %s: scaled frequency %g is not finite", op, qs[qi].Frequency)
 			}
 			tx.Queries = qs
 			return cp, nil

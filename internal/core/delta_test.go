@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -84,6 +85,8 @@ func TestApplyDeltaErrors(t *testing.T) {
 		{"remove unknown txn", RemoveQuery{Txn: "nope", Query: "q"}},
 		{"scale unknown query", ScaleFreq{Txn: "x", Query: "nope", Factor: 2}},
 		{"scale non-positive", ScaleFreq{Txn: "x", Query: "q", Factor: 0}},
+		{"scale by NaN", ScaleFreq{Txn: "x", Query: "q", Factor: math.NaN()}},
+		{"scale by +Inf", ScaleFreq{Txn: "x", Query: "q", Factor: math.Inf(1)}},
 		{"add duplicate query", AddQuery{Txn: "x", Query: NewRead("q", "T", []string{"a"}, 1, 1)}},
 		{"add query unknown table", AddQuery{Txn: "x", Query: NewRead("q2", "U", []string{"a"}, 1, 1)}},
 		{"add query unknown attr", AddQuery{Txn: "x", Query: NewRead("q2", "T", []string{"zz"}, 1, 1)}},
@@ -98,6 +101,14 @@ func TestApplyDeltaErrors(t *testing.T) {
 			}
 		})
 	}
+	// Each op's factor is finite, but together they overflow the frequency.
+	t.Run("scale to +Inf", func(t *testing.T) {
+		op := ScaleFreq{Txn: "x", Query: "q", Factor: 1e300}
+		_, err := ApplyDelta(inst, WorkloadDelta{Ops: []DeltaOp{op, op}})
+		if want := "delta scale-freq x/q ×1e+300: scaled frequency +Inf is not finite"; err == nil || err.Error() != want {
+			t.Fatalf("error %v, want %q", err, want)
+		}
+	})
 	// The failed ops must not have mutated the source instance.
 	if err := inst.Validate(); err != nil {
 		t.Fatal(err)

@@ -15,7 +15,8 @@ type Grouping struct {
 	// Original is the instance the grouping was computed from.
 	Original *Instance
 	// Grouped is the reduced instance in which every attribute represents a
-	// group of original attributes.
+	// group of original attributes. When no two attributes merge it is
+	// Original itself, not a copy; treat it as read-only.
 	Grouped *Instance
 	// Members maps each grouped attribute to the original attributes it
 	// represents.
@@ -50,6 +51,9 @@ func GroupAttributes(inst *Instance) (*Grouping, error) {
 // a grouped solve can never split a group, so any merge can turn a
 // capacity-feasible instance infeasible — unlike every other constraint
 // kind, byte budgets void the Section 4 optimality argument.
+//
+// When no two attributes merge, Grouped is inst itself, not a copy; callers
+// can then solve over the model already compiled from inst.
 func GroupAttributesConstrained(inst *Instance, cons *Constraints) (*Grouping, error) {
 	if err := inst.Validate(); err != nil {
 		return nil, err
@@ -94,6 +98,7 @@ func GroupAttributesConstrained(inst *Instance, cons *Constraints) (*Grouping, e
 	}
 
 	grouped := &Instance{Name: inst.Name + " (grouped)"}
+	merged := false
 	for _, tbl := range inst.Schema.Tables {
 		newTbl := Table{Name: tbl.Name}
 		// Group attributes by signature, preserving declaration order of the
@@ -109,6 +114,7 @@ func GroupAttributesConstrained(inst *Instance, cons *Constraints) (*Grouping, e
 			}
 			if gi, ok := groupIdx[key]; ok {
 				// Extend the existing group.
+				merged = true
 				newTbl.Attributes[gi].Width += a.Width
 				gq := QualifiedAttr{Table: tbl.Name, Attr: newTbl.Attributes[gi].Name}
 				g.Members[gq] = append(g.Members[gq], qa)
@@ -122,6 +128,12 @@ func GroupAttributesConstrained(inst *Instance, cons *Constraints) (*Grouping, e
 			g.GroupOf[qa] = gq
 		}
 		grouped.Schema.Tables = append(grouped.Schema.Tables, newTbl)
+	}
+	if !merged {
+		// The identity grouping: a rewritten copy of inst would compile to
+		// the same model, so inst is its own grouped instance.
+		g.Grouped = inst
+		return g, nil
 	}
 
 	// Rewrite the workload: every referenced attribute is replaced by its

@@ -45,6 +45,78 @@ func TestGroupAttributesFixture(t *testing.T) {
 	if err := g.Grouped.Validate(); err != nil {
 		t.Fatalf("grouped instance invalid: %v", err)
 	}
+	if g.Grouped == inst {
+		t.Fatal("a merging grouping returned its input as the grouped instance")
+	}
+}
+
+// checkIdentityGrouping fails unless g is the identity grouping of inst: the
+// input itself as Grouped, and every attribute its own one-member group.
+func checkIdentityGrouping(t *testing.T, inst *Instance, g *Grouping) {
+	t.Helper()
+	if g.Grouped != inst {
+		t.Fatal("an identity grouping did not return its input as the grouped instance")
+	}
+	if g.Original != inst {
+		t.Fatal("Original is not the input")
+	}
+	if orig, grouped := g.Reduction(); orig != grouped {
+		t.Fatalf("Reduction = (%d,%d), want equal counts", orig, grouped)
+	}
+	if len(g.Members) != inst.NumAttributes() || len(g.GroupOf) != inst.NumAttributes() {
+		t.Fatalf("%d members and %d group entries, want %d each", len(g.Members), len(g.GroupOf), inst.NumAttributes())
+	}
+	for _, tbl := range inst.Schema.Tables {
+		for _, a := range tbl.Attributes {
+			qa := QualifiedAttr{Table: tbl.Name, Attr: a.Name}
+			if g.GroupOf[qa] != qa {
+				t.Errorf("GroupOf[%s] = %s, want itself", qa, g.GroupOf[qa])
+			}
+			if m := g.Members[qa]; len(m) != 1 || m[0] != qa {
+				t.Errorf("Members[%s] = %v, want [%s]", qa, m, qa)
+			}
+		}
+	}
+}
+
+// TestGroupAttributesIdentityReturnsInput: when every attribute has its own
+// access signature nothing merges, and the grouping hands back its input.
+func TestGroupAttributesIdentityReturnsInput(t *testing.T) {
+	inst := &Instance{
+		Name: "distinct",
+		Schema: Schema{Tables: []Table{
+			{Name: "R", Attributes: []Attribute{{Name: "a1", Width: 4}, {Name: "a2", Width: 8}, {Name: "a3", Width: 2}}},
+			{Name: "S", Attributes: []Attribute{{Name: "b1", Width: 4}}},
+		}},
+		Workload: Workload{Transactions: []Transaction{
+			{Name: "T1", Queries: []Query{
+				NewRead("q1", "R", []string{"a1"}, 1, 1),
+				NewRead("q2", "R", []string{"a1", "a2"}, 1, 1),
+			}},
+			{Name: "T2", Queries: []Query{
+				NewWrite("q3", "R", []string{"a1", "a2", "a3"}, 1, 1),
+				NewRead("q4", "S", []string{"b1"}, 2, 1),
+			}},
+		}},
+	}
+	g, err := GroupAttributes(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIdentityGrouping(t, inst, g)
+}
+
+// TestGroupAttributesSiteCapacityIdentity: under a SiteCapacity constraint
+// the fixture, whose a1 and a2 would merge, groups as the identity.
+func TestGroupAttributesSiteCapacityIdentity(t *testing.T) {
+	inst := testInstance()
+	g, err := GroupAttributesConstrained(inst, &Constraints{
+		SiteCapacities: []SiteCapacity{{Site: 0, Bytes: 100}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkIdentityGrouping(t, inst, g)
 }
 
 func TestGroupingRejectsInvalidInstance(t *testing.T) {

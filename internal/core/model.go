@@ -53,16 +53,16 @@ const (
 
 // ModelOptions parameterise the cost model.
 type ModelOptions struct {
-	// Penalty is the network penalty factor p ≥ 0. p = 0 models local
-	// placement of all partitions (no inter-site transfer cost).
+	// Penalty is the network penalty factor p ≥ 0, finite. p = 0 models
+	// local placement of all partitions (no inter-site transfer cost).
 	Penalty float64
 	// Lambda ∈ [0,1] weights total cost (λ) versus load balancing (1-λ) in
 	// objective (6).
 	Lambda float64
 	// WriteAccounting selects the A_W accounting mode.
 	WriteAccounting WriteAccounting
-	// LatencyPenalty is the Appendix A latency penalty factor p_l. Zero
-	// disables the latency extension.
+	// LatencyPenalty is the Appendix A latency penalty factor p_l ≥ 0,
+	// finite. Zero disables the latency extension.
 	LatencyPenalty float64
 }
 
@@ -80,11 +80,17 @@ func (o ModelOptions) validate() error {
 	if o.Penalty < 0 {
 		return fmt.Errorf("model options: negative penalty %g", o.Penalty)
 	}
-	if o.Lambda < 0 || o.Lambda > 1 {
+	if !finite(o.Penalty) {
+		return fmt.Errorf("model options: non-finite penalty %g", o.Penalty)
+	}
+	if !(o.Lambda >= 0 && o.Lambda <= 1) {
 		return fmt.Errorf("model options: lambda %g outside [0,1]", o.Lambda)
 	}
 	if o.LatencyPenalty < 0 {
 		return fmt.Errorf("model options: negative latency penalty %g", o.LatencyPenalty)
+	}
+	if !finite(o.LatencyPenalty) {
+		return fmt.Errorf("model options: non-finite latency penalty %g", o.LatencyPenalty)
 	}
 	switch o.WriteAccounting {
 	case WriteAll, WriteRelevant, WriteNone:

@@ -17,6 +17,11 @@ func TestModelOptionValidation(t *testing.T) {
 		{Penalty: 8, Lambda: 1.5},
 		{Penalty: 8, Lambda: 0.1, LatencyPenalty: -2},
 		{Penalty: 8, Lambda: 0.1, WriteAccounting: WriteAccounting(9)},
+		{Penalty: math.Inf(1), Lambda: 0.1},
+		{Penalty: math.NaN(), Lambda: 0.1},
+		{Penalty: 8, Lambda: math.NaN()},
+		{Penalty: 8, Lambda: 0.1, LatencyPenalty: math.Inf(1)},
+		{Penalty: 8, Lambda: 0.1, LatencyPenalty: math.NaN()},
 	}
 	for i, o := range bad {
 		if _, err := NewModel(inst, o); err == nil {

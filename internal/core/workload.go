@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 )
 
 // QueryKind distinguishes read queries from write queries (the paper's δ_q).
@@ -136,14 +137,18 @@ func (w *Workload) NumQueries() int {
 
 // Validate checks structural well-formedness of the workload against the
 // schema: unique transaction names, non-empty transactions, queries with
-// positive frequency, accesses referring to existing tables/attributes,
-// positive row counts and no duplicate table access within one query.
+// positive, finite frequency, accesses referring to existing tables/attributes,
+// positive, finite row counts and no duplicate table access within one query.
+// Names resolve through indices built once per call, so validating a query
+// allocates nothing.
 func (w *Workload) Validate(s *Schema) error {
 	if len(w.Transactions) == 0 {
 		return fmt.Errorf("workload: no transactions")
 	}
+	qc := newQueryChecker(s)
 	seenTxn := make(map[string]bool, len(w.Transactions))
-	for _, txn := range w.Transactions {
+	for ti := range w.Transactions {
+		txn := &w.Transactions[ti]
 		if txn.Name == "" {
 			return fmt.Errorf("workload: transaction with empty name")
 		}
@@ -154,8 +159,8 @@ func (w *Workload) Validate(s *Schema) error {
 		if len(txn.Queries) == 0 {
 			return fmt.Errorf("workload: transaction %q has no queries", txn.Name)
 		}
-		for _, q := range txn.Queries {
-			if err := validateQuery(s, txn.Name, &q); err != nil {
+		for qi := range txn.Queries {
+			if err := qc.check(txn.Name, &txn.Queries[qi]); err != nil {
 				return err
 			}
 		}
@@ -163,7 +168,63 @@ func (w *Workload) Validate(s *Schema) error {
 	return nil
 }
 
-func validateQuery(s *Schema, txn string, q *Query) error {
+// queryChecker validates queries against one schema. Table names resolve
+// through an index built with the checker; a table's attribute index is
+// built the first time a query accesses the table, so checking one query
+// costs time in the widths of the tables it accesses only. A table or
+// attribute named twice is caught with stamps instead of per-query sets:
+// every query, and every access of a query, draws a fresh stamp.
+type queryChecker struct {
+	schema    *Schema
+	tables    map[string]int
+	attrs     []map[string]int // per table; nil until a query accesses it
+	tableSeen []int            // per table: stamp of the last query accessing it
+	attrSeen  [][]int          // per table and attribute: stamp of the last access naming it
+	stamp     int
+}
+
+func newQueryChecker(s *Schema) *queryChecker {
+	qc := &queryChecker{
+		schema:    s,
+		tables:    make(map[string]int, len(s.Tables)),
+		attrs:     make([]map[string]int, len(s.Tables)),
+		tableSeen: make([]int, len(s.Tables)),
+		attrSeen:  make([][]int, len(s.Tables)),
+	}
+	for ti := range s.Tables {
+		// The first of two equally named tables wins, as in Schema.Table.
+		if _, dup := qc.tables[s.Tables[ti].Name]; !dup {
+			qc.tables[s.Tables[ti].Name] = ti
+		}
+	}
+	return qc
+}
+
+// attrIndex returns table ti's attribute-name index, building it (and the
+// table's stamps) on first use.
+func (qc *queryChecker) attrIndex(ti int) map[string]int {
+	if idx := qc.attrs[ti]; idx != nil {
+		return idx
+	}
+	attrs := qc.schema.Tables[ti].Attributes
+	idx := make(map[string]int, len(attrs))
+	for ai := range attrs {
+		// The first of two equally named attributes wins, as in
+		// Table.Attribute.
+		if _, dup := idx[attrs[ai].Name]; !dup {
+			idx[attrs[ai].Name] = ai
+		}
+	}
+	qc.attrs[ti] = idx
+	qc.attrSeen[ti] = make([]int, len(attrs))
+	return idx
+}
+
+// finite reports whether x is neither infinite nor NaN.
+func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
+
+// check validates query q of transaction txn.
+func (qc *queryChecker) check(txn string, q *Query) error {
 	if q.Name == "" {
 		return fmt.Errorf("workload: transaction %q has a query with empty name", txn)
 	}
@@ -173,38 +234,50 @@ func validateQuery(s *Schema, txn string, q *Query) error {
 	if q.Frequency <= 0 {
 		return fmt.Errorf("workload: query %s/%s has non-positive frequency %g", txn, q.Name, q.Frequency)
 	}
+	if !finite(q.Frequency) {
+		return fmt.Errorf("workload: query %s/%s has non-finite frequency %g", txn, q.Name, q.Frequency)
+	}
 	if len(q.Accesses) == 0 {
 		return fmt.Errorf("workload: query %s/%s accesses no tables", txn, q.Name)
 	}
-	seenTable := make(map[string]bool, len(q.Accesses))
-	for _, acc := range q.Accesses {
-		tbl, ok := s.Table(acc.Table)
+	qc.stamp++
+	query := qc.stamp
+	for i := range q.Accesses {
+		acc := &q.Accesses[i]
+		ti, ok := qc.tables[acc.Table]
 		if !ok {
 			return fmt.Errorf("workload: query %s/%s references unknown table %q", txn, q.Name, acc.Table)
 		}
-		if seenTable[acc.Table] {
+		if qc.tableSeen[ti] == query {
 			return fmt.Errorf("workload: query %s/%s references table %q twice", txn, q.Name, acc.Table)
 		}
-		seenTable[acc.Table] = true
+		qc.tableSeen[ti] = query
 		if acc.Rows <= 0 {
 			return fmt.Errorf("workload: query %s/%s accesses table %q with non-positive row count %g",
+				txn, q.Name, acc.Table, acc.Rows)
+		}
+		if !finite(acc.Rows) {
+			return fmt.Errorf("workload: query %s/%s accesses table %q with non-finite row count %g",
 				txn, q.Name, acc.Table, acc.Rows)
 		}
 		if len(acc.Attributes) == 0 {
 			return fmt.Errorf("workload: query %s/%s accesses table %q but references no attributes",
 				txn, q.Name, acc.Table)
 		}
-		seenAttr := make(map[string]bool, len(acc.Attributes))
+		idx := qc.attrIndex(ti)
+		seen := qc.attrSeen[ti]
+		qc.stamp++
 		for _, a := range acc.Attributes {
-			if _, ok := tbl.Attribute(a); !ok {
+			ai, ok := idx[a]
+			if !ok {
 				return fmt.Errorf("workload: query %s/%s references unknown attribute %s.%s",
 					txn, q.Name, acc.Table, a)
 			}
-			if seenAttr[a] {
+			if seen[ai] == qc.stamp {
 				return fmt.Errorf("workload: query %s/%s references attribute %s.%s twice",
 					txn, q.Name, acc.Table, a)
 			}
-			seenAttr[a] = true
+			seen[ai] = qc.stamp
 		}
 	}
 	return nil

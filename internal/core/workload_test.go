@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -83,27 +84,61 @@ func TestWorkloadValidateErrors(t *testing.T) {
 		mutate func(*Instance)
 		want   string
 	}{
-		{"no transactions", func(in *Instance) { in.Workload.Transactions = nil }, "no transactions"},
-		{"empty txn name", func(in *Instance) { in.Workload.Transactions[0].Name = "" }, "empty name"},
-		{"duplicate txn", func(in *Instance) { in.Workload.Transactions[1].Name = "T1" }, "duplicate transaction"},
-		{"txn without queries", func(in *Instance) { in.Workload.Transactions[0].Queries = nil }, "no queries"},
-		{"empty query name", func(in *Instance) { in.Workload.Transactions[0].Queries[0].Name = "" }, "empty name"},
-		{"bad kind", func(in *Instance) { in.Workload.Transactions[0].Queries[0].Kind = QueryKind(9) }, "invalid kind"},
-		{"bad frequency", func(in *Instance) { in.Workload.Transactions[0].Queries[0].Frequency = 0 }, "non-positive frequency"},
-		{"no accesses", func(in *Instance) { in.Workload.Transactions[0].Queries[0].Accesses = nil }, "accesses no tables"},
-		{"unknown table", func(in *Instance) { in.Workload.Transactions[0].Queries[0].Accesses[0].Table = "Z" }, "unknown table"},
-		{"bad rows", func(in *Instance) { in.Workload.Transactions[0].Queries[0].Accesses[0].Rows = -1 }, "non-positive row count"},
-		{"no attributes", func(in *Instance) { in.Workload.Transactions[0].Queries[0].Accesses[0].Attributes = nil }, "references no attributes"},
+		{"no transactions", func(in *Instance) { in.Workload.Transactions = nil }, "workload: no transactions"},
+		{"empty txn name", func(in *Instance) { in.Workload.Transactions[0].Name = "" },
+			"workload: transaction with empty name"},
+		{"duplicate txn", func(in *Instance) { in.Workload.Transactions[1].Name = "T1" },
+			`workload: duplicate transaction "T1"`},
+		{"txn without queries", func(in *Instance) { in.Workload.Transactions[0].Queries = nil },
+			`workload: transaction "T1" has no queries`},
+		{"empty query name", func(in *Instance) { in.Workload.Transactions[0].Queries[0].Name = "" },
+			`workload: transaction "T1" has a query with empty name`},
+		{"bad kind", func(in *Instance) { in.Workload.Transactions[0].Queries[0].Kind = QueryKind(9) },
+			"workload: query T1/q1 has invalid kind 9"},
+		{"bad frequency", func(in *Instance) { in.Workload.Transactions[0].Queries[0].Frequency = 0 },
+			"workload: query T1/q1 has non-positive frequency 0"},
+		{"negative infinite frequency", func(in *Instance) { in.Workload.Transactions[0].Queries[0].Frequency = math.Inf(-1) },
+			"workload: query T1/q1 has non-positive frequency -Inf"},
+		{"infinite frequency", func(in *Instance) { in.Workload.Transactions[0].Queries[0].Frequency = math.Inf(1) },
+			"workload: query T1/q1 has non-finite frequency +Inf"},
+		{"NaN frequency", func(in *Instance) { in.Workload.Transactions[0].Queries[0].Frequency = math.NaN() },
+			"workload: query T1/q1 has non-finite frequency NaN"},
+		{"no accesses", func(in *Instance) { in.Workload.Transactions[0].Queries[0].Accesses = nil },
+			"workload: query T1/q1 accesses no tables"},
+		{"unknown table", func(in *Instance) { in.Workload.Transactions[0].Queries[0].Accesses[0].Table = "Z" },
+			`workload: query T1/q1 references unknown table "Z"`},
+		{"bad rows", func(in *Instance) { in.Workload.Transactions[0].Queries[0].Accesses[0].Rows = -1 },
+			`workload: query T1/q1 accesses table "R" with non-positive row count -1`},
+		{"infinite rows", func(in *Instance) { in.Workload.Transactions[0].Queries[0].Accesses[0].Rows = math.Inf(1) },
+			`workload: query T1/q1 accesses table "R" with non-finite row count +Inf`},
+		{"NaN rows", func(in *Instance) { in.Workload.Transactions[0].Queries[0].Accesses[0].Rows = math.NaN() },
+			`workload: query T1/q1 accesses table "R" with non-finite row count NaN`},
+		{"no attributes", func(in *Instance) { in.Workload.Transactions[0].Queries[0].Accesses[0].Attributes = nil },
+			`workload: query T1/q1 accesses table "R" but references no attributes`},
 		{"unknown attribute", func(in *Instance) {
 			in.Workload.Transactions[0].Queries[0].Accesses[0].Attributes = []string{"nope"}
-		}, "unknown attribute"},
+		}, "workload: query T1/q1 references unknown attribute R.nope"},
 		{"duplicate attribute ref", func(in *Instance) {
 			in.Workload.Transactions[0].Queries[0].Accesses[0].Attributes = []string{"a1", "a1"}
-		}, "twice"},
+		}, "workload: query T1/q1 references attribute R.a1 twice"},
 		{"duplicate table ref", func(in *Instance) {
 			q := &in.Workload.Transactions[0].Queries[0]
 			q.Accesses = append(q.Accesses, q.Accesses[0])
-		}, "twice"},
+		}, `workload: query T1/q1 references table "R" twice`},
+		// Accesses are checked in order, each one completely before the next:
+		// the second access's unknown attribute is reported, not the third
+		// access's repeat of the first table.
+		{"check order", func(in *Instance) {
+			q := &in.Workload.Transactions[0].Queries[0]
+			q.Accesses = append(q.Accesses,
+				TableAccess{Table: "S", Attributes: []string{"b1", "nope"}, Rows: 1},
+				q.Accesses[0])
+		}, "workload: query T1/q1 references unknown attribute S.nope"},
+		// Stamps of earlier queries never match: b1, named by q2 and by q3,
+		// is no repeat, while q3's own second b2 is.
+		{"repeat in a later query", func(in *Instance) {
+			in.Workload.Transactions[1].Queries[0].Accesses[0].Attributes = []string{"b2", "b2"}
+		}, "workload: query T2/q3 references attribute S.b2 twice"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -111,12 +146,32 @@ func TestWorkloadValidateErrors(t *testing.T) {
 			tc.mutate(inst)
 			err := inst.Workload.Validate(&inst.Schema)
 			if err == nil {
-				t.Fatalf("expected error containing %q, got nil", tc.want)
+				t.Fatalf("expected error %q, got nil", tc.want)
 			}
-			if !strings.Contains(err.Error(), tc.want) {
-				t.Fatalf("error %q does not contain %q", err, tc.want)
+			if err.Error() != tc.want {
+				t.Fatalf("error %q, want %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestWorkloadValidateAllocs: validation allocates per call, never per
+// query, so a workload 32 times as large allocates no more.
+func TestWorkloadValidateAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		inst := rangeInstance(4, 8, n)
+		if err := inst.Workload.Validate(&inst.Schema); err != nil {
+			t.Fatal(err)
+		}
+		return testing.AllocsPerRun(20, func() {
+			_ = inst.Workload.Validate(&inst.Schema)
+		})
+	}
+	small, large := allocs(64), allocs(2048)
+	t.Logf("allocations per call: %v for 64 queries, %v for 2048", small, large)
+	if large > small+2 {
+		t.Fatalf("validating 2048 queries allocates %v times, 64 queries %v: want at most %v",
+			large, small, small+2)
 	}
 }
 

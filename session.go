@@ -115,7 +115,9 @@ type ResolveStats struct {
 // drifted instance into a new model. Resolve then re-partitions warm over
 // that model — seeding the configured solver from the incumbent and, for the
 // decompose meta-solver, re-solving only the components the deltas since the
-// last resolve touched.
+// last resolve touched. Resolve compiles a grouped copy of the instance only
+// when reasonable-cuts grouping merges attributes; otherwise it searches the
+// model Apply compiled.
 //
 // A Session is safe for concurrent use: every method serialises on an
 // internal mutex, so Apply, Resolve, Adopt and the read accessors may be

@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"maps"
+	"math"
 	"reflect"
 	"slices"
 	"strings"
@@ -597,6 +598,45 @@ func TestSessionApplyRejectsConstraintConflict(t *testing.T) {
 	}
 	if _, _, err := sess.Resolve(ctx); err != nil {
 		t.Fatalf("resolve after the rejected delta: %v", err)
+	}
+}
+
+// TestSessionApplyRejectsNonFiniteFrequency: two ScaleFreq ops, each with
+// a finite factor, overflow a frequency to +Inf; the delta is rejected and
+// the session keeps its instance, pending count and incumbent.
+func TestSessionApplyRejectsNonFiniteFrequency(t *testing.T) {
+	ctx := context.Background()
+	inst := vpart.TPCC()
+	sess, err := vpart.NewSession(inst, vpart.Options{Sites: 3, Solver: "sa", Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := sess.Resolve(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Apply(tpccDelta(t, inst)); err != nil {
+		t.Fatal(err)
+	}
+	before, pending, incumbent := sess.Instance(), sess.Pending(), sess.Incumbent()
+
+	tx := inst.Workload.Transactions[0]
+	huge := vpart.ScaleFreq{Txn: tx.Name, Query: tx.Queries[0].Name, Factor: 1e300}
+	err = sess.Apply(vpart.WorkloadDelta{Ops: []vpart.DeltaOp{huge, huge}})
+	if err == nil {
+		t.Fatal("a delta scaling a frequency to +Inf was applied")
+	}
+	if !strings.Contains(err.Error(), "not finite") {
+		t.Errorf("unexpected rejection reason: %v", err)
+	}
+	if sess.Instance() != before || sess.Pending() != pending || sess.Incumbent() != incumbent {
+		t.Fatal("the rejected delta changed the session")
+	}
+	_, stats, err := sess.Resolve(ctx)
+	if err != nil {
+		t.Fatalf("resolve after the rejected delta: %v", err)
+	}
+	if math.IsInf(stats.Cost.Balanced, 0) || math.IsNaN(stats.Cost.Balanced) {
+		t.Fatalf("resolve cost %v is not finite", stats.Cost.Balanced)
 	}
 }
 

@@ -343,15 +343,17 @@ func solve(ctx context.Context, inst *Instance, origModel *Model, opts Options) 
 	// Reasonable-cuts preprocessing. Under constraints the grouping is
 	// profile-aware — attributes with differing constraints never merge — and
 	// the set is rewritten onto the group representatives for the grouped
-	// model.
-	solveInst := inst
+	// model. A grouping that merges nothing is dropped: the solve runs over
+	// the original model, so the instance is compiled once.
 	var grouping *Grouping
 	if !opts.DisableGrouping {
 		grouping, err = core.GroupAttributesConstrained(inst, cons)
 		if err != nil {
 			return nil, err
 		}
-		solveInst = grouping.Grouped
+		if grouping.Grouped == inst {
+			grouping = nil
+		}
 	}
 	solveModel := origModel
 	if grouping != nil {
@@ -362,7 +364,7 @@ func solve(ctx context.Context, inst *Instance, origModel *Model, opts Options) 
 				return nil, err
 			}
 		}
-		solveModel, err = core.NewModelConstrained(solveInst, mo, groupedCons)
+		solveModel, err = core.NewModelConstrained(grouping.Grouped, mo, groupedCons)
 		if err != nil {
 			return nil, err
 		}

@@ -3,7 +3,9 @@ package vpart_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -194,6 +196,102 @@ func TestFixedSeedIsDeterministic(t *testing.T) {
 	}
 	if a.Cost.Objective != b.Cost.Objective {
 		t.Fatal("two Seed-1 runs disagree")
+	}
+}
+
+// identityInstance is a one-table instance shaped like a YCSB workload
+// whose eleven fields all have distinct access signatures: query i reads a
+// range of fields, the first eleven one field each, so reasonable-cuts
+// grouping merges nothing.
+func identityInstance(t *testing.T) *vpart.Instance {
+	t.Helper()
+	tbl := vpart.Table{Name: "usertable"}
+	for f := 0; f < 11; f++ {
+		tbl.Attributes = append(tbl.Attributes, vpart.Attribute{Name: fmt.Sprintf("f%d", f), Width: 4 + 3*f})
+	}
+	inst := &vpart.Instance{Name: "identity", Schema: vpart.Schema{Tables: []vpart.Table{tbl}}}
+	for tx := 0; tx < 12; tx++ {
+		inst.Workload.Transactions = append(inst.Workload.Transactions,
+			vpart.Transaction{Name: fmt.Sprintf("txn%02d", tx)})
+	}
+	for i := 0; i < 48; i++ {
+		lo := i % 11
+		hi := lo + (i/11)%(11-lo)
+		var fields []string
+		for f := lo; f <= hi; f++ {
+			fields = append(fields, fmt.Sprintf("f%d", f))
+		}
+		name, rows, freq := fmt.Sprintf("q%02d", i), float64(1+i%3), float64(1+i%7)
+		q := vpart.NewRead(name, tbl.Name, fields, rows, freq)
+		if i%5 == 0 {
+			q = vpart.NewWrite(name, tbl.Name, fields[:1], rows, freq)
+		}
+		txn := &inst.Workload.Transactions[i%12]
+		txn.Queries = append(txn.Queries, q)
+	}
+	g, err := vpart.GroupAttributes(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if orig, grouped := g.Reduction(); orig != grouped {
+		t.Fatalf("grouping merges %d attributes into %d; want none merged", orig, grouped)
+	}
+	return inst
+}
+
+// TestSolveIdentityGroupingMatchesUngrouped: when grouping merges nothing,
+// a solve with the default preprocessing is bit-identical to one without
+// preprocessing — cold, warm, and under pins and forbids.
+func TestSolveIdentityGroupingMatchesUngrouped(t *testing.T) {
+	ctx := context.Background()
+	inst := identityInstance(t)
+	anchor, err := vpart.Solve(ctx, inst, vpart.Options{Sites: 3, Solver: "sa", Seed: 2, Preprocess: vpart.PreprocessNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cons := &vpart.Constraints{
+		PinTxns:     []vpart.PinTxn{{Txn: "txn00", Site: 1}},
+		ForbidAttrs: []vpart.ForbidAttr{{Attr: vpart.QualifiedAttr{Table: "usertable", Attr: "f3"}, Site: 0}},
+	}
+	for _, solver := range []string{"sa", "portfolio"} {
+		for _, tc := range []struct {
+			name string
+			opts vpart.Options
+		}{
+			{"cold", vpart.Options{}},
+			{"warm", vpart.Options{Warm: anchor}},
+			{"constrained", vpart.Options{Constraints: cons}},
+		} {
+			t.Run(solver+"/"+tc.name, func(t *testing.T) {
+				opts := tc.opts
+				opts.Sites, opts.Solver, opts.Seed = 3, solver, 5
+				grouped, err := vpart.Solve(ctx, inst, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts.Preprocess = vpart.PreprocessNone
+				plain, err := vpart.Solve(ctx, inst, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(grouped.Partitioning, plain.Partitioning) {
+					t.Fatalf("partitionings differ:\n%s\nvs\n%s",
+						grouped.Partitioning.Format(grouped.Model), plain.Partitioning.Format(plain.Model))
+				}
+				if !reflect.DeepEqual(grouped.Cost, plain.Cost) {
+					t.Fatalf("costs differ: %v vs %v", grouped.Cost, plain.Cost)
+				}
+				if grouped.WarmStart != plain.WarmStart || grouped.WarmRejected != plain.WarmRejected {
+					t.Fatalf("warm starts differ: %v %q vs %v %q",
+						grouped.WarmStart, grouped.WarmRejected, plain.WarmStart, plain.WarmRejected)
+				}
+				if cons := opts.Constraints; cons != nil {
+					if err := cons.Check(plain.Model, plain.Partitioning); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -130,7 +130,9 @@ var (
 	NewEvaluator = core.NewEvaluator
 	// DefaultModelOptions returns p = 8, λ = 0.1, "access all attributes".
 	DefaultModelOptions = core.DefaultModelOptions
-	// GroupAttributes computes the reasonable-cuts attribute grouping.
+	// GroupAttributes computes the reasonable-cuts attribute grouping. When
+	// no two attributes merge it returns Grouped == inst, the input itself
+	// rather than a copy; treat Grouped as read-only.
 	GroupAttributes = core.GroupAttributes
 	// SingleSitePartitioning returns the trivial all-on-one-site layout.
 	SingleSitePartitioning = core.SingleSite
