@@ -118,11 +118,15 @@
 // and the Appendix A latency extension are maintained exactly.
 //
 // Moves are journalled: Undo reverts everything applied since the last
-// Commit, which is what a Metropolis accept/reject step needs; Snapshot and
-// Restore save and reinstate whole states for best-incumbent tracking. The
-// SA solver's hot loop is built entirely on this API — it performs no
-// Partitioning.Clone and no full Model.Evaluate per iteration — and any
-// future local-search solver (tabu, genetic, ...) can reuse it unchanged.
+// Commit, which is what a Metropolis accept/reject step needs. It does not
+// replay the moves: every float is restored from the journal, and only the
+// placement bits and integer counters are inverted, so rejecting a move
+// costs O(1), plus its write-query counters under latency or WriteRelevant
+// accounting. Snapshot and Restore save and reinstate whole states for
+// best-incumbent tracking. The SA solver's hot loop is built entirely on this
+// API — it performs no Partitioning.Clone and no full Model.Evaluate per
+// iteration — and any future local-search solver (tabu, genetic, ...) can
+// reuse it unchanged.
 // Evaluator.Cost assembles the full Cost breakdown of the current state on
 // demand, matching Model.Evaluate to floating point accumulation order.
 //

@@ -95,37 +95,96 @@ func (e *Evaluator) ScoreBatch(b *MoveBatch) float64 {
 }
 
 // undoTo reverts journalled moves in reverse order down to the given journal
-// mark, restoring every scalar accumulator bitwise. Undo is undoTo(0).
+// mark. It never replays a move: every float a move changed is restored from
+// its journal record (and the WriteRelevant per-access sums from betaLog), so
+// only the placement bits and the integer counters are inverted. Undo is
+// undoTo(0).
 //
 //vpart:noalloc
 func (e *Evaluator) undoTo(mark int) {
 	for i := len(e.journal) - 1; i >= mark; i-- {
 		rec := &e.journal[i]
-		if !rec.noop {
-			switch rec.kind {
-			case mkMoveTxn:
-				e.moveTxn(int(rec.x), int(rec.prevSite))
-				e.siteWork[rec.prevSite] = rec.work1
-			case mkAddReplica:
-				e.flipReplica(int(rec.x), int(rec.site), false)
-			case mkDropReplica:
-				e.flipReplica(int(rec.x), int(rec.site), true)
-			}
-			// Restore the WriteRelevant per-access sums bitwise from the log.
-			// The inverse flip above appended mirror entries; walking the log
-			// backwards to the move's mark assigns the oldest — true — prior
-			// value of every touched sum last.
-			for j := len(e.betaLog) - 1; j >= int(rec.betaMark); j-- {
-				e.betaSum[e.betaLog[j].idx] = e.betaLog[j].prev
-			}
-			e.betaLog = e.betaLog[:rec.betaMark]
-			e.siteWork[rec.site] = rec.work0
-			e.readAccess = rec.readAccess
-			e.writeAccess = rec.writeAccess
-			e.transfer = rec.transfer
-			e.transferGross = rec.transferGross
-			e.latencyUnits = rec.latencyUnits
+		if rec.noop {
+			continue
 		}
+		switch rec.kind {
+		case mkMoveTxn:
+			e.unmoveTxn(int(rec.x), int(rec.prevSite))
+			e.siteWork[rec.prevSite] = rec.work1
+		case mkAddReplica:
+			e.unflipReplica(int(rec.x), int(rec.site), false)
+		case mkDropReplica:
+			e.unflipReplica(int(rec.x), int(rec.site), true)
+		}
+		// Walking the log backwards to the move's mark assigns the oldest —
+		// true — prior value of every touched sum last.
+		for j := len(e.betaLog) - 1; j >= int(rec.betaMark); j-- {
+			e.betaSum[e.betaLog[j].idx] = e.betaLog[j].prev
+		}
+		e.betaLog = e.betaLog[:rec.betaMark]
+		e.siteWork[rec.site] = rec.work0
+		e.readAccess = rec.readAccess
+		e.writeAccess = rec.writeAccess
+		e.transfer = rec.transfer
+		e.transferGross = rec.transferGross
+		e.latencyUnits = rec.latencyUnits
 	}
 	e.journal = e.journal[:mark]
+}
+
+// unmoveTxn puts transaction t back on site s, the site it left in the move
+// being undone, and recounts the remote replicas of its write queries there.
+// The replica bits and qTotal are those the move saw, because moves are undone
+// in reverse order.
+//
+//vpart:noalloc
+func (e *Evaluator) unmoveTxn(t, s int) {
+	m, p := e.m, e.p
+	p.TxnSite[t] = s
+	if m.opts.LatencyPenalty > 0 {
+		for _, q := range m.txnWriteQ[t] {
+			own := int32(0)
+			for _, ar := range m.writeQAlpha[q] {
+				if p.AttrSites[ar.attr][s] {
+					own += ar.mult
+				}
+			}
+			e.qRemote[q] = e.qTotal[q] - own
+		}
+	}
+}
+
+// unflipReplica sets attribute a's bit on site s back to on, the value before
+// the flip being undone, and inverts the flip's integer counters: the replica
+// count, the site's stored bytes, the WriteRelevant written-attribute counts
+// and the latency replica counts.
+//
+//vpart:noalloc
+func (e *Evaluator) unflipReplica(a, s int, on bool) {
+	m, p := e.m, e.p
+	d := int32(-1)
+	if on {
+		d = 1
+	}
+	e.replicas[a] += d
+	p.AttrSites[a][s] = on
+	if e.siteBytes != nil {
+		e.siteBytes[s] += int64(d) * int64(m.attrs[a].Width)
+	}
+	if m.opts.WriteAccounting == WriteRelevant {
+		S := p.Sites
+		for _, ref := range m.attrWriteAcc[a] {
+			if ref.alpha {
+				e.alphaCnt[int(ref.access)*S+s] += d
+			}
+		}
+	}
+	if m.opts.LatencyPenalty > 0 {
+		for _, qr := range m.attrWriteQ[a] {
+			e.qTotal[qr.query] += d * qr.mult
+			if p.TxnSite[m.writeQTxn[qr.query]] != s {
+				e.qRemote[qr.query] += d * qr.mult
+			}
+		}
+	}
 }

@@ -101,6 +101,7 @@ func BenchmarkValidateLargeInstance(b *testing.B) {
 func BenchmarkNewModelLargeInstance(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	inst := benchInstance(rng, 32, 100)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := NewModel(inst, DefaultModelOptions()); err != nil {

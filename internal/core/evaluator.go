@@ -394,8 +394,10 @@ func (e *Evaluator) ApplyDropReplica(a, s int) float64 {
 }
 
 // Undo reverts every move applied since the last Commit (or Restore), in
-// reverse order. The scalar accumulators are restored bitwise from the
-// journal, so an apply-undo cycle is exact.
+// reverse order. Every float accumulator is restored bitwise from the
+// journal, and only the placement bits and integer counters are inverted, so
+// an apply-undo cycle is exact and rejecting a move costs O(1), plus its
+// write-query counters under latency or WriteRelevant accounting.
 //
 //vpart:noalloc
 func (e *Evaluator) Undo() {
@@ -471,8 +473,8 @@ func (e *Evaluator) flipReplica(a, s int, on bool) {
 	}
 	p.AttrSites[a][s] = on
 	if e.siteBytes != nil {
-		// Integer arithmetic inverts exactly, so Undo's mirror flip restores
-		// the byte counters bitwise without journalling them.
+		// Integer arithmetic inverts exactly, so Undo restores the byte
+		// counters without journalling them.
 		if on {
 			e.siteBytes[s] += int64(m.attrs[a].Width)
 		} else {

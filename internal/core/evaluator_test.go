@@ -11,6 +11,7 @@ package core_test
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"vpart/internal/core"
@@ -161,15 +162,31 @@ func TestEvaluatorMatchesEvaluateProperty(t *testing.T) {
 	}
 }
 
+// TestEvaluatorUndoRoundTrip: Undo restores the floats from the journal and
+// inverts only placement bits and integer counters, so after every Undo the
+// whole evaluator state — replica counts, per-site bytes, WriteRelevant
+// counts, latency counters and every float — equals its snapshot from before
+// the batch. The rows cover all three write accountings with and without
+// the latency term, and a SiteCapacity model so the per-site bytes are kept.
 func TestEvaluatorUndoRoundTrip(t *testing.T) {
 	inst, err := randgen.Generate(randgen.ClassA(3, 8, 30), 11)
 	if err != nil {
 		t.Fatal(err)
 	}
+	capacity := &core.Constraints{SiteCapacities: []core.SiteCapacity{{Site: 1, Bytes: 1 << 20}}}
+	type row struct {
+		mode    core.WriteAccounting
+		latency float64
+		cons    *core.Constraints
+	}
+	var rows []row
 	for _, mode := range []core.WriteAccounting{core.WriteAll, core.WriteRelevant, core.WriteNone} {
-		m, err := core.NewModel(inst, core.ModelOptions{
-			Penalty: 8, Lambda: 0.1, WriteAccounting: mode, LatencyPenalty: 0.5,
-		})
+		rows = append(rows, row{mode, 0.5, nil}, row{mode, 0, nil}, row{mode, 0.5, capacity})
+	}
+	for _, r := range rows {
+		m, err := core.NewModelConstrained(inst, core.ModelOptions{
+			Penalty: 8, Lambda: 0.1, WriteAccounting: r.mode, LatencyPenalty: r.latency,
+		}, r.cons)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,9 +196,13 @@ func TestEvaluatorUndoRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if r.cons != nil && e.SiteHeadroom(1) < 0 {
+			t.Fatal("capacity row: the evaluator keeps no per-site bytes")
+		}
 		for round := 0; round < 50; round++ {
 			before := e.Cost()
 			beforeP := e.Partitioning().Clone()
+			beforeSnap := e.Snapshot()
 			batch := 1 + rng.Intn(6)
 			for i := 0; i < batch; i++ {
 				applyRandomMove(e, rng, false)
@@ -197,6 +218,10 @@ func TestEvaluatorUndoRoundTrip(t *testing.T) {
 			// Every accumulator — the journalled scalars and the logged
 			// WriteRelevant per-access sums — is restored bitwise.
 			costsMatch(t, "undo round trip", after, before, 0)
+			if snap := e.Snapshot(); !reflect.DeepEqual(snap, beforeSnap) {
+				t.Fatalf("%s latency=%g capacity=%v round %d: state after Undo differs from the snapshot before the batch",
+					r.mode, r.latency, r.cons != nil, round)
+			}
 			got, want := e.Partitioning(), beforeP
 			for t2 := range want.TxnSite {
 				if got.TxnSite[t2] != want.TxnSite[t2] {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -183,6 +184,13 @@ type attrAccessRef struct {
 // NewModel (or NewModelConstrained) returns: a drifted instance is compiled
 // into a new Model, so Evaluators, partitionings and name lists built over a
 // Model stay valid for as long as it is referenced.
+//
+// The pairwise coefficients c1(a,t) and c3(a,t) are non-zero only where
+// transaction t reaches attribute a's table, so the model stores them as
+// sparse per-transaction and per-attribute term lists: its memory is
+// O(non-zero terms), not O(attrs·txns). C1, C3, TransferOwn and Phi are
+// O(log terms) lookups meant for the QP build and for tests; hot loops walk
+// TxnTerms and AttrTerms instead.
 type Model struct {
 	inst *Instance
 	opts ModelOptions
@@ -197,22 +205,19 @@ type Model struct {
 	// Coefficient decomposition (all already multiplied by frequencies and
 	// row counts; see cost.go for how they combine):
 	//
-	//   readLocal[a][t]   = Σ_q W(a,q)·γ(q,t)·β(a,q)·(1-δ_q)          (= c3)
-	//   writeLocal[a]     = Σ_q W(a,q)·β(a,q)·δ_q                      (= c4)
-	//   transferTotal[a]  = Σ_q W(a,q)·α(a,q)·δ_q
-	//   transferOwn[a][t] = Σ_q W(a,q)·α(a,q)·γ(q,t)·δ_q
-	readLocal     [][]float64
+	//   c3(a,t)          = Σ_q W(a,q)·γ(q,t)·β(a,q)·(1-δ_q)   (TermCoef.C3)
+	//   writeLocal[a]    = Σ_q W(a,q)·β(a,q)·δ_q               (= c4)
+	//   transferTotal[a] = Σ_q W(a,q)·α(a,q)·δ_q
+	//   transferOwn(a,t) = Σ_q W(a,q)·α(a,q)·γ(q,t)·δ_q        (TermCoef.Xfer)
 	writeLocal    []float64
 	transferTotal []float64
-	transferOwn   [][]float64
 
-	// phi[a][t] is the paper's ϕ_{a,t}: some read query of transaction t
-	// references attribute a, so a and t must be co-located.
-	phi [][]bool
-	// txnReadAttrs[t] lists the attributes with phi[a][t] = true, sorted.
+	// txnReadAttrs[t] lists, sorted, the attributes a with the paper's ϕ_{a,t}:
+	// some read query of transaction t references a, so a and t must be
+	// co-located.
 	txnReadAttrs [][]int
-	// txnTerms[t] lists the attributes with a non-zero c1(a,t), c3(a,t) or
-	// transferOwn(a,t).
+	// txnTerms[t] lists, by attribute, the attributes with a non-zero
+	// c1(a,t), c3(a,t) or transferOwn(a,t).
 	txnTerms [][]TermCoef
 
 	// Reverse indices compiled for the incremental Evaluator:
@@ -338,19 +343,62 @@ func (m *Model) compileQueries() error {
 	return nil
 }
 
+// compileCoefficients sums the coefficients of Section 2. writeLocal and
+// transferTotal are per-attribute sums over all queries in query order. The
+// pairwise c3(a,t) and transferOwn(a,t) are summed one transaction at a time
+// in a reused per-attribute scratch, also in query order, and each
+// transaction's non-zero terms are emitted in attribute order; no dense
+// attrs×txns matrix is ever built.
 func (m *Model) compileCoefficients() {
-	nA := len(m.attrs)
-	nT := len(m.txnNames)
-	m.readLocal = newMatrix(nA, nT)
-	m.transferOwn = newMatrix(nA, nT)
+	nA, nT := len(m.attrs), len(m.txnNames)
 	m.writeLocal = make([]float64, nA)
 	m.transferTotal = make([]float64, nA)
-	m.phi = make([][]bool, nA)
-	for a := range m.phi {
-		m.phi[a] = make([]bool, nT)
+	m.txnReadAttrs = make([][]int, nT)
+	m.txnTerms = make([][]TermCoef, nT)
+
+	// The scratch of the transaction being summed: its running c3 and
+	// transfer-own sums and ϕ bits per attribute, and the attributes touched.
+	readLocal := make([]float64, nA)
+	transferOwn := make([]float64, nA)
+	phi := make([]bool, nA)
+	seen := make([]bool, nA)
+	var touched []int
+	var terms []TermCoef
+	var reads []int
+	touch := func(a int) {
+		if !seen[a] {
+			seen[a] = true
+			touched = append(touched, a)
+		}
+	}
+	flush := func(t int) {
+		sort.Ints(touched)
+		terms, reads = terms[:0], reads[:0]
+		for _, a := range touched {
+			if phi[a] {
+				reads = append(reads, a)
+			}
+			c3, xfer := readLocal[a], transferOwn[a]
+			if c1 := c3 - m.opts.Penalty*xfer; c1 != 0 || c3 != 0 || xfer != 0 {
+				terms = append(terms, TermCoef{Attr: a, C1: c1, C3: c3, Xfer: xfer})
+			}
+			readLocal[a], transferOwn[a], phi[a], seen[a] = 0, 0, false, false
+		}
+		touched = touched[:0]
+		if len(terms) > 0 {
+			m.txnTerms[t] = slices.Clone(terms)
+		}
+		if len(reads) > 0 {
+			m.txnReadAttrs[t] = slices.Clone(reads)
+		}
 	}
 
-	for _, q := range m.queries {
+	// compileQueries lists each transaction's queries contiguously, so a
+	// transaction's scratch is complete when the next one's queries begin.
+	for i, q := range m.queries {
+		if i > 0 && q.txn != m.queries[i-1].txn {
+			flush(m.queries[i-1].txn)
+		}
 		for _, acc := range q.accesses {
 			// β_{a,q} = 1 for every attribute of the accessed table.
 			for _, a := range m.tableAttrs[acc.table] {
@@ -358,36 +406,25 @@ func (m *Model) compileCoefficients() {
 				if q.write {
 					m.writeLocal[a] += w
 				} else {
-					m.readLocal[a][q.txn] += w
+					touch(a)
+					readLocal[a] += w
 				}
 			}
 			// α_{a,q} = 1 for the referenced attributes only.
 			for _, a := range acc.attrs {
 				w := float64(m.attrs[a].Width) * q.freq * acc.rows
+				touch(a)
 				if q.write {
 					m.transferTotal[a] += w
-					m.transferOwn[a][q.txn] += w
+					transferOwn[a] += w
 				} else {
-					m.phi[a][q.txn] = true
+					phi[a] = true
 				}
 			}
 		}
 	}
-
-	m.txnReadAttrs = make([][]int, nT)
-	m.txnTerms = make([][]TermCoef, nT)
-	for t := 0; t < nT; t++ {
-		for a := 0; a < nA; a++ {
-			if m.phi[a][t] {
-				m.txnReadAttrs[t] = append(m.txnReadAttrs[t], a)
-			}
-			c1 := m.readLocal[a][t] - m.opts.Penalty*m.transferOwn[a][t]
-			c3 := m.readLocal[a][t]
-			xfer := m.transferOwn[a][t]
-			if c1 != 0 || c3 != 0 || xfer != 0 {
-				m.txnTerms[t] = append(m.txnTerms[t], TermCoef{Attr: a, C1: c1, C3: c3, Xfer: xfer})
-			}
-		}
+	if n := len(m.queries); n > 0 {
+		flush(m.queries[n-1].txn)
 	}
 }
 
@@ -460,15 +497,6 @@ func (m *Model) compileWriteIndices() {
 				attrQueryRef{query: qid, mult: ar.mult})
 		}
 	}
-}
-
-func newMatrix(rows, cols int) [][]float64 {
-	backing := make([]float64, rows*cols)
-	mat := make([][]float64, rows)
-	for i := range mat {
-		mat[i], backing = backing[:cols:cols], backing[cols:]
-	}
-	return mat
 }
 
 // Instance returns the instance the model was compiled from.
@@ -562,8 +590,11 @@ func (m *Model) TxnIndex(name string) (int, bool) {
 }
 
 // Phi reports ϕ_{a,t}: whether any read query of transaction t references
-// attribute a (so a must be co-located with t).
-func (m *Model) Phi(a, t int) bool { return m.phi[a][t] }
+// attribute a (so a must be co-located with t). O(log) in t's read set.
+func (m *Model) Phi(a, t int) bool {
+	_, ok := slices.BinarySearch(m.txnReadAttrs[t], a)
+	return ok
+}
 
 // TxnReadAttrs returns the attributes that must be co-located with
 // transaction t (sorted, do not modify).
@@ -577,12 +608,22 @@ func (m *Model) TxnTerms(t int) []TermCoef { return m.txnTerms[t] }
 // coefficient for attribute a (the transpose of TxnTerms; do not modify).
 func (m *Model) AttrTerms(a int) []AttrTermCoef { return m.attrTerms[a] }
 
+// term returns transaction t's term for attribute a, or the zero term when
+// the pair has no non-zero coefficient. O(log) in t's term count.
+func (m *Model) term(a, t int) TermCoef {
+	terms := m.txnTerms[t]
+	if i, ok := slices.BinarySearchFunc(terms, a, func(tc TermCoef, a int) int { return tc.Attr - a }); ok {
+		return terms[i]
+	}
+	return TermCoef{}
+}
+
 // C1 returns the quadratic coefficient c1(a,t) of objective (4):
 //
 //	c1(a,t) = Σ_q W(a,q)·γ(q,t)·(β(a,q)(1-δ_q) - p·α(a,q)·δ_q)
-func (m *Model) C1(a, t int) float64 {
-	return m.readLocal[a][t] - m.opts.Penalty*m.transferOwn[a][t]
-}
+//
+// It is a lookup for the QP build and for tests; hot loops walk TxnTerms.
+func (m *Model) C1(a, t int) float64 { return m.term(a, t).C1 }
 
 // C2 returns the linear coefficient c2(a) of objective (4):
 //
@@ -598,8 +639,8 @@ func (m *Model) C2(a int) float64 {
 }
 
 // C3 returns the load coefficient c3(a,t) = Σ_q W(a,q)·γ(q,t)·β(a,q)·(1-δ_q)
-// of equation (5).
-func (m *Model) C3(a, t int) float64 { return m.readLocal[a][t] }
+// of equation (5). Like C1, a lookup; hot loops walk TxnTerms or AttrTerms.
+func (m *Model) C3(a, t int) float64 { return m.term(a, t).C3 }
 
 // C4 returns the load coefficient c4(a) = Σ_q W(a,q)·β(a,q)·δ_q of equation
 // (5). Under WriteNone accounting it is zero.
@@ -616,8 +657,8 @@ func (m *Model) TransferTotal(a int) float64 { return m.transferTotal[a] }
 
 // TransferOwn returns Σ_q W(a,q)·α(a,q)·γ(q,t)·δ_q, the transfer weight of
 // attribute a for write queries belonging to transaction t (the part that is
-// saved when a is co-located with t).
-func (m *Model) TransferOwn(a, t int) float64 { return m.transferOwn[a][t] }
+// saved when a is co-located with t). Like C1, a lookup.
+func (m *Model) TransferOwn(a, t int) float64 { return m.term(a, t).Xfer }
 
 // WriteQueryInfo describes one write query of the workload in compiled form.
 // It is used by the Appendix A latency extension of the QP model and by the

@@ -48,17 +48,67 @@ func BenchmarkSolveLargeRandomInstance(b *testing.B) {
 	}
 }
 
-func BenchmarkFindSolutionYGivenX(b *testing.B) {
-	m := benchModel(b, tpcc.Instance())
-	opts := DefaultOptions(4)
-	s := newSolver(m, opts)
-	p := core.NewPartitioning(m.NumTxns(), m.NumAttrs(), 4)
-	for t := range p.TxnSite {
-		p.TxnSite[t] = t % 4
+// benchRows are the instances the greedy-pass and move benchmarks run on:
+// TPC-C, whose 5 transactions hide how a pass scales, and a wide instance
+// shaped like one shard of the cold benchmark workload.
+func benchRows(b *testing.B) []struct {
+	name string
+	m    *core.Model
+} {
+	b.Helper()
+	wide, err := randgen.Generate(randgen.ClassA(16, 50, 10), 1)
+	if err != nil {
+		b.Fatal(err)
 	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.solveYGivenX(p)
+	return []struct {
+		name string
+		m    *core.Model
+	}{
+		{"tpcc", benchModel(b, tpcc.Instance())},
+		{"rndAt16x50", benchModel(b, wide)},
+	}
+}
+
+// BenchmarkFindSolutionYGivenX times one greedy y-pass (findSolution with x
+// fixed) over a round-robin transaction assignment on 4 sites.
+func BenchmarkFindSolutionYGivenX(b *testing.B) {
+	for _, row := range benchRows(b) {
+		b.Run(row.name, func(b *testing.B) {
+			m := row.m
+			s := newSolver(m, DefaultOptions(4))
+			p := core.NewPartitioning(m.NumTxns(), m.NumAttrs(), 4)
+			for t := range p.TxnSite {
+				p.TxnSite[t] = t % 4
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.solveYGivenX(p)
+			}
+		})
+	}
+}
+
+// BenchmarkFindSolutionXGivenY times one greedy x-pass (findSolution with y
+// fixed) over the layout a y-pass builds for a random transaction
+// assignment on 4 sites.
+func BenchmarkFindSolutionXGivenY(b *testing.B) {
+	for _, row := range benchRows(b) {
+		b.Run(row.name, func(b *testing.B) {
+			m := row.m
+			s := newSolver(m, DefaultOptions(4))
+			rng := rand.New(rand.NewSource(1))
+			p := core.NewPartitioning(m.NumTxns(), m.NumAttrs(), 4)
+			s.randomX(rng, p)
+			s.findSolution(p, "x")
+			q := p.Clone()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				q.CopyFrom(p)
+				s.solveXGivenY(q)
+			}
+		})
 	}
 }
 
@@ -113,26 +163,29 @@ func BenchmarkSolveRndAt64x200(b *testing.B) {
 // inner loop — propose a neighbourhood batch against the evaluator, then
 // reject it — and reports its allocations (which must be zero once warm).
 func BenchmarkPerturbApplyUndo(b *testing.B) {
-	m := benchModel(b, tpcc.Instance())
-	opts := DefaultOptions(4)
-	s := newSolver(m, opts)
-	rng := rand.New(rand.NewSource(1))
-	p := core.NewPartitioning(m.NumTxns(), m.NumAttrs(), 4)
-	s.randomX(rng, p)
-	s.findSolution(p, "x")
-	p.Repair(m)
-	ev, err := core.NewEvaluator(m, p)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < 100; i++ { // warm up buffer capacities
-		s.perturb(rng, ev)
-		ev.Undo()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.perturb(rng, ev)
-		ev.Undo()
+	for _, row := range benchRows(b) {
+		b.Run(row.name, func(b *testing.B) {
+			m := row.m
+			s := newSolver(m, DefaultOptions(4))
+			rng := rand.New(rand.NewSource(1))
+			p := core.NewPartitioning(m.NumTxns(), m.NumAttrs(), 4)
+			s.randomX(rng, p)
+			s.findSolution(p, "x")
+			p.Repair(m)
+			ev, err := core.NewEvaluator(m, p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < 100; i++ { // warm up buffer capacities
+				s.perturb(rng, ev)
+				ev.Undo()
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				s.perturb(rng, ev)
+				ev.Undo()
+			}
+		})
 	}
 }

@@ -13,7 +13,11 @@
 //
 // The subproblems ("findSolution" in Algorithm 1) are solved with fast greedy
 // optimisers by default; they account for both the cost term (λ) and the
-// load-balancing term (1−λ) of objective (6).
+// load-balancing term (1−λ) of objective (6). A greedy pass walks each
+// attribute's non-zero cost terms (core.Model.AttrTerms) once to price it on
+// every site, instead of scanning every site's transactions, and its
+// processing orders depend on the model alone, so they are sorted once per
+// solver rather than per pass.
 //
 // The hot loop is move-based: every candidate is proposed as a batch of typed
 // moves (transaction relocations, replica additions/relocations plus the

@@ -33,18 +33,29 @@ type solver struct {
 	cs *core.ConstraintSet
 	ct *core.ConstraintTables
 
+	// attrOrder lists every attribute by decreasing c4+c2 and txnOrder every
+	// transaction by decreasing Σ_a c3(a,t), ties by index. Both depend on the
+	// model alone; the greedy passes filter them instead of sorting per pass.
+	// Each comparator is a strict total order, so a filtered order equals the
+	// sorted subset.
+	attrOrder, txnOrder []int
+
 	// Scratch buffers reused across iterations so the steady-state inner loop
 	// does not allocate.
 	scratch  *core.Partitioning // intensify's findSolution target
 	batch    core.MoveBatch     // intensify's diffed move batch
 	missing  []int              // perturb: candidate sites for a new replica
-	txnsOn   [][]int            // greedy passes: transactions per site
 	work     []float64          // greedy passes: running site work
 	order    []int              // greedy passes: processing order
-	weights  []float64          // greedy passes: ordering weights
 	bytes    []int64            // greedy passes: running site bytes (constrained)
 	dragBuf  []int              // perturb: pending additions of one txn move
 	unitSelf [1]int32           // unitMembers' singleton backing (no alloc)
+
+	// attrCost/attrLoad hold one attribute's cost and load per site
+	// (attrSums); unitCost/unitLoad the sums over a colocation unit's members
+	// (unitSums, constrained only).
+	attrCost, attrLoad []float64
+	unitCost, unitLoad []float64
 
 	// stop, when non-nil, reports whether the run's cancellation facility
 	// (deadline or context) has fired. The greedy passes consult it through
@@ -73,14 +84,31 @@ func (s *solver) stopped() bool {
 
 func newSolver(m *core.Model, opts Options) *solver {
 	s := &solver{m: m, sites: opts.Sites, opts: opts}
-	s.txnsOn = make([][]int, s.sites)
 	s.work = make([]float64, s.sites)
+	s.attrCost = make([]float64, s.sites)
+	s.attrLoad = make([]float64, s.sites)
 	if cs := m.Constraints(); cs != nil {
 		s.cs = cs
 		s.ct = cs.Tables(m, s.sites)
 		s.bytes = make([]int64, s.sites)
+		s.unitCost = make([]float64, s.sites)
+		s.unitLoad = make([]float64, s.sites)
 	}
 	nA, nT := m.NumAttrs(), m.NumTxns()
+
+	attrWeight := make([]float64, nA)
+	for a := range attrWeight {
+		attrWeight[a] = m.C4(a) + m.C2(a)
+	}
+	s.attrOrder = byDecreasingWeight(attrWeight)
+	txnWeight := make([]float64, nT)
+	for t := range txnWeight {
+		for _, tc := range m.TxnTerms(t) {
+			txnWeight[t] += tc.C3
+		}
+	}
+	s.txnOrder = byDecreasingWeight(txnWeight)
+
 	s.readersOf = make([][]int, nA)
 	for t := 0; t < nT; t++ {
 		for _, a := range m.TxnReadAttrs(t) {
@@ -127,15 +155,66 @@ func newSolver(m *core.Model, opts Options) *solver {
 	return s
 }
 
-// txnsBySite fills the reusable per-site transaction lists for p.
-func (s *solver) txnsBySite(p *core.Partitioning) [][]int {
-	for st := range s.txnsOn {
-		s.txnsOn[st] = s.txnsOn[st][:0]
+// byDecreasingWeight returns the indices of w by decreasing weight, ties by
+// index.
+func byDecreasingWeight(w []float64) []int {
+	order := make([]int, len(w))
+	for i := range order {
+		order[i] = i
 	}
-	for t, st := range p.TxnSite {
-		s.txnsOn[st] = append(s.txnsOn[st], t)
+	sort.Slice(order, func(i, j int) bool {
+		a, b := order[i], order[j]
+		if w[a] != w[b] {
+			return w[a] > w[b]
+		}
+		return a < b
+	})
+	return order
+}
+
+// attrSums returns the marginal objective-(4) cost C2(a) + Σ_{t on st}
+// C1(a,t) and the load C4(a) + Σ_{t on st} C3(a,t) of storing attribute a on
+// each site st under p's transaction assignment. It walks a's non-zero terms
+// once, in ascending transaction order, the order a scan of each site's
+// transactions adds them. A pair without a term would add +0.0, which leaves
+// a sum unchanged unless it is −0.0, and neither C2(a), C4(a) nor any sum
+// grown from them is; c1 is computed from the term's C3 and Xfer exactly as
+// the model computes C1. The sums are therefore bit-identical to that scan.
+// The returned slices are the solver's scratch, valid until the next call.
+//
+//vpart:noalloc
+func (s *solver) attrSums(p *core.Partitioning, a int) (cost, load []float64) {
+	m := s.m
+	c2, c4 := m.C2(a), m.C4(a)
+	for st := range s.attrCost {
+		s.attrCost[st], s.attrLoad[st] = c2, c4
 	}
-	return s.txnsOn
+	pen := m.Options().Penalty
+	for _, at := range m.AttrTerms(a) {
+		st := p.TxnSite[at.Txn]
+		s.attrCost[st] += at.C3 - pen*at.Xfer
+		s.attrLoad[st] += at.C3
+	}
+	return s.attrCost, s.attrLoad
+}
+
+// unitSums returns attrSums summed over a colocation unit's members: each
+// site's sums start from zero and add the members in order. The returned
+// slices are the solver's scratch, valid until the next call.
+//
+//vpart:noalloc
+func (s *solver) unitSums(p *core.Partitioning, members []int32) (cost, load []float64) {
+	for st := range s.unitCost {
+		s.unitCost[st], s.unitLoad[st] = 0, 0
+	}
+	for _, b := range members {
+		c, l := s.attrSums(p, int(b))
+		for st := range s.unitCost {
+			s.unitCost[st] += c[st]
+			s.unitLoad[st] += l[st]
+		}
+	}
+	return s.unitCost, s.unitLoad
 }
 
 // resetWork zeroes and returns the reusable per-site work accumulator.
@@ -168,24 +247,6 @@ func (s *solver) solveYGivenX(p *core.Partitioning) {
 		}
 	}
 
-	// Marginal objective-(4) cost of placing attribute a on site st:
-	// C2(a) + Σ_{t on st} C1(a,t). Build the per-site transaction lists once.
-	txnsOn := s.txnsBySite(p)
-	costOf := func(a, st int) float64 {
-		c := m.C2(a)
-		for _, t := range txnsOn[st] {
-			c += m.C1(a, t)
-		}
-		return c
-	}
-	loadOf := func(a, st int) float64 {
-		l := m.C4(a)
-		for _, t := range txnsOn[st] {
-			l += m.C3(a, t)
-		}
-		return l
-	}
-
 	work := s.resetWork()
 	maxWork := func() float64 {
 		mw := 0.0
@@ -205,9 +266,13 @@ func (s *solver) solveYGivenX(p *core.Partitioning) {
 		}
 	}
 	for a := 0; a < nA; a++ {
+		var load []float64
 		for st := 0; st < s.sites; st++ {
 			if p.AttrSites[a][st] {
-				work[st] += loadOf(a, st)
+				if load == nil {
+					_, load = s.attrSums(p, a)
+				}
+				work[st] += load[st]
 			}
 		}
 	}
@@ -215,20 +280,12 @@ func (s *solver) solveYGivenX(p *core.Partitioning) {
 	// Process unplaced attributes in decreasing weight order (LPT-style) so
 	// the load balancing term is handled sensibly.
 	order := s.order[:0]
-	for a := 0; a < nA; a++ {
+	for _, a := range s.attrOrder {
 		if p.Replicas(a) == 0 {
 			order = append(order, a)
 		}
 	}
 	s.order = order
-	sort.Slice(order, func(i, j int) bool {
-		wi := m.C4(order[i]) + m.C2(order[i])
-		wj := m.C4(order[j]) + m.C2(order[j])
-		if wi != wj {
-			return wi > wj
-		}
-		return order[i] < order[j]
-	})
 	cur := maxWork()
 	// rush: the cancellation probe fired mid-pass. The remaining attributes
 	// still need a site (the pass cleared every row above), so they are dumped
@@ -239,9 +296,10 @@ func (s *solver) solveYGivenX(p *core.Partitioning) {
 		if !rush && s.stopped() {
 			rush = true
 		}
+		cost, load := s.attrSums(p, a)
 		if rush {
 			p.AttrSites[a][0] = true
-			work[0] += loadOf(a, 0)
+			work[0] += load[0]
 			if work[0] > cur {
 				cur = work[0]
 			}
@@ -249,17 +307,17 @@ func (s *solver) solveYGivenX(p *core.Partitioning) {
 		}
 		best, bestScore := 0, 0.0
 		for st := 0; st < s.sites; st++ {
-			delta := work[st] + loadOf(a, st) - cur
+			delta := work[st] + load[st] - cur
 			if delta < 0 {
 				delta = 0
 			}
-			score := lam*costOf(a, st) + (1-lam)*delta
+			score := lam*cost[st] + (1-lam)*delta
 			if st == 0 || score < bestScore {
 				best, bestScore = st, score
 			}
 		}
 		p.AttrSites[a][best] = true
-		work[best] += loadOf(a, best)
+		work[best] += load[best]
 		if work[best] > cur {
 			cur = work[best]
 		}
@@ -272,17 +330,21 @@ func (s *solver) solveYGivenX(p *core.Partitioning) {
 			if s.stopped() {
 				break
 			}
+			var cost, load []float64
 			for st := 0; st < s.sites; st++ {
 				if p.AttrSites[a][st] {
 					continue
 				}
-				delta := work[st] + loadOf(a, st) - cur
+				if cost == nil {
+					cost, load = s.attrSums(p, a)
+				}
+				delta := work[st] + load[st] - cur
 				if delta < 0 {
 					delta = 0
 				}
-				if lam*costOf(a, st)+(1-lam)*delta < 0 {
+				if lam*cost[st]+(1-lam)*delta < 0 {
 					p.AttrSites[a][st] = true
-					work[st] += loadOf(a, st)
+					work[st] += load[st]
 					if work[st] > cur {
 						cur = work[st]
 					}
@@ -332,26 +394,6 @@ func (s *solver) solveXGivenY(p *core.Partitioning) {
 		return true
 	}
 
-	// Order transactions by decreasing read weight so heavy transactions are
-	// placed while sites are still balanced.
-	order := s.order[:0]
-	weights := s.weights[:0]
-	for t := 0; t < m.NumTxns(); t++ {
-		order = append(order, t)
-		w := 0.0
-		for _, tc := range m.TxnTerms(t) {
-			w += tc.C3
-		}
-		weights = append(weights, w)
-	}
-	s.order, s.weights = order, weights
-	sort.Slice(order, func(i, j int) bool {
-		if weights[order[i]] != weights[order[j]] {
-			return weights[order[i]] > weights[order[j]]
-		}
-		return order[i] < order[j]
-	})
-
 	if s.opts.Disjoint {
 		s.assignComponents(p, work)
 		return
@@ -363,14 +405,16 @@ func (s *solver) solveXGivenY(p *core.Partitioning) {
 			cur = w
 		}
 	}
-	for _, t := range order {
+	// Transactions in decreasing read weight (s.txnOrder), so heavy ones are
+	// placed while sites are still balanced.
+	for _, t := range s.txnOrder {
 		// Cancellation mid-pass: the remaining transactions simply keep their
 		// current (feasible) sites.
 		if s.stopped() {
 			break
 		}
 		best := p.TxnSite[t]
-		bestScore := 0.0
+		bestScore, bestLoad := 0.0, 0.0
 		found := false
 		for st := 0; st < s.sites; st++ {
 			if !feasible(t, st) {
@@ -383,15 +427,17 @@ func (s *solver) solveXGivenY(p *core.Partitioning) {
 			}
 			score := lam*cost + (1-lam)*delta
 			if !found || score < bestScore {
-				best, bestScore, found = st, score, true
+				best, bestScore, bestLoad, found = st, score, load, true
 			}
 		}
 		// At least the previous site of t is feasible because y only ever
 		// extends after it was built for the previous x; if not (fresh y),
 		// fall back to the old site and let the caller repair.
+		if !found {
+			_, bestLoad = costOn(t, best)
+		}
 		p.TxnSite[t] = best
-		_, load := costOn(t, best)
-		work[best] += load
+		work[best] += bestLoad
 		if work[best] > cur {
 			cur = work[best]
 		}
@@ -532,22 +578,6 @@ func (s *solver) solveYGivenXConstrained(p *core.Partitioning) {
 		}
 	}
 
-	txnsOn := s.txnsBySite(p)
-	costOf := func(a, st int) float64 {
-		c := m.C2(a)
-		for _, t := range txnsOn[st] {
-			c += m.C1(a, t)
-		}
-		return c
-	}
-	loadOf := func(a, st int) float64 {
-		l := m.C4(a)
-		for _, t := range txnsOn[st] {
-			l += m.C3(a, t)
-		}
-		return l
-	}
-
 	work := s.resetWork()
 	bytes := s.resetBytes()
 	place := func(a, st int) {
@@ -555,7 +585,8 @@ func (s *solver) solveYGivenXConstrained(p *core.Partitioning) {
 			return
 		}
 		p.AttrSites[a][st] = true
-		work[st] += loadOf(a, st)
+		_, load := s.attrSums(p, a)
+		work[st] += load[st]
 		bytes[st] += int64(m.Attr(a).Width)
 	}
 
@@ -608,7 +639,7 @@ func (s *solver) solveYGivenXConstrained(p *core.Partitioning) {
 	// allowed site has room — covering every attribute outranks the cap,
 	// and the feasibility check reports the overrun).
 	order := s.order[:0]
-	for a := 0; a < nA; a++ {
+	for _, a := range s.attrOrder {
 		if p.Replicas(a) > 0 {
 			continue
 		}
@@ -618,14 +649,6 @@ func (s *solver) solveYGivenXConstrained(p *core.Partitioning) {
 		order = append(order, a)
 	}
 	s.order = order
-	sort.Slice(order, func(i, j int) bool {
-		wi := m.C4(order[i]) + m.C2(order[i])
-		wj := m.C4(order[j]) + m.C2(order[j])
-		if wi != wj {
-			return wi > wj
-		}
-		return order[i] < order[j]
-	})
 	// rush: the cancellation probe fired mid-pass. Remaining units still need
 	// a site (every row was cleared above); they take their first allowed site
 	// unscored via the same relax fallback the no-site case uses, keeping the
@@ -666,6 +689,7 @@ func (s *solver) solveYGivenXConstrained(p *core.Partitioning) {
 			}
 			return true
 		}
+		cost, load := s.unitSums(p, members)
 		best, bestScore, found := -1, 0.0, false
 		for pass := 0; pass < 2 && !found; pass++ {
 			respectCap := pass == 0
@@ -673,16 +697,11 @@ func (s *solver) solveYGivenXConstrained(p *core.Partitioning) {
 				if !allowedAt(st, respectCap) {
 					continue
 				}
-				cost, load := 0.0, 0.0
-				for _, b := range members {
-					cost += costOf(int(b), st)
-					load += loadOf(int(b), st)
-				}
-				delta := work[st] + load - cur
+				delta := work[st] + load[st] - cur
 				if delta < 0 {
 					delta = 0
 				}
-				score := lam*cost + (1-lam)*delta
+				score := lam*cost[st] + (1-lam)*delta
 				if !found || score < bestScore {
 					best, bestScore, found = st, score, true
 				}
@@ -725,6 +744,7 @@ func (s *solver) solveYGivenXConstrained(p *core.Partitioning) {
 			unitWidth += int64(m.Attr(int(b)).Width)
 		}
 		maxRep := s.cs.MaxReplicasOf(a)
+		var cost, load []float64
 		for st := 0; st < s.sites; st++ {
 			if p.AttrSites[a][st] {
 				continue
@@ -747,16 +767,14 @@ func (s *solver) solveYGivenXConstrained(p *core.Partitioning) {
 					continue
 				}
 			}
-			cost, load := 0.0, 0.0
-			for _, b := range members {
-				cost += costOf(int(b), st)
-				load += loadOf(int(b), st)
+			if cost == nil {
+				cost, load = s.unitSums(p, members)
 			}
-			delta := work[st] + load - cur
+			delta := work[st] + load[st] - cur
 			if delta < 0 {
 				delta = 0
 			}
-			if lam*cost+(1-lam)*delta < 0 {
+			if lam*cost[st]+(1-lam)*delta < 0 {
 				for _, b := range members {
 					place(int(b), st)
 				}
@@ -822,16 +840,11 @@ func (s *solver) solveYGivenXDisjoint(p *core.Partitioning) {
 			p.AttrSites[a][st] = false
 		}
 	}
-	txnsOn := s.txnsBySite(p)
 	work := s.resetWork()
 	cur := 0.0
-	place := func(a, st int) {
+	place := func(a, st int, load float64) {
 		p.AttrSites[a][st] = true
-		l := m.C4(a)
-		for _, t := range txnsOn[st] {
-			l += m.C3(a, t)
-		}
-		work[st] += l
+		work[st] += load
 		if work[st] > cur {
 			cur = work[st]
 		}
@@ -839,7 +852,9 @@ func (s *solver) solveYGivenXDisjoint(p *core.Partitioning) {
 	unread := s.order[:0]
 	for a := 0; a < nA; a++ {
 		if len(s.readersOf[a]) > 0 {
-			place(a, p.TxnSite[s.readersOf[a][0]])
+			st := p.TxnSite[s.readersOf[a][0]]
+			_, load := s.attrSums(p, a)
+			place(a, st, load[st])
 		} else {
 			unread = append(unread, a)
 		}
@@ -852,29 +867,22 @@ func (s *solver) solveYGivenXDisjoint(p *core.Partitioning) {
 		if !rush && s.stopped() {
 			rush = true
 		}
+		cost, load := s.attrSums(p, a)
 		if rush {
-			place(a, 0)
+			place(a, 0, load[0])
 			continue
 		}
 		best, bestScore := 0, 0.0
 		for st := 0; st < s.sites; st++ {
-			c := m.C2(a)
-			for _, t := range txnsOn[st] {
-				c += m.C1(a, t)
-			}
-			l := m.C4(a)
-			for _, t := range txnsOn[st] {
-				l += m.C3(a, t)
-			}
-			delta := work[st] + l - cur
+			delta := work[st] + load[st] - cur
 			if delta < 0 {
 				delta = 0
 			}
-			score := lam*c + (1-lam)*delta
+			score := lam*cost[st] + (1-lam)*delta
 			if st == 0 || score < bestScore {
 				best, bestScore = st, score
 			}
 		}
-		place(a, best)
+		place(a, best, load[best])
 	}
 }
