@@ -215,6 +215,54 @@ func BenchmarkSASolverTPCC(b *testing.B) {
 	}
 }
 
+// BenchmarkPortfolioWarmLineup measures one warm portfolio solve from a
+// fixed layout, the per-resolve work of a live session. The hint-from-cold
+// rows hand the layout over as a cold solve's result (WarmStart false), so
+// the full race runs: sa+warm[0], the cold restarts sa[1..3] and the warm
+// sa-par child. The hint-from-warm rows mark it as coming out of a warm
+// start, so only the two warm children run. iters/op is the race's total SA
+// inner iterations.
+func BenchmarkPortfolioWarmLineup(b *testing.B) {
+	ctx := context.Background()
+	rnd, err := vpart.RandomInstance(vpart.ClassA(16, 50, 10), 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		inst  *vpart.Instance
+		sites int
+	}{
+		{"tpcc/3", vpart.TPCC(), 3},
+		{"rndAt16x50/4", rnd, 4},
+	} {
+		layout, err := vpart.Solve(ctx, tc.inst, vpart.Options{Sites: tc.sites, Solver: "sa", Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, row := range []struct {
+			name string
+			warm bool
+		}{{"hint-from-cold", false}, {"hint-from-warm", true}} {
+			hint := *layout
+			hint.WarmStart = row.warm
+			b.Run(tc.name+"/"+row.name, func(b *testing.B) {
+				iters := 0
+				for i := 0; i < b.N; i++ {
+					sol, err := vpart.Solve(ctx, tc.inst, vpart.Options{
+						Sites: tc.sites, Solver: "portfolio", Seed: int64(i + 1), Warm: &hint,
+					})
+					if err != nil {
+						b.Fatal(err)
+					}
+					iters += sol.Iterations
+				}
+				b.ReportMetric(float64(iters)/float64(b.N), "iters/op")
+			})
+		}
+	}
+}
+
 // BenchmarkQPSolverTPCC measures a full exact QP solve of TPC-C onto 2 sites.
 func BenchmarkQPSolverTPCC(b *testing.B) {
 	inst := vpart.TPCC()

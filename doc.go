@@ -147,7 +147,9 @@
 // and a cool initial temperature instead of the from-scratch schedule; the
 // QP solver prunes against the hint as its initial incumbent; the portfolio
 // races warm-seeded against cold-seeded children so a stale basin cannot
-// trap the search; and the decompose meta-solver, given Options.WarmDirty
+// trap the search, and runs only the warm-seeded ones once a warm start has
+// won (a hint whose Solution.WarmStart is set); and the decompose
+// meta-solver, given Options.WarmDirty
 // (the table/transaction names the deltas touched, see WorkloadDelta.Touch),
 // re-solves only the components containing a dirty name and reuses the
 // projection of the previous solution for the rest, verbatim. The hint is

@@ -59,7 +59,10 @@ type Defaults struct {
 	Solver string `json:"solver"`
 	// TimeLimit caps each background resolve.
 	TimeLimit Duration `json:"time_limit"`
-	// PortfolioSeeds is the concurrent-SA width of portfolio resolves.
+	// PortfolioSeeds is the number of SA children of a full portfolio race:
+	// a session's cold first resolve, and any resolve whose incumbent did
+	// not come out of a warm start. Once a warm child has won, resolves run
+	// only the warm children.
 	PortfolioSeeds int `json:"portfolio_seeds"`
 }
 

@@ -19,7 +19,7 @@ import (
 // SessionOptions is the JSON form of the solver options a session is created
 // with. Zero-valued fields select the daemon defaults.
 type SessionOptions struct {
-	// Sites is the number of sites |S| (required, ≥ 1).
+	// Sites is the number of sites |S| (required, 1 to maxSessionSites).
 	Sites int `json:"sites"`
 	// Solver names the registered solver ("" = daemon default).
 	Solver string `json:"solver,omitempty"`
@@ -43,6 +43,10 @@ type SessionOptions struct {
 	// GapTol is the QP solver's relative MIP gap (0 = the paper's 0.1 %).
 	GapTol float64 `json:"gap_tol,omitempty"`
 	// PortfolioSeeds / PortfolioQP configure the portfolio solver.
+	// PortfolioSeeds is the number of SA children of a full race (0 = the
+	// daemon default, at most maxPortfolioSeeds): the cold first resolve
+	// and any resolve whose incumbent did not come out of a warm start. A
+	// resolve warm-started from a warm win runs only the warm children.
 	PortfolioSeeds int  `json:"portfolio_seeds,omitempty"`
 	PortfolioQP    bool `json:"portfolio_qp,omitempty"`
 	// DecomposeSolver / DecomposeWorkers configure the decompose meta-solver.
@@ -122,6 +126,12 @@ func (o SessionOptions) ToOptions() (vpart.Options, error) {
 	if o.Sites < 1 {
 		return vpart.Options{}, fmt.Errorf("options: sites must be ≥ 1, got %d", o.Sites)
 	}
+	if o.Sites > maxSessionSites {
+		return vpart.Options{}, fmt.Errorf("options: sites must be ≤ %d, got %d", maxSessionSites, o.Sites)
+	}
+	if o.PortfolioSeeds < 0 || o.PortfolioSeeds > maxPortfolioSeeds {
+		return vpart.Options{}, fmt.Errorf("options: portfolio_seeds must be in [0, %d], got %d", maxPortfolioSeeds, o.PortfolioSeeds)
+	}
 	opts := vpart.Options{
 		Sites:           o.Sites,
 		Solver:          o.Solver,
@@ -194,6 +204,18 @@ type EventsResponse struct {
 // maxEventBatch bounds one NDJSON request, independent of the byte limit, so
 // a single request cannot queue unbounded per-event decode work.
 const maxEventBatch = 100_000
+
+// maxSessionSites and maxPortfolioSeeds bound the create-request fields that
+// size a session's memory and goroutines. Every layout holds one placement
+// bit per attribute and site, and a full portfolio race starts one goroutine
+// and one result slot per SA seed, so without a bound one request could
+// exhaust the daemon's memory. Both lie far above the values the advisor
+// is run with: the paper's experiments use 1–4 sites, the benchmarks up to
+// 8, and the default race has 4 seeds.
+const (
+	maxSessionSites   = 1024
+	maxPortfolioSeeds = 256
+)
 
 // ParseEventsRequest decodes an NDJSON event batch: one EventDTO per line,
 // blank lines ignored, unknown fields rejected. Event-level semantic

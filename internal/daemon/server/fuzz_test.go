@@ -48,6 +48,8 @@ func FuzzDaemonRequests(f *testing.F) {
 	}
 	lambda := 0.5
 	addCreate("rand", inst, SessionOptions{Sites: 2, Solver: "sa", Seed: 7, Lambda: &lambda, GapTol: 0.01}, nil)
+	addCreate("wide", inst, SessionOptions{Sites: maxSessionSites + 1, Solver: "portfolio", PortfolioSeeds: 1 << 40}, nil)
+	addCreate("neg", inst, SessionOptions{Sites: 2, Solver: "portfolio", PortfolioSeeds: -5}, nil)
 
 	// Seed with real drift deltas.
 	deltas, err := vpart.Drift(vpart.TPCC(), 4, 0.3, 7)
@@ -120,8 +122,11 @@ func FuzzDaemonRequests(f *testing.F) {
 			if err := inst.Validate(); err != nil {
 				t.Fatalf("decoder returned an invalid instance: %v", err)
 			}
-			if opts.Sites < 1 {
+			if opts.Sites < 1 || opts.Sites > maxSessionSites {
 				t.Fatalf("decoder accepted sites=%d", opts.Sites)
+			}
+			if opts.Portfolio.SASeeds < 0 || opts.Portfolio.SASeeds > maxPortfolioSeeds {
+				t.Fatalf("decoder accepted portfolio_seeds=%d", opts.Portfolio.SASeeds)
 			}
 			if opts.TimeLimit < 0 {
 				t.Fatalf("decoder accepted a negative time limit %v", opts.TimeLimit)

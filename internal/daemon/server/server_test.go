@@ -205,6 +205,44 @@ func TestHTTPBadRequests(t *testing.T) {
 	}
 }
 
+// TestParseCreateSessionRequestBounds: the create-request fields that size
+// a session's layouts and its portfolio goroutines are bounded, and each
+// rejection names its field.
+func TestParseCreateSessionRequestBounds(t *testing.T) {
+	inst, err := vpart.RandomInstance(vpart.ClassA(3, 4, 10), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		opts    SessionOptions
+		wantErr string // empty: accepted
+	}{
+		{"sites at bound", SessionOptions{Sites: maxSessionSites}, ""},
+		{"sites above bound", SessionOptions{Sites: maxSessionSites + 1}, "sites"},
+		{"sites 2^40", SessionOptions{Sites: 1 << 40}, "sites"},
+		{"default seeds", SessionOptions{Sites: 2, Solver: "portfolio"}, ""},
+		{"seeds at bound", SessionOptions{Sites: 2, Solver: "portfolio", PortfolioSeeds: maxPortfolioSeeds}, ""},
+		{"seeds above bound", SessionOptions{Sites: 2, Solver: "portfolio", PortfolioSeeds: maxPortfolioSeeds + 1}, "portfolio_seeds"},
+		{"seeds 2^40", SessionOptions{Sites: 2, Solver: "portfolio", PortfolioSeeds: 1 << 40}, "portfolio_seeds"},
+		{"negative seeds", SessionOptions{Sites: 2, Solver: "portfolio", PortfolioSeeds: -5}, "portfolio_seeds"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, _, opts, err := ParseCreateSessionRequest(createBody(t, "x", inst, tc.opts, nil))
+			switch {
+			case tc.wantErr == "" && err != nil:
+				t.Fatalf("rejected: %v", err)
+			case tc.wantErr == "" && (opts.Sites != tc.opts.Sites || opts.Portfolio.SASeeds != tc.opts.PortfolioSeeds):
+				t.Fatalf("accepted as sites=%d seeds=%d", opts.Sites, opts.Portfolio.SASeeds)
+			case tc.wantErr != "" && err == nil:
+				t.Fatalf("accepted sites=%d portfolio_seeds=%d", opts.Sites, opts.Portfolio.SASeeds)
+			case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
+				t.Fatalf("error %q does not name %s", err, tc.wantErr)
+			}
+		})
+	}
+}
+
 func TestHTTPProbesAndMetrics(t *testing.T) {
 	ts, srv, _ := newTestServer(t, service.Policy{Debounce: time.Millisecond})
 

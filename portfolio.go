@@ -17,10 +17,13 @@ const DefaultPortfolioSASeeds = 4
 // independently seeded SA runs — and optionally the exact QP solver — as
 // concurrent goroutines and returns the best incumbent.
 type PortfolioOptions struct {
-	// SASeeds is the number of concurrent SA runs (default
-	// DefaultPortfolioSASeeds). Run i uses seed base+i, where base is
-	// Options.Seed (or a derived seed when it is zero), so a portfolio run
-	// with a fixed non-zero seed is deterministic.
+	// SASeeds is the number of SA runs of a full race (default
+	// DefaultPortfolioSASeeds): a cold solve, or a warm one whose hint did
+	// not come out of a warm start. A warm race whose hint did
+	// (Solution.WarmStart) runs only run 0, the warm-seeded one. Run i's
+	// seed is derived from i and Options.Seed (or from a drawn seed when it
+	// is zero), so a portfolio run with a fixed non-zero seed is
+	// deterministic.
 	SASeeds int
 	// QP additionally races the exact QP solver. When it proves gap-free
 	// optimality the still-running SA seeds are cancelled immediately —
@@ -99,8 +102,9 @@ func (portfolioSolver) Solve(ctx context.Context, m *Model, opts Options) (*Resu
 	if qpChild != nil {
 		total++
 	}
-	// Reserve a whole block of derived seeds (one per child, including the
-	// QP child's SA-seeding run) so that later Seed-0 solves in this process
+	// Reserve a whole block of derived seeds (one per child of the full race,
+	// including the QP child's SA-seeding run, whether or not this race
+	// launches it) so that later Seed-0 solves in this process
 	// cannot replay one of the children's trajectories. Child i draws
 	// seeds.Derive(base, i); the sa-par child's replica seeds derive from its
 	// child seed via seeds.Replica, provably outside every Derive block.
@@ -108,29 +112,30 @@ func (portfolioSolver) Solve(ctx context.Context, m *Model, opts Options) (*Resu
 	if base == 0 {
 		base = seedCounter.Add(int64(total)) - int64(total) + 1
 	}
-	// With a warm hint the first SA child anneals from the hint (cooler
-	// start, local refinement) while the rest start cold, keeping the race
-	// honest: a drifted workload whose old incumbent traps the warm child in
-	// a stale basin is still explored from scratch.
-	warmChildren := 0
-	if warmHint(opts) != nil {
-		warmChildren = 1
+	// With a warm hint the first SA child and the sa-par child anneal from
+	// the hint (cooler start, local refinement) and the QP child prunes
+	// against it. A hint from a cold solve also races the cold restarts
+	// sa[1..n-1], keeping the race honest: a drifted workload whose old
+	// incumbent traps the warm children in a stale basin is still explored
+	// from scratch. A hint that itself came out of a warm start
+	// (Solution.WarmStart) means the last race was won from the basin it
+	// continues, so only the warm-seeded children run. Every child keeps its
+	// index, tag and seed either way, so the narrowed race returns what the
+	// full race would have whenever a warm child wins it.
+	hint := warmHint(opts)
+	saRuns := n
+	if hint != nil && opts.Warm.WarmStart {
+		saRuns = 1
 	}
-	outcomes := make(chan childOutcome, total)
-
-	launch := func(idx int, tag string, s Solver, childOpts Options) {
-		// Gate the child's callback on the race context: once the portfolio
-		// has concluded (winner found or caller cancelled), losing stragglers
-		// must not keep emitting tagged events at the caller.
-		childOpts.Progress = childOpts.Progress.Until(runCtx)
-		go func() {
-			res, err := s.Solve(runCtx, m, childOpts)
-			outcomes <- childOutcome{idx: idx, tag: tag, res: res, err: err}
-		}()
+	type child struct {
+		idx  int
+		tag  string
+		s    Solver
+		opts Options
 	}
-
-	for i := 0; i < n; i++ {
-		warm := i < warmChildren
+	var lineup []child
+	for i := 0; i < saRuns; i++ {
+		warm := i == 0 && hint != nil
 		tag := fmt.Sprintf("sa[%d]", i)
 		if warm {
 			tag = fmt.Sprintf("sa+warm[%d]", i)
@@ -143,7 +148,7 @@ func (portfolioSolver) Solve(ctx context.Context, m *Model, opts Options) (*Resu
 		}
 		childOpts.WarmDirty = nil
 		childOpts.Progress = retag(opts.Progress, "portfolio/"+tag)
-		launch(i, tag, saChild, childOpts)
+		lineup = append(lineup, child{i, tag, saChild, childOpts})
 	}
 	next := n
 	if saparChild != nil {
@@ -160,7 +165,7 @@ func (portfolioSolver) Solve(ctx context.Context, m *Model, opts Options) (*Resu
 		}
 		childOpts.WarmDirty = nil
 		childOpts.Progress = retag(opts.Progress, "portfolio/sa-par")
-		launch(next, "sa-par", saparChild, childOpts)
+		lineup = append(lineup, child{next, "sa-par", saparChild, childOpts})
 		next++
 	}
 	if qpChild != nil {
@@ -172,7 +177,19 @@ func (portfolioSolver) Solve(ctx context.Context, m *Model, opts Options) (*Resu
 		childOpts.Seed = seeds.Derive(base, next)
 		childOpts.WarmDirty = nil
 		childOpts.Progress = opts.Progress.Named("portfolio")
-		launch(next, "qp", qpChild, childOpts)
+		lineup = append(lineup, child{next, "qp", qpChild, childOpts})
+	}
+
+	outcomes := make(chan childOutcome, len(lineup))
+	for _, c := range lineup {
+		// Gate the child's callback on the race context: once the portfolio
+		// has concluded (winner found or caller cancelled), losing stragglers
+		// must not keep emitting tagged events at the caller.
+		c.opts.Progress = c.opts.Progress.Until(runCtx)
+		go func() {
+			res, err := c.s.Solve(runCtx, m, c.opts)
+			outcomes <- childOutcome{idx: c.idx, tag: c.tag, res: res, err: err}
+		}()
 	}
 
 	var (
@@ -203,7 +220,7 @@ func (portfolioSolver) Solve(ctx context.Context, m *Model, opts Options) (*Resu
 		}
 		return c.idx < best.idx
 	}
-	for i := 0; i < total; i++ {
+	for range lineup {
 		c := <-outcomes
 		if c.err != nil {
 			// Stragglers cancelled after an accepted winner report ctx errors;

@@ -79,7 +79,10 @@ type ResolveStats struct {
 	// Warm reports whether the resolve was seeded from the previous
 	// incumbent; WarmStart whether the winning solver run actually came out
 	// of that warm path (false when a cold-seeded portfolio child beat the
-	// warm children).
+	// warm children). The next resolve hands the incumbent's WarmStart on
+	// with its hint, so a portfolio session races the cold restarts only
+	// until a warm child wins, and again after a rejected hint or an Adopt
+	// of a layout without WarmStart.
 	Warm      bool
 	WarmStart bool
 	// WarmRejected explains why a warm-seeded resolve went cold anyway: the
@@ -348,7 +351,7 @@ func (s *Session) Resolve(ctx context.Context) (*Solution, ResolveStats, error) 
 		if err != nil {
 			return nil, stats, fmt.Errorf("vpart: session: %w", err)
 		}
-		opts.Warm = &Solution{Partitioning: layout}
+		opts.Warm = &Solution{Partitioning: layout, WarmStart: s.incumbent.WarmStart}
 		opts.WarmDirty = s.dirty.Clone()
 		stats.Warm = true
 		// The "do nothing" baseline: the previous layout re-priced under the

@@ -388,6 +388,72 @@ func TestSolveWarmPortfolioTagsWinner(t *testing.T) {
 	}
 }
 
+// TestSessionRacesColdChildrenUntilWarmWins: a portfolio session races the
+// cold restarts sa[1..] while its incumbent did not come out of a warm start
+// — the first warm resolve, and again after Adopt of a cold solve — and
+// stops racing them once a warm child has won.
+func TestSessionRacesColdChildrenUntilWarmWins(t *testing.T) {
+	ctx := context.Background()
+	inst := vpart.TPCC()
+	var coldEvents atomic.Int64
+	sess, err := vpart.NewSession(inst, vpart.Options{
+		Sites: 3, Solver: "portfolio", Seed: 1,
+		Progress: func(e vpart.Event) {
+			// Called concurrently from the portfolio's children.
+			if strings.Contains(e.Solver, "portfolio/sa[1]") {
+				coldEvents.Add(1)
+			}
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve := func() (vpart.ResolveStats, int64) {
+		t.Helper()
+		coldEvents.Store(0)
+		_, stats, err := sess.Resolve(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return stats, coldEvents.Load()
+	}
+	if _, cold := resolve(); cold == 0 {
+		t.Fatal("the cold first resolve ran no sa[1] child")
+	}
+	if err := sess.Apply(tpccDelta(t, inst)); err != nil {
+		t.Fatal(err)
+	}
+	stats, cold := resolve()
+	if !stats.Warm || cold == 0 {
+		t.Fatalf("first warm resolve: warm=%v, %d sa[1] events; want the full race", stats.Warm, cold)
+	}
+	// Resolve until a warm child wins; the race after that is warm-only.
+	for i := 0; !stats.WarmStart; i++ {
+		if i == 5 {
+			t.Fatalf("no warm child won in 5 resolves (last winner %s)", stats.Solver)
+		}
+		stats, _ = resolve()
+	}
+	if stats, cold = resolve(); cold != 0 {
+		t.Errorf("resolve %d after a warm win emitted %d sa[1] events", stats.Resolve, cold)
+	}
+	if !stats.WarmStart {
+		t.Errorf("a warm-only race reported WarmStart false (winner %s)", stats.Solver)
+	}
+
+	// A cold solve adopted as the anchor brings the full race back.
+	coldSol, err := vpart.Solve(ctx, inst, vpart.Options{Sites: 3, Solver: "sa", Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Adopt(coldSol); err != nil {
+		t.Fatal(err)
+	}
+	if stats, cold = resolve(); cold == 0 {
+		t.Errorf("resolve %d after adopting a cold layout ran no sa[1] child", stats.Resolve)
+	}
+}
+
 // TestSolveWarmHintMismatchFallsBackCold: a hint for a different site count
 // is ignored, not fatal.
 func TestSolveWarmHintMismatchFallsBackCold(t *testing.T) {

@@ -33,7 +33,8 @@ type Solution struct {
 	// WarmStart reports whether the solution came out of the warm-start
 	// path: the winning solver run was seeded from Options.Warm (for the
 	// portfolio, the warm-seeded child won the race; for decompose, the run
-	// reused or warm-seeded its shards).
+	// reused or warm-seeded its shards). Handed back in Options.Warm, it
+	// narrows a portfolio race to its warm-seeded children.
 	WarmStart bool
 	// WarmRejected explains why a requested warm start was dropped and the
 	// solve ran cold (site-count mismatch, un-adaptable dimensions, a hint

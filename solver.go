@@ -89,18 +89,22 @@ type Options struct {
 	// same (or a delta-patched) instance and the same site count. The SA
 	// solver seeds its move-based hot loop from the hint (with a cooler
 	// initial temperature) instead of a random start, the QP solver takes it
-	// as its initial incumbent, the portfolio races warm- and cold-seeded
-	// children, and the decompose meta-solver seeds every shard with the
-	// hint's projection — reusing untouched shards outright when WarmDirty is
-	// set. Hints with a different site count, or that cannot be adapted to
-	// the instance, are silently ignored (the solve falls back to cold).
+	// as its initial incumbent, and the decompose meta-solver seeds every
+	// shard with the hint's projection — reusing untouched shards outright
+	// when WarmDirty is set. The portfolio's warm-seeded children (the first
+	// SA run, the sa-par run and the QP run) start from the hint; while the
+	// hint's WarmStart is false they race the cold restarts of
+	// PortfolioOptions.SASeeds, and once it is true — the hint itself came
+	// out of a warm start — they race alone. Hints with a different site
+	// count, or that cannot be adapted to the instance, are silently ignored
+	// (the solve falls back to cold).
 	//
 	// Callers pass the hint over the original instance; the Solve facade
 	// matches it to the instance by name when the hint carries its Model (by
 	// index otherwise), adapts it to grown dimensions and rewrites it into
 	// the (grouped) solve space, so Solver implementations always receive
-	// Warm.Partitioning expressed over their model — the Partitioning field
-	// is the only field of the hint that is forwarded.
+	// Warm.Partitioning expressed over their model. Partitioning and
+	// WarmStart are the only fields of the hint that are forwarded.
 	Warm *Solution
 	// WarmDirty lists the table and transaction names the workload deltas
 	// since Warm touched (see WorkloadDelta.Touch). The decompose meta-solver
@@ -377,7 +381,7 @@ func solve(ctx context.Context, inst *Instance, origModel *Model, opts Options) 
 	if opts.Warm != nil {
 		hint, reason := warmToSolveSpace(opts.Warm, origModel, solveModel, grouping, opts.Sites)
 		if hint != nil {
-			opts.Warm = &Solution{Partitioning: hint}
+			opts.Warm = &Solution{Partitioning: hint, WarmStart: opts.Warm.WarmStart}
 		} else {
 			opts.Warm, opts.WarmDirty = nil, nil
 			warmRejected = reason
