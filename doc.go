@@ -324,7 +324,9 @@
 // and measures the realized cost of the re-solved layouts against a frozen
 // stale control layout — deterministic given the spec, so fixed-seed runs
 // are bit-identical. TestRunScenarioSiteLossEndToEnd runs one scenario per
-// failure kind and gates both properties.
+// failure kind and gates both properties; its held-out drift-burst row also
+// runs the portfolio advisor on the drift-burst scenario at seven spec seeds
+// the golden file does not pin.
 //
 // The experiment harness that regenerates every table of the paper lives in
 // cmd/vpart-experiments; go run ./cmd/vpart-experiments -table all prints

@@ -618,8 +618,8 @@ func (cs *ConstraintSet) validateSites(m *Model, sites int) error {
 // only what the partitioning places is judged: transactions and attributes
 // beyond its dimensions, transactions on a negative site and attributes
 // stored nowhere are skipped — the mode Session.Adopt uses to judge an
-// anchor that predates delta-grown dimensions (NamedPartitioning.Over leaves
-// the grown ones unplaced).
+// anchor that predates delta-grown dimensions (Carry leaves the grown ones
+// unplaced).
 func (cs *ConstraintSet) check(m *Model, p *Partitioning, partial bool) error {
 	nT, nA := len(p.TxnSite), len(p.AttrSites)
 	inTxn := func(t int) bool { return t < nT && (!partial || p.TxnSite[t] >= 0) }

@@ -536,8 +536,10 @@ func (m *Model) CheckConstraints(p *Partitioning) error {
 // CheckConstraintsPartial is CheckConstraints for a partitioning that may
 // predate delta-grown dimensions: constraint references to what it does not
 // place — transactions and attributes beyond its counts, transactions on a
-// negative site, attributes stored nowhere — are skipped. Session.Adopt uses
-// it to reject constraint-violating anchors before adapting them.
+// negative site, attributes stored nowhere — are skipped. Session.Adopt
+// carries an anchor by name onto its model with Carry, which leaves what the
+// anchor predates unplaced, and uses this check to reject a
+// constraint-violating anchor before Repair places the rest.
 func (m *Model) CheckConstraintsPartial(p *Partitioning) error {
 	if m.cons == nil {
 		return nil

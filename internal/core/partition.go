@@ -344,102 +344,58 @@ func (p *Partitioning) repairConstrained(m *Model, cs *ConstraintSet) int {
 	return changed
 }
 
-// AdaptPartitioning fits a partitioning (typically a previous incumbent) to
-// the model's current dimensions, for warm-starting a solve after workload
-// deltas grew the instance: new transactions land on site 0, new attributes
-// are placed by Repair, and single-sitedness is repaired. Dimensions only
-// ever grow under WorkloadDelta, so a partitioning with more transactions or
-// attributes than the model is rejected. The input is never mutated; the
-// returned partitioning is feasible for m.
-func AdaptPartitioning(m *Model, p *Partitioning) (*Partitioning, error) {
+// Carry re-expresses p, a layout computed over the model from, over the
+// model to, matching transactions and attributes by name: a column added to
+// any table but the last renumbers the attributes of every later table, so
+// an index-based copy would hand each of them its neighbour's placement.
+// While to's indices still match from's names, as they do unless an added
+// column renumbered them, each lookup is one comparison. With from nil, p's
+// indices are taken to be to's, so p may not be larger than to. A name to
+// lacks is an error. What p predates is left unplaced (site -1, no replica)
+// for the caller to fill: Repair places it for a warm start, and
+// CheckConstraintsPartial skips it. p is never mutated.
+func Carry(from *Model, p *Partitioning, to *Model) (*Partitioning, error) {
 	if p == nil {
-		return nil, fmt.Errorf("adapt: nil partitioning")
+		return nil, fmt.Errorf("carry: nil partitioning")
 	}
 	if p.Sites <= 0 {
-		return nil, fmt.Errorf("adapt: non-positive site count %d", p.Sites)
+		return nil, fmt.Errorf("carry: non-positive site count %d", p.Sites)
 	}
-	if len(p.TxnSite) > m.NumTxns() || len(p.AttrSites) > m.NumAttrs() {
-		return nil, fmt.Errorf("adapt: partitioning has %d txns × %d attrs, model only %d × %d (dimensions cannot shrink)",
-			len(p.TxnSite), len(p.AttrSites), m.NumTxns(), m.NumAttrs())
+	nT, nA := len(p.TxnSite), len(p.AttrSites)
+	if from != nil && (nT != from.NumTxns() || nA != from.NumAttrs()) {
+		return nil, fmt.Errorf("carry: partitioning has %d txns × %d attrs, its model %d × %d",
+			nT, nA, from.NumTxns(), from.NumAttrs())
 	}
-	out := NewPartitioning(m.NumTxns(), m.NumAttrs(), p.Sites)
-	copy(out.TxnSite, p.TxnSite)
-	for a := range p.AttrSites {
-		if len(p.AttrSites[a]) != p.Sites {
-			return nil, fmt.Errorf("adapt: attribute %d has %d site slots, want %d", a, len(p.AttrSites[a]), p.Sites)
-		}
-		copy(out.AttrSites[a], p.AttrSites[a])
+	if from == nil && (nT > to.NumTxns() || nA > to.NumAttrs()) {
+		return nil, fmt.Errorf("carry: partitioning has %d txns × %d attrs, model only %d × %d (dimensions cannot shrink)",
+			nT, nA, to.NumTxns(), to.NumAttrs())
 	}
-	out.Repair(m)
-	return out, nil
-}
-
-// NamedPartitioning is a partitioning together with the names its indices
-// denote. A column added to any table but the last renumbers the attributes
-// of every later table in the model compiled after the delta, so a layout
-// carried from one model to the next (a session's incumbent, a warm hint, an
-// adopted anchor) must be matched by name, not by index.
-type NamedPartitioning struct {
-	P *Partitioning
-	// Txns[t] and Attrs[a] name transaction t and attribute a of P.
-	Txns  []string
-	Attrs []QualifiedAttr
-}
-
-// Named records p, a partitioning over m, with m's names. A Model never
-// changes once compiled, so Txns shares m's list; do not modify it.
-func Named(m *Model, p *Partitioning) NamedPartitioning {
-	n := NamedPartitioning{
-		P:     p,
-		Txns:  m.txnNames,
-		Attrs: make([]QualifiedAttr, len(m.attrs)),
-	}
-	for a, info := range m.attrs {
-		n.Attrs[a] = info.Qualified
-	}
-	return n
-}
-
-// Over re-expresses the layout over m by name. Transactions and attributes
-// of m that the layout does not name — added since it was recorded — are
-// left unplaced (site -1, no replica): CheckConstraintsPartial skips them,
-// and AdaptPartitioning or Repair places them as AdaptPartitioning places
-// grown dimensions. A name m lacks is an error. While m's indices still
-// match the recorded names, as they do unless an added column renumbered
-// them, each lookup is one comparison; transactions are never renumbered.
-func (n NamedPartitioning) Over(m *Model) (*Partitioning, error) {
-	p := n.P
-	if p.Sites <= 0 {
-		return nil, fmt.Errorf("map: non-positive site count %d", p.Sites)
-	}
-	if len(n.Txns) != len(p.TxnSite) || len(n.Attrs) != len(p.AttrSites) {
-		return nil, fmt.Errorf("map: partitioning has %d txns × %d attrs, its names %d × %d",
-			len(p.TxnSite), len(p.AttrSites), len(n.Txns), len(n.Attrs))
-	}
-	out := NewPartitioning(m.NumTxns(), m.NumAttrs(), p.Sites)
+	out := NewPartitioning(to.NumTxns(), to.NumAttrs(), p.Sites)
 	for t := range out.TxnSite {
 		out.TxnSite[t] = -1
 	}
-	for t, name := range n.Txns {
-		id, ok := t, t < m.NumTxns() && m.txnNames[t] == name
-		if !ok {
-			if id, ok = m.TxnIndex(name); !ok {
-				return nil, fmt.Errorf("map: unknown transaction %q", name)
+	for t, s := range p.TxnSite {
+		id := t
+		if from != nil && (t >= to.NumTxns() || to.txnNames[t] != from.txnNames[t]) {
+			var ok bool
+			if id, ok = to.TxnIndex(from.txnNames[t]); !ok {
+				return nil, fmt.Errorf("carry: unknown transaction %q", from.txnNames[t])
 			}
 		}
-		out.TxnSite[id] = p.TxnSite[t]
+		out.TxnSite[id] = s
 	}
-	for a, q := range n.Attrs {
-		id, ok := a, a < m.NumAttrs() && m.attrs[a].Qualified == q
-		if !ok {
-			if id, ok = m.AttrID(q); !ok {
-				return nil, fmt.Errorf("map: unknown attribute %s", q)
+	for a, sites := range p.AttrSites {
+		if len(sites) != p.Sites {
+			return nil, fmt.Errorf("carry: attribute %d has %d site slots, want %d", a, len(sites), p.Sites)
+		}
+		id := a
+		if from != nil && (a >= to.NumAttrs() || to.attrs[a].Qualified != from.attrs[a].Qualified) {
+			var ok bool
+			if id, ok = to.AttrID(from.attrs[a].Qualified); !ok {
+				return nil, fmt.Errorf("carry: unknown attribute %s", from.attrs[a].Qualified)
 			}
 		}
-		if len(p.AttrSites[a]) != p.Sites {
-			return nil, fmt.Errorf("map: attribute %s has %d site slots, want %d", q, len(p.AttrSites[a]), p.Sites)
-		}
-		copy(out.AttrSites[id], p.AttrSites[a])
+		copy(out.AttrSites[id], sites)
 	}
 	return out, nil
 }

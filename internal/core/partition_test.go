@@ -245,14 +245,13 @@ func TestRepairAlwaysFeasible(t *testing.T) {
 	}
 }
 
-// TestNamedPartitioningOver: a layout recorded by name survives a delta
-// that renumbers attributes (a column added to R, not the last table), and
-// what the delta added is left unplaced for Repair — and for
-// CheckConstraintsPartial to skip.
-func TestNamedPartitioningOver(t *testing.T) {
+// TestCarryByName: a layout carried by name survives a delta that renumbers
+// attributes (a column added to R, not the last table), and what the delta
+// added is left unplaced for Repair — and for CheckConstraintsPartial to
+// skip.
+func TestCarryByName(t *testing.T) {
 	m := testModel(t)
 	p := testPartitioning(m)
-	named := Named(m, p)
 	cons := &Constraints{PinTxns: []PinTxn{{Txn: "T3", Site: 1}}}
 	grown := WorkloadDelta{Ops: []DeltaOp{
 		AddAttr{Table: "R", Attr: Attribute{Name: "a4", Width: 2}},
@@ -270,11 +269,12 @@ func TestNamedPartitioningOver(t *testing.T) {
 		t.Fatal("fixture delta no longer renumbers S")
 	}
 
-	got, err := named.Over(m2)
+	got, err := Carry(m, p, m2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for a, q := range named.Attrs {
+	for a := 0; a < m.NumAttrs(); a++ {
+		q := m.Attr(a).Qualified
 		if id, _ := m2.AttrID(q); !slices.Equal(got.AttrSites[id], p.AttrSites[a]) {
 			t.Errorf("%s placed on %v, recorded %v", q, got.AttrSites[id], p.AttrSites[a])
 		}
@@ -289,23 +289,96 @@ func TestNamedPartitioningOver(t *testing.T) {
 	if err := m2.CheckConstraintsPartial(got); err != nil {
 		t.Errorf("partial check judged the unplaced pinned transaction: %v", err)
 	}
-	if _, err := AdaptPartitioning(m2, got); err != nil {
+	repaired, err := Carry(nil, got, m2)
+	if err != nil {
 		t.Fatal(err)
+	}
+	repaired.Repair(m2)
+	if err := repaired.Validate(m2); err != nil {
+		t.Fatalf("repair left the carried layout infeasible: %v", err)
 	}
 	if err := m2.CheckConstraints(got); err == nil {
 		t.Error("full check accepted the unplaced pinned transaction")
 	}
 
 	// Names the target model lacks are an error.
-	if _, err := Named(m2, got).Over(testModel(t)); err == nil {
-		t.Error("layout naming an unknown attribute mapped")
+	if _, err := Carry(m2, got, testModel(t)); err == nil {
+		t.Error("layout naming an unknown attribute carried")
+	}
+}
+
+// TestCarryByIndex: without a source model, Carry takes the layout's indices
+// to be the target model's. What the layout predates is left unplaced, and
+// Repair places it as a warm start needs; a layout larger than the model
+// (dimensions never shrink under a delta) or malformed is rejected.
+func TestCarryByIndex(t *testing.T) {
+	m := testModel(t)
+	p := testPartitioning(m)
+	next, err := ApplyDelta(testInstance(), WorkloadDelta{Ops: []DeltaOp{
+		AddAttr{Table: "S", Attr: Attribute{Name: "b3", Width: 2}},
+		AddQuery{Txn: "T3", Query: NewRead("q4", "S", []string{"b3"}, 1, 1)},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m2, err := NewModel(next, m.Options())
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name string
+		to   *Model
+		txns []int
+	}{
+		{"same dimensions", m, []int{0, 1}},
+		{"grown dimensions", m2, []int{0, 1, -1}},
+	} {
+		got, err := Carry(nil, p, tc.to)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if !slices.Equal(got.TxnSite, tc.txns) {
+			t.Errorf("%s: transaction sites %v, want %v", tc.name, got.TxnSite, tc.txns)
+		}
+		for a := range got.AttrSites {
+			want := make([]bool, p.Sites)
+			if a < len(p.AttrSites) {
+				want = p.AttrSites[a]
+			}
+			if !slices.Equal(got.AttrSites[a], want) {
+				t.Errorf("%s: attribute %d on %v, want %v", tc.name, a, got.AttrSites[a], want)
+			}
+		}
+		got.Repair(tc.to)
+		if err := got.Validate(tc.to); err != nil {
+			t.Errorf("%s: repaired layout infeasible: %v", tc.name, err)
+		}
+	}
+
+	short := p.Clone()
+	short.AttrSites[1] = short.AttrSites[1][:1]
+	for _, tc := range []struct {
+		name string
+		p    *Partitioning
+		want string
+	}{
+		{"more attributes than the model", NewPartitioning(2, m.NumAttrs()+1, 2), "cannot shrink"},
+		{"more transactions than the model", NewPartitioning(3, m.NumAttrs(), 2), "cannot shrink"},
+		{"nil layout", nil, "nil partitioning"},
+		{"zero sites", NewPartitioning(2, m.NumAttrs(), 0), "site count"},
+		{"wrong site slots", short, "site slots"},
+	} {
+		if _, err := Carry(nil, tc.p, m); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Carry returned %v, want an error containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 
 // TestAssignmentDottedNames: table and attribute names may contain dots.
 // FromAssignment resolves "Table.Attr" strings at whichever dot names an
-// attribute, and rejects a string that names two; a NamedPartitioning keeps
-// such attributes apart.
+// attribute, and rejects a string that names two; Carry keeps such
+// attributes apart.
 func TestAssignmentDottedNames(t *testing.T) {
 	inst := &Instance{
 		Name: "dotted",
@@ -339,7 +412,7 @@ func TestAssignmentDottedNames(t *testing.T) {
 		t.Errorf("a.b.c names two attributes, FromAssignment returned %v", err)
 	}
 
-	back, err := Named(m, p).Over(m)
+	back, err := Carry(m, p, m)
 	if err != nil {
 		t.Fatal(err)
 	}

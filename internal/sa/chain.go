@@ -134,19 +134,16 @@ func newChain(m *core.Model, opts Options) (*Chain, error) {
 	c.bestCost = c.curCost
 
 	c.res = &Result{WarmStart: warm}
-	tau := opts.Temperature
-	if tau == 0 {
-		// Section 5.1: accept a 5 % worse solution with probability 50 % at
-		// the initial temperature. Warm starts begin an order of magnitude
-		// cooler — the hint is already in a good basin.
-		pct := DefaultAcceptWorsePct
-		if warm {
-			pct = DefaultWarmAcceptWorsePct
-		}
-		tau = pct * c.bestCost / math.Ln2
-		if tau <= 0 {
-			tau = 1
-		}
+	// Section 5.1: accept a 5 % worse solution with probability 50 % at the
+	// initial temperature. Warm starts begin an order of magnitude cooler —
+	// the hint is already in a good basin.
+	pct := DefaultAcceptWorsePct
+	if warm {
+		pct = DefaultWarmAcceptWorsePct
+	}
+	tau := pct * c.bestCost / math.Ln2
+	if tau <= 0 {
+		tau = 1
 	}
 	c.tau = tau
 	c.res.InitialTemperature = tau
@@ -237,7 +234,7 @@ func (c *Chain) RunLevel(ctx context.Context) (stopped bool, err error) {
 		// The findSolution(fix) step of Algorithm 1, amortised: greedily
 		// re-optimise the non-fixed vector and apply the outcome as one
 		// diffed move batch, subject to the same Metropolis test.
-		if c.opts.IntensifyEvery > 0 && c.res.Iterations%c.opts.IntensifyEvery == 0 {
+		if c.res.Iterations%DefaultIntensifyEvery == 0 {
 			delta := c.s.intensify(c.ev, c.fixX)
 			c.fixX = !c.fixX
 			if delta <= 0 || c.rng.Float64() < math.Exp(-delta/c.tau) {
@@ -254,12 +251,12 @@ func (c *Chain) RunLevel(ctx context.Context) (stopped bool, err error) {
 		Elapsed:   time.Since(c.start),
 		Message:   fmt.Sprintf("level %d τ=%.4g best=%.6g", c.level, c.tau, c.bestCost),
 	})
-	c.tau *= c.opts.Rho
+	c.tau *= DefaultRho
 	if c.improvedThisLevel {
 		c.noImprove = 0
 	} else {
 		c.noImprove++
-		if c.noImprove >= c.opts.NoImprovementLimit {
+		if c.noImprove >= c.opts.noImprovementLimit() {
 			c.stopped = true
 		}
 	}

@@ -13,10 +13,10 @@ import (
 )
 
 // perturb proposes one neighbourhood move of Algorithm 1 as a batch of
-// evaluator moves and returns its balanced-objective delta: a MoveFraction
+// evaluator moves and returns its balanced-objective delta: a moveFraction
 // share of the transactions (components in disjoint mode) is relocated —
 // dragging along AddReplica repair moves for the attributes the relocated
-// transactions read — and the replication of a MoveFraction share of the
+// transactions read — and the replication of a moveFraction share of the
 // attributes is extended (relocated, in disjoint mode). The caller decides
 // the batch's fate with ev.Commit or ev.Undo.
 //
@@ -30,7 +30,7 @@ func (s *solver) perturb(rng *rand.Rand, ev *core.Evaluator) float64 {
 
 	// x-part: relocate transactions, repairing single-sitedness as we go.
 	if s.opts.Disjoint {
-		n := moveCount(len(s.components), s.opts.MoveFraction)
+		n := moveCount(len(s.components), s.opts.moveFraction())
 		for i := 0; i < n; i++ {
 			ci := rng.Intn(len(s.components))
 			st := rng.Intn(s.sites)
@@ -50,7 +50,7 @@ func (s *solver) perturb(rng *rand.Rand, ev *core.Evaluator) float64 {
 			}
 		}
 	} else {
-		n := moveCount(len(p.TxnSite), s.opts.MoveFraction)
+		n := moveCount(len(p.TxnSite), s.opts.moveFraction())
 		for i := 0; i < n; i++ {
 			t := rng.Intn(len(p.TxnSite))
 			st := rng.Intn(s.sites)
@@ -89,7 +89,7 @@ func (s *solver) perturb(rng *rand.Rand, ev *core.Evaluator) float64 {
 	// y-part: extend the replication of random attributes (the paper's
 	// neighbourhood); in disjoint mode relocate unread attributes instead.
 	nA := len(p.AttrSites)
-	n := moveCount(nA, s.opts.MoveFraction)
+	n := moveCount(nA, s.opts.moveFraction())
 	for i := 0; i < n; i++ {
 		a := rng.Intn(nA)
 		if s.opts.Disjoint {

@@ -24,7 +24,7 @@
 // repair moves that keep reads single-sited) applied to one incremental
 // core.Evaluator, whose balanced-objective delta feeds the Metropolis test
 // directly. The greedy findSolution passes are applied the same way — as a
-// move batch diffed against the current state — every IntensifyEvery
+// move batch diffed against the current state — every DefaultIntensifyEvery
 // iterations, alternating the fixed vector. The loop performs no
 // Partitioning.Clone and no full Model.Evaluate per iteration; Model.Evaluate
 // remains the reference oracle for the returned result.
@@ -38,9 +38,9 @@ import (
 	"vpart/internal/progress"
 )
 
-// Default parameter values (the paper specifies the move fraction and the
-// initial temperature rule; the remaining values are engineering choices
-// documented in DESIGN.md).
+// Parameter values (the paper specifies the move fraction and the initial
+// temperature rule; the remaining values are engineering choices). Options
+// can override only InnerLoops and MaxOuterLoops.
 const (
 	// DefaultMoveFraction is the fraction of transactions/attributes touched
 	// by a neighbourhood move (the paper found 10 % to work best).
@@ -90,38 +90,22 @@ type Options struct {
 	// root vpart facade is responsible for deriving distinct seeds when the
 	// caller asks for them.
 	Seed int64
-	// Temperature is the initial temperature τ; zero selects the rule of
-	// Section 5.1 based on the initial solution's cost.
-	Temperature float64
-	// Rho is the cooling factor ρ ∈ (0,1); zero means DefaultRho.
-	Rho float64
 	// InnerLoops is the number of inner iterations L per temperature level;
 	// zero means DefaultInnerLoops.
 	InnerLoops int
 	// MaxOuterLoops bounds the number of temperature levels; zero means
 	// DefaultMaxOuterLoops.
 	MaxOuterLoops int
-	// NoImprovementLimit stops the search after this many temperature levels
-	// without improvement; zero means DefaultNoImprovementLimit.
-	NoImprovementLimit int
-	// MoveFraction is the fraction of transactions/attributes perturbed per
-	// move; zero means DefaultMoveFraction.
-	MoveFraction float64
-	// IntensifyEvery is the number of inner iterations between two greedy
-	// findSolution re-optimisation passes (Algorithm 1's subproblem step,
-	// applied to the evaluator as a diffed move batch, alternating the fixed
-	// vector). Zero means DefaultIntensifyEvery; a negative value disables
-	// intensification entirely (pure move-based annealing).
-	IntensifyEvery int
 	// Initial, when non-nil, warm-starts the search from the given
 	// partitioning instead of a random assignment: the hint is copied,
 	// repaired against the model and becomes the first incumbent, and the
-	// default initial temperature drops to the DefaultWarmAcceptWorsePct rule
-	// so the annealing refines the hint instead of melting it. The hint's
-	// dimensions must match the model (adapt stale incumbents with
-	// core.AdaptPartitioning first) and its site count must equal Sites. In
-	// disjoint mode only the transaction assignment is taken from the hint;
-	// the attribute assignment is rebuilt disjointly around it.
+	// search takes the warm parameter variants (initial temperature, move
+	// fraction, no-improvement limit) so the annealing refines the hint
+	// instead of melting it. The hint's dimensions must match the model
+	// (carry a stale incumbent over with core.Carry and repair it first) and
+	// its site count must equal Sites. In disjoint mode only the transaction
+	// assignment is taken from the hint; the attribute assignment is rebuilt
+	// disjointly around it.
 	Initial *core.Partitioning
 	// Disjoint forbids attribute replication. In this mode transactions that
 	// share read attributes are moved as one component (single-sitedness
@@ -143,31 +127,11 @@ func DefaultOptions(sites int) Options {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Rho == 0 {
-		o.Rho = DefaultRho
-	}
 	if o.InnerLoops == 0 {
 		o.InnerLoops = DefaultInnerLoops
 	}
 	if o.MaxOuterLoops == 0 {
 		o.MaxOuterLoops = DefaultMaxOuterLoops
-	}
-	if o.NoImprovementLimit == 0 {
-		if o.Initial != nil {
-			o.NoImprovementLimit = DefaultWarmNoImprovementLimit
-		} else {
-			o.NoImprovementLimit = DefaultNoImprovementLimit
-		}
-	}
-	if o.MoveFraction == 0 {
-		if o.Initial != nil {
-			o.MoveFraction = DefaultWarmMoveFraction
-		} else {
-			o.MoveFraction = DefaultMoveFraction
-		}
-	}
-	if o.IntensifyEvery == 0 {
-		o.IntensifyEvery = DefaultIntensifyEvery
 	}
 	return o
 }
@@ -176,16 +140,24 @@ func (o Options) validate() error {
 	if o.Sites < 1 {
 		return fmt.Errorf("sa: invalid site count %d", o.Sites)
 	}
-	if o.Rho < 0 || o.Rho >= 1 {
-		return fmt.Errorf("sa: cooling factor %g outside (0,1)", o.Rho)
-	}
-	if o.MoveFraction < 0 || o.MoveFraction > 1 {
-		return fmt.Errorf("sa: move fraction %g outside [0,1]", o.MoveFraction)
-	}
-	if o.Temperature < 0 {
-		return fmt.Errorf("sa: negative temperature %g", o.Temperature)
-	}
 	return nil
+}
+
+// moveFraction is the share of transactions and attributes a move perturbs.
+func (o Options) moveFraction() float64 {
+	if o.Initial != nil {
+		return DefaultWarmMoveFraction
+	}
+	return DefaultMoveFraction
+}
+
+// noImprovementLimit is the number of temperature levels without a new best
+// solution after which the search stops.
+func (o Options) noImprovementLimit() int {
+	if o.Initial != nil {
+		return DefaultWarmNoImprovementLimit
+	}
+	return DefaultNoImprovementLimit
 }
 
 // Result is the outcome of an SA run.

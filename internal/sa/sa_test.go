@@ -215,9 +215,6 @@ func TestOptionsValidation(t *testing.T) {
 	m := mustModel(t, fixtureInstance(), core.DefaultModelOptions())
 	bad := []Options{
 		{Sites: 0},
-		{Sites: 2, Rho: 1.5},
-		{Sites: 2, MoveFraction: 2},
-		{Sites: 2, Temperature: -1},
 	}
 	for i, o := range bad {
 		if _, err := Solve(context.Background(), m, o); err == nil {

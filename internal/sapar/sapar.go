@@ -56,16 +56,16 @@ const (
 // Options configures a parallel-tempering run.
 type Options struct {
 	// SA carries the shared chain parameters: model sites, the base Seed the
-	// replica seeds derive from, cooling schedule, warm start, constraints
+	// replica seeds derive from, level lengths, warm start, constraints
 	// behaviour, TimeLimit and Progress. Every replica anneals under these
 	// options, differing only in seed and initial temperature.
 	SA sa.Options
 
 	// Replicas is K, the number of concurrent chains (default
 	// DefaultReplicas). K = 1 degenerates to plain sa.Solve. Replica k
-	// starts at τ0·DefaultStagger^k, with τ0 taken from replica 0's
-	// Section 5.1 rule (or SA.Temperature when set), and replicas attempt
-	// state exchanges every DefaultExchangeEvery temperature levels.
+	// starts at τ0·DefaultStagger^k, with τ0 taken from replica 0's Section
+	// 5.1 rule, and replicas attempt state exchanges every
+	// DefaultExchangeEvery temperature levels.
 	Replicas int
 
 	// Budget, when non-nil, bounds how many replicas anneal simultaneously:

@@ -62,25 +62,28 @@ func bestReadSite(m *core.Model, p *core.Partitioning, t int, down []bool) int {
 	return best
 }
 
-// padLayout fits a layout to the model's (possibly grown) dimensions without
-// repairing it: transactions the layout predates are routed to the live site
-// holding the largest width of their read attributes, attributes it predates
-// land on the lowest live site. Unlike core.AdaptPartitioning no read
-// replicas are added — a stale layout must keep paying its remote reads, not
-// get free replication from the harness.
-func padLayout(m *core.Model, p *core.Partitioning, down []bool) *core.Partitioning {
-	out := core.NewPartitioning(m.NumTxns(), m.NumAttrs(), p.Sites)
-	copy(out.TxnSite, p.TxnSite)
-	for a := range p.AttrSites {
-		copy(out.AttrSites[a], p.AttrSites[a])
+// padLayout carries p, a layout computed over the model from, onto m by name
+// (core.Carry) and fills what it predates without repairing it: transactions
+// are routed to the live site holding the largest width of their read
+// attributes, attributes land on the lowest live site. Unlike a warm start's
+// Repair no read replicas are added — a stale layout must keep paying its
+// remote reads, not get free replication from the harness.
+func padLayout(from *core.Model, p *core.Partitioning, m *core.Model, down []bool) (*core.Partitioning, error) {
+	out, err := core.Carry(from, p, m)
+	if err != nil {
+		return nil, err
 	}
-	for a := len(p.AttrSites); a < m.NumAttrs(); a++ {
-		out.AttrSites[a][lowestLive(down, p.Sites)] = true
+	for a := range out.AttrSites {
+		if out.Replicas(a) == 0 {
+			out.AttrSites[a][lowestLive(down, out.Sites)] = true
+		}
 	}
-	for t := len(p.TxnSite); t < m.NumTxns(); t++ {
-		out.TxnSite[t] = bestReadSite(m, out, t, down)
+	for t, s := range out.TxnSite {
+		if s < 0 {
+			out.TxnSite[t] = bestReadSite(m, out, t, down)
+		}
 	}
-	return out
+	return out, nil
 }
 
 // degradeSiteLoss is the mechanical failover after losing a site: every

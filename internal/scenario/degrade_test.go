@@ -1,6 +1,7 @@
 package scenario
 
 import (
+	"slices"
 	"testing"
 
 	"vpart/internal/core"
@@ -40,7 +41,10 @@ func TestPadLayoutGrowsDimensions(t *testing.T) {
 	p.AttrSites[1][1] = true    // b on site 1
 	down := []bool{true, false} // site 0 down: the pad must avoid it
 
-	out := padLayout(m, p, down)
+	out, err := padLayout(nil, p, m, down)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if p.Replicas(0) != 1 || len(p.AttrSites) != 2 {
 		t.Fatal("padLayout mutated its input")
 	}
@@ -58,6 +62,49 @@ func TestPadLayoutGrowsDimensions(t *testing.T) {
 	// No read replication: t1's placement used existing replicas only.
 	if out.Replicas(2) != 1 {
 		t.Fatalf("padLayout replicated: attribute c on %d sites", out.Replicas(2))
+	}
+
+	// A layout that predates an AddAttr on the first of two tables: the new
+	// column renumbers every attribute of the second, so each placement must
+	// follow its name, not its index.
+	two := m.Instance().Clone()
+	two.Schema.Tables = append(two.Schema.Tables, core.Table{Name: "log", Attributes: []core.Attribute{{Name: "d", Width: 1}}})
+	before, err := core.NewModel(two, core.DefaultModelOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	grown, err := core.ApplyDelta(two, core.WorkloadDelta{Ops: []core.DeltaOp{
+		core.AddAttr{Table: "tab", Attr: core.Attribute{Name: "e", Width: 1}},
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := core.NewModel(grown, core.DefaultModelOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := core.NewPartitioning(2, 4, 3)
+	q.TxnSite[0], q.TxnSite[1] = 1, 2
+	q.AttrSites[0][1] = true                          // a on site 1
+	q.AttrSites[1][1], q.AttrSites[1][2] = true, true // b on sites 1 and 2
+	q.AttrSites[2][2] = true                          // c on site 2
+	q.AttrSites[3][2] = true                          // log.d on site 2
+	down = []bool{true, false, false}
+	out, err = padLayout(before, q, after, down)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := 0; a < before.NumAttrs(); a++ {
+		name := before.Attr(a).Qualified
+		if id, _ := after.AttrID(name); !slices.Equal(out.AttrSites[id], q.AttrSites[a]) {
+			t.Errorf("%s on %v, recorded %v", name, out.AttrSites[id], q.AttrSites[a])
+		}
+	}
+	if e, _ := after.AttrID(core.QualifiedAttr{Table: "tab", Attr: "e"}); !slices.Equal(out.AttrSites[e], []bool{false, true, false}) {
+		t.Errorf("new attribute on %v, want the lowest live site 1", out.AttrSites[e])
+	}
+	if !slices.Equal(out.TxnSite, q.TxnSite) {
+		t.Errorf("transactions on %v, recorded %v", out.TxnSite, q.TxnSite)
 	}
 }
 
@@ -145,10 +192,8 @@ func TestEvictToCapacity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	adapted, err := core.AdaptPartitioning(mc, out)
-	if err != nil {
-		t.Fatal(err)
-	}
+	adapted := out.Clone()
+	adapted.Repair(mc)
 	if err := adapted.Validate(mc); err != nil {
 		t.Fatalf("evicted layout does not survive constraint-aware repair: %v", err)
 	}

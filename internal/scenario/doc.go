@@ -17,7 +17,12 @@
 //  3. replays the same traffic twice on the engine's Replayer: once against a
 //     stale layout frozen after epoch FreezeAfter, once against the advisor's
 //     current incumbent, recording realized read/write/transfer bytes, typed
-//     faults and remote-read spill per epoch,
+//     faults and remote-read spill per epoch. Each layout is kept with the
+//     model it was computed over and carried by name onto the epoch's model
+//     (core.Carry), so a column added to any table but the last cannot shift
+//     its placements; what a layout predates is filled without repair (new
+//     transactions go to the live site holding most of their read width, new
+//     attributes to the lowest live site),
 //  4. lets the advisor re-solve (warm), recording the re-solve latency; the
 //     new incumbent takes effect in the next epoch.
 //

@@ -32,8 +32,12 @@ type Advisor interface {
 	// compiles its observed cost model from it. Read-only.
 	Instance() *core.Instance
 	// Incumbent returns the current layout (never nil after the first
-	// successful Resolve). Read-only.
-	Incumbent() *core.Partitioning
+	// successful Resolve) with the model it was computed over; the runner
+	// carries it by name onto each epoch's model (core.Carry), so a column
+	// added to any table but the last cannot shift its placements. A nil
+	// model means the layout's indices are the current Instance's.
+	// Read-only.
+	Incumbent() (*core.Model, *core.Partitioning)
 	// Ingest folds one epoch's stream batch into the advisor's workload
 	// bookkeeping (stream traffic only).
 	Ingest(events []ingest.Event) error
@@ -43,8 +47,8 @@ type Advisor interface {
 	// the cumulative operational constraints (site forbids, capacities).
 	UpdateConstraints(cons *core.Constraints) error
 	// Adopt installs a degraded layout as the warm anchor for the next
-	// Resolve. The layout satisfies the constraint set last passed to
-	// UpdateConstraints.
+	// Resolve. The layout is expressed over the current Instance and
+	// satisfies the constraint set last passed to UpdateConstraints.
 	Adopt(p *core.Partitioning) error
 	// Resolve re-partitions and installs a new incumbent.
 	Resolve(ctx context.Context) (ResolveInfo, error)
@@ -121,7 +125,7 @@ func Run(ctx context.Context, spec Spec, factory Factory) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s: initial resolve: %w", spec.Name, err)
 	}
-	if adv.Incumbent() == nil {
+	if _, p := adv.Incumbent(); p == nil {
 		return nil, fmt.Errorf("scenario %s: advisor has no incumbent after the initial resolve", spec.Name)
 	}
 
@@ -139,10 +143,13 @@ func Run(ctx context.Context, spec Spec, factory Factory) (*Result, error) {
 	staleRep := engine.NewReplayer(spec.Rows)
 	advRep := engine.NewReplayer(spec.Rows)
 	down := make([]bool, spec.Sites)
-	cons := &core.Constraints{}   // cumulative operational constraints
-	var staleP *core.Partitioning // the frozen control layout; nil until FreezeAfter
-	spikeOff := -1                // epoch at which the armed spike expires
-	next := 0                     // next drift-trace delta
+	cons := &core.Constraints{} // cumulative operational constraints
+	var (
+		staleM *core.Model        // the model staleP was computed over
+		staleP *core.Partitioning // the frozen control layout; nil until FreezeAfter
+	)
+	spikeOff := -1 // epoch at which the armed spike expires
+	next := 0      // next drift-trace delta
 	var batch []ingest.Event
 	if stream != nil {
 		batch = make([]ingest.Event, spec.EventsPerEpoch)
@@ -198,13 +205,20 @@ func Run(ctx context.Context, spec Spec, factory Factory) (*Result, error) {
 			if err != nil {
 				return nil, fmt.Errorf("scenario %s: epoch %d: %w", spec.Name, e, err)
 			}
-			staleP = evictToCapacity(m, padLayout(m, staleP, down), a.Site, a.Bytes, down)
+			padded, err := padLayout(staleM, staleP, m, down)
+			if err != nil {
+				return nil, fmt.Errorf("scenario %s: epoch %d: stale layout: %w", spec.Name, e, err)
+			}
+			staleM, staleP = m, evictToCapacity(m, padded, a.Site, a.Bytes, down)
 			cons.SiteCapacities = append(cons.SiteCapacities, core.SiteCapacity{Site: a.Site, Bytes: a.Bytes})
 			if err := adv.UpdateConstraints(cons.Clone()); err != nil {
 				return nil, fmt.Errorf("scenario %s: epoch %d: %w", spec.Name, e, err)
 			}
-			anchor := evictToCapacity(m, padLayout(m, adv.Incumbent(), down), a.Site, a.Bytes, down)
-			if err := adv.Adopt(anchor); err != nil {
+			incM, incP := adv.Incumbent()
+			if padded, err = padLayout(incM, incP, m, down); err != nil {
+				return nil, fmt.Errorf("scenario %s: epoch %d: advisor layout: %w", spec.Name, e, err)
+			}
+			if err := adv.Adopt(evictToCapacity(m, padded, a.Site, a.Bytes, down)); err != nil {
 				return nil, fmt.Errorf("scenario %s: epoch %d: adopt evicted layout: %w", spec.Name, e, err)
 			}
 		}
@@ -227,10 +241,16 @@ func Run(ctx context.Context, spec Spec, factory Factory) (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario %s: epoch %d: %w", spec.Name, e, err)
 		}
-		advP := padLayout(m, adv.Incumbent(), down)
+		incM, incP := adv.Incumbent()
+		advP, err := padLayout(incM, incP, m, down)
+		if err != nil {
+			return nil, fmt.Errorf("scenario %s: epoch %d: advisor layout: %w", spec.Name, e, err)
+		}
 		stalePad := advP // before the freeze both sides run the same layout
 		if staleP != nil {
-			stalePad = padLayout(m, staleP, down)
+			if stalePad, err = padLayout(staleM, staleP, m, down); err != nil {
+				return nil, fmt.Errorf("scenario %s: epoch %d: stale layout: %w", spec.Name, e, err)
+			}
 		}
 
 		if err := staleRep.SetLayout(m, stalePad); err != nil {
@@ -292,7 +312,7 @@ func Run(ctx context.Context, spec Spec, factory Factory) (*Result, error) {
 		// failover; the advisor additionally gets the forbid constraints and
 		// the degraded layout as its warm anchor for the re-solve below.
 		for _, a := range losses {
-			staleP = degradeSiteLoss(m, stalePad, a.Site, down)
+			staleM, staleP = m, degradeSiteLoss(m, stalePad, a.Site, down)
 			for aid := 0; aid < m.NumAttrs(); aid++ {
 				cons.ForbidAttrs = append(cons.ForbidAttrs, core.ForbidAttr{Attr: m.Attr(aid).Qualified, Site: a.Site})
 			}
@@ -313,7 +333,8 @@ func Run(ctx context.Context, spec Spec, factory Factory) (*Result, error) {
 		res.TotalResolveSeconds += info.Seconds
 
 		if e == spec.FreezeAfter {
-			staleP = adv.Incumbent().Clone()
+			incM, incP := adv.Incumbent()
+			staleM, staleP = incM, incP.Clone()
 		}
 		if res.FirstActionEpoch >= 0 && e > res.FirstActionEpoch {
 			res.CumStalePost += st.StaleCost

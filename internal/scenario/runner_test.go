@@ -11,13 +11,14 @@ import (
 
 // fakeAdvisor is a deterministic stand-in for the real Session-backed advisor:
 // it folds stream batches through a real ingest pipeline, applies drift deltas
-// with core.ApplyDelta, and "re-solves" by merely adapting its incumbent to
-// the current constrained model (SingleSite on the cold start). It never
-// optimises, which makes its reactions easy to predict.
+// with core.ApplyDelta, and "re-solves" by merely carrying its incumbent onto
+// the current constrained model and repairing it (SingleSite on the cold
+// start). It never optimises, which makes its reactions easy to predict.
 type fakeAdvisor struct {
 	inst  *core.Instance
 	pipe  *ingest.Pipeline
 	cons  *core.Constraints
+	m     *core.Model // the model p was computed over
 	p     *core.Partitioning
 	sites int
 
@@ -43,8 +44,8 @@ func newFakeAdvisor(t *testing.T, base *core.Instance, sites, epochEvents int, w
 	return f
 }
 
-func (f *fakeAdvisor) Instance() *core.Instance      { return f.inst }
-func (f *fakeAdvisor) Incumbent() *core.Partitioning { return f.p }
+func (f *fakeAdvisor) Instance() *core.Instance                     { return f.inst }
+func (f *fakeAdvisor) Incumbent() (*core.Model, *core.Partitioning) { return f.m, f.p }
 
 func (f *fakeAdvisor) Ingest(events []ingest.Event) error {
 	epochs, err := f.pipe.Ingest(events)
@@ -101,14 +102,15 @@ func (f *fakeAdvisor) Adopt(p *core.Partitioning) error {
 	if err := m.CheckConstraintsPartial(p); err != nil {
 		return err
 	}
-	adapted, err := core.AdaptPartitioning(m, p)
+	adapted, err := core.Carry(nil, p, m)
 	if err != nil {
 		return err
 	}
+	adapted.Repair(m)
 	if err := adapted.Validate(m); err != nil {
 		return err
 	}
-	f.p = adapted
+	f.m, f.p = m, adapted
 	return nil
 }
 
@@ -122,13 +124,17 @@ func (f *fakeAdvisor) Resolve(ctx context.Context) (ResolveInfo, error) {
 		return ResolveInfo{}, err
 	}
 	warm := f.p != nil
-	seed := f.p
-	if seed == nil {
-		seed = core.SingleSite(m, f.sites)
+	from, seed := f.m, f.p
+	if !warm {
+		from, seed = m, core.SingleSite(m, f.sites)
 	}
-	adapted, err := core.AdaptPartitioning(m, seed)
-	if err == nil && adapted.Validate(m) == nil {
-		f.p = adapted
+	adapted, err := core.Carry(from, seed, m)
+	if err != nil {
+		return ResolveInfo{}, err
+	}
+	adapted.Repair(m)
+	if adapted.Validate(m) == nil {
+		f.m, f.p = m, adapted
 		return ResolveInfo{Warm: warm, Cost: m.Evaluate(adapted).Balanced}, nil
 	}
 	// The warm seed no longer fits the constraints (the real Session rejects
@@ -143,7 +149,7 @@ func (f *fakeAdvisor) Resolve(ctx context.Context) (ResolveInfo, error) {
 			cand.AttrSites[a][s] = true
 		}
 		if cand.Validate(m) == nil {
-			f.p = cand
+			f.m, f.p = m, cand
 			return ResolveInfo{Warm: false, Cost: m.Evaluate(cand).Balanced}, nil
 		}
 	}

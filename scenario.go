@@ -68,11 +68,11 @@ type sessionAdvisor struct {
 
 func (sa *sessionAdvisor) Instance() *core.Instance { return sa.sess.Instance() }
 
-func (sa *sessionAdvisor) Incumbent() *core.Partitioning {
+func (sa *sessionAdvisor) Incumbent() (*core.Model, *core.Partitioning) {
 	if sol := sa.sess.Incumbent(); sol != nil {
-		return sol.Partitioning
+		return sol.Model, sol.Partitioning
 	}
-	return nil
+	return nil, nil
 }
 
 func (sa *sessionAdvisor) Ingest(events []QueryEvent) error {

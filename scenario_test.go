@@ -2,6 +2,7 @@ package vpart_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"vpart"
@@ -54,12 +55,17 @@ func benchScenarios(epochs, events, burst int) []vpart.ScenarioSpec {
 // one scenario per failure kind at a quick and a full size. It gates the two
 // properties the scenarios exist to show — bit-identical reproducibility of
 // fixed-seed runs, and the re-solving advisor realizing no more cost than
-// the frozen stale layout over the post-failure window. The full rows are
-// skipped under -short.
+// the frozen stale layout over the post-failure window. The held-out
+// drift-burst row runs the portfolio advisor on the golden file's
+// drift-burst scenario at seven spec seeds the golden file does not pin;
+// drift adds columns to random tables, so it fails when a layout is carried
+// onto a grown model by index instead of by name. The full and held-out
+// rows are skipped under -short.
 func TestRunScenarioSiteLossEndToEnd(t *testing.T) {
 	type row struct {
-		spec vpart.ScenarioSpec
-		full bool
+		spec   vpart.ScenarioSpec
+		full   bool
+		solver string
 	}
 	rows := []row{{spec: vpart.ScenarioSpec{
 		Name:           "loss-e2e",
@@ -79,6 +85,12 @@ func TestRunScenarioSiteLossEndToEnd(t *testing.T) {
 		spec.Name = "full/" + spec.Name
 		rows = append(rows, row{spec: spec, full: true})
 	}
+	heldOut := benchScenarios(8, 8192, 3)[3]
+	for seed := heldOut.Seed + 100; seed <= heldOut.Seed+700; seed += 100 {
+		spec := heldOut
+		spec.Name, spec.Seed = fmt.Sprintf("held-out/drift-burst/seed=%d", seed), seed
+		rows = append(rows, row{spec: spec, full: true, solver: "portfolio"})
+	}
 	for _, tc := range rows {
 		spec := tc.spec
 		t.Run(spec.Name, func(t *testing.T) {
@@ -86,6 +98,9 @@ func TestRunScenarioSiteLossEndToEnd(t *testing.T) {
 				t.Skip("full configuration")
 			}
 			opts := vpart.Options{Solver: "sa", Seed: spec.Seed}
+			if tc.solver != "" {
+				opts.Solver = tc.solver
+			}
 			run := func() *vpart.ScenarioResult {
 				t.Helper()
 				res, err := vpart.RunScenario(context.Background(), spec, opts)

@@ -145,7 +145,6 @@ type Session struct {
 	inst      *Instance
 	model     *Model // compiled from inst; Resolve solves over it, Staleness prices with it
 	incumbent *Solution
-	anchor    core.NamedPartitioning // the incumbent's layout with its names; see incumbentLayout
 	dirty     *DirtySet
 	pending   int // delta ops since the last successful resolve
 	resolves  int
@@ -220,13 +219,12 @@ func (s *Session) Pending() int {
 // — the warm anchor of every following Resolve. Typical uses: seeding the
 // session with a one-off high-effort solve (a portfolio or QP run) before
 // switching to cheap per-delta re-solves, or restoring a persisted layout
-// after a restart. The solution must use the session's site count and is
-// adapted to the current instance (it may predate grown dimensions) and
-// re-priced under the current model; drift bookkeeping resets, so the next
-// Resolve treats the adopted layout as current. A solution that carries its
-// Model (every Solve result does) is matched to the current instance by
-// name; without one, its indices are taken to be the current model's. On
-// error the session is unchanged.
+// after a restart. The solution must use the session's site count. It is
+// carried onto the current instance, which may have grown since it was
+// computed: by name when it carries its Model (every Solve result does), by
+// index otherwise. It is then repaired and re-priced under the current
+// model; drift bookkeeping resets, so the next Resolve treats the adopted
+// layout as current. On error the session is unchanged.
 func (s *Session) Adopt(sol *Solution) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -237,25 +235,18 @@ func (s *Session) Adopt(sol *Solution) error {
 		return fmt.Errorf("vpart: session: adopted solution uses %d sites, session uses %d",
 			sol.Partitioning.Sites, s.opts.Sites)
 	}
-	anchor := sol.Partitioning
-	if sol.Model != nil {
-		mapped, err := core.Named(sol.Model, anchor).Over(s.model)
-		if err != nil {
-			return fmt.Errorf("vpart: session: %w", err)
-		}
-		anchor = mapped
-	}
-	// Judge the anchor as handed in, before the adaptation's repair could
-	// silently rewrite it into compliance: a constraint-violating anchor is
-	// rejected, not fixed up. What the anchor does not place — dimensions
-	// grown since it was computed — is skipped.
-	if err := s.model.CheckConstraintsPartial(anchor); err != nil {
-		return fmt.Errorf("vpart: session: cannot adopt a constraint-violating anchor: %w", err)
-	}
-	adapted, err := core.AdaptPartitioning(s.model, anchor)
+	adapted, err := core.Carry(sol.Model, sol.Partitioning, s.model)
 	if err != nil {
 		return fmt.Errorf("vpart: session: %w", err)
 	}
+	// Judge the anchor as handed in, before the repair could silently
+	// rewrite it into compliance: a constraint-violating anchor is rejected,
+	// not fixed up. What the anchor does not place — dimensions grown since
+	// it was computed — is skipped.
+	if err := s.model.CheckConstraintsPartial(adapted); err != nil {
+		return fmt.Errorf("vpart: session: cannot adopt a constraint-violating anchor: %w", err)
+	}
+	adapted.Repair(s.model)
 	if err := adapted.Validate(s.model); err != nil {
 		return fmt.Errorf("vpart: session: adopted anchor cannot be adapted to a feasible layout: %w", err)
 	}
@@ -264,7 +255,6 @@ func (s *Session) Adopt(sol *Solution) error {
 	cp.Partitioning = adapted
 	cp.Cost = s.model.Evaluate(adapted)
 	s.incumbent = &cp
-	s.anchor = core.Named(s.model, adapted)
 	s.dirty = NewDirtySet()
 	s.pending = 0
 	return nil
@@ -386,7 +376,6 @@ func (s *Session) Resolve(ctx context.Context) (*Solution, ResolveStats, error) 
 	}
 
 	s.incumbent = sol
-	s.anchor = core.Named(sol.Model, sol.Partitioning)
 	s.dirty = NewDirtySet()
 	s.pending = 0
 	s.resolves++
@@ -441,14 +430,12 @@ func (s *Session) Staleness() float64 {
 	return s.model.Evaluate(layout).Balanced/base - 1
 }
 
-// incumbentLayout maps the incumbent's layout onto the current model by
-// name. Matching by name matters: a column added to any table but the last
-// renumbers the attributes of every later table, so an index-based copy
-// would hand each of them its neighbour's placement. Transactions and
-// attributes added since are placed by Repair, as AdaptPartitioning does.
-// Callers hold s.mu and have checked that an incumbent exists.
+// incumbentLayout carries the incumbent's layout by name from the model it
+// was computed over onto the current one (core.Carry); transactions and
+// attributes added since are placed by Repair. Callers hold s.mu and have
+// checked that an incumbent exists.
 func (s *Session) incumbentLayout() (*Partitioning, error) {
-	p, err := s.anchor.Over(s.model)
+	p, err := core.Carry(s.incumbent.Model, s.incumbent.Partitioning, s.model)
 	if err != nil {
 		return nil, err
 	}

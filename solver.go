@@ -86,7 +86,7 @@ type Options struct {
 	// for reproducible runs.
 	Seed int64
 	// Warm, when non-nil, is a warm-start hint: a previous Solution for the
-	// same (or a delta-patched) instance and the same site count. The SA
+	// same (or a delta-grown) instance and the same site count. The SA
 	// solver seeds its move-based hot loop from the hint (with a cooler
 	// initial temperature) instead of a random start, the QP solver takes it
 	// as its initial incumbent, and the decompose meta-solver seeds every
@@ -489,17 +489,14 @@ func compileModel(inst *Instance, opts Options) (*Model, error) {
 }
 
 // warmToSolveSpace maps a caller-supplied warm hint (expressed over the
-// original instance) into the space the solver works in: adapted to the
-// original model's — possibly delta-grown — dimensions, reduced under the
-// grouping when one is active, and repaired to feasibility. A hint that
-// carries its Model (a Solution from an earlier Solve) is matched to the
-// original model by name, so a column added to any table but the last does
-// not shift the placements of later attributes; without one, its indices are
-// taken to be the original model's. A hint that does not fit (wrong site
-// count, unknown names, shrunken dimensions, a constraint violation the
-// repair cannot fix) yields a nil partitioning plus the reason, which makes
-// the solve fall back to a cold start and report why it went cold
-// (Solution.WarmRejected).
+// original instance) into the space the solver works in: carried onto the
+// original model's — possibly delta-grown — dimensions by core.Carry (by
+// name when the hint carries its Model, by index otherwise), reduced under
+// the grouping when one is active, and repaired to feasibility. A hint that
+// does not fit (wrong site count, unknown names, shrunken dimensions, a
+// constraint violation the repair cannot fix) yields a nil partitioning plus
+// the reason, which makes the solve fall back to a cold start and report why
+// it went cold (Solution.WarmRejected).
 func warmToSolveSpace(warm *Solution, origModel, solveModel *Model, grouping *Grouping, sites int) (*Partitioning, string) {
 	if warm.Partitioning == nil {
 		return nil, "hint carries no partitioning"
@@ -507,18 +504,11 @@ func warmToSolveSpace(warm *Solution, origModel, solveModel *Model, grouping *Gr
 	if warm.Partitioning.Sites != sites {
 		return nil, fmt.Sprintf("hint uses %d site(s), solve uses %d", warm.Partitioning.Sites, sites)
 	}
-	given := warm.Partitioning
-	if warm.Model != nil {
-		mapped, err := core.Named(warm.Model, given).Over(origModel)
-		if err != nil {
-			return nil, fmt.Sprintf("hint does not fit the model: %v", err)
-		}
-		given = mapped
-	}
-	adapted, err := core.AdaptPartitioning(origModel, given)
+	adapted, err := core.Carry(warm.Model, warm.Partitioning, origModel)
 	if err != nil {
-		return nil, fmt.Sprintf("hint does not fit the model dimensions: %v", err)
+		return nil, fmt.Sprintf("hint does not fit the model: %v", err)
 	}
+	adapted.Repair(origModel)
 	var hint *Partitioning
 	if grouping == nil {
 		hint = adapted
