@@ -12,6 +12,9 @@ import (
 
 	"vpart"
 	"vpart/internal/experiments"
+	"vpart/internal/ingest"
+	"vpart/internal/randgen"
+	"vpart/internal/seeds"
 )
 
 // tpccConstraints is a representative constraint set for the constrained
@@ -437,6 +440,86 @@ func BenchmarkSASolverConstrainedTPCC(b *testing.B) {
 		}
 		if sol.Partitioning == nil {
 			b.Fatal("no solution")
+		}
+	}
+}
+
+// BenchmarkSessionApply measures Session.Apply, the delta apply plus the
+// model compile, on two bases: the live YCSB stream's instance grown to
+// 2,048 shapes by 29 epochs of 8,192 events (live-ycsb's pipeline settings,
+// workload seed 1), and the first rndAt128x400c8 instance. The 1-op rows
+// scale one query: a 1-op delta still compiles the whole instance. The
+// epoch row applies the 30th epoch's compacted delta, past the early
+// epochs whose deltas rescale most tracked shapes; ops/delta reports its
+// size. Each iteration applies to a fresh session, built outside the timer.
+func BenchmarkSessionApply(b *testing.B) {
+	grown, epoch := grownYCSB(b, 29)
+	cold, err := vpart.RandomInstance(vpart.MultiComponentClass(8, 128, 400, 10), seeds.Derive(1, 0))
+	if err != nil {
+		b.Fatal(err)
+	}
+	scaleOne := func(inst *vpart.Instance) vpart.WorkloadDelta {
+		tx := inst.Workload.Transactions[len(inst.Workload.Transactions)-1]
+		return vpart.WorkloadDelta{Ops: []vpart.DeltaOp{
+			vpart.ScaleFreq{Txn: tx.Name, Query: tx.Queries[0].Name, Factor: 2},
+		}}
+	}
+	for _, row := range []struct {
+		name  string
+		inst  *vpart.Instance
+		delta vpart.WorkloadDelta
+	}{
+		{"ycsb-2048/1-op", grown, scaleOne(grown)},
+		{"ycsb-2048/epoch", grown, epoch},
+		{"rndAt128x400c8/1-op", cold, scaleOne(cold)},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			opts := vpart.Options{Sites: 4, Solver: "portfolio", Seed: 1}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				sess, err := vpart.NewSession(row.inst, opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				if err := sess.Apply(row.delta); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(len(row.delta.Ops)), "ops/delta")
+		})
+	}
+}
+
+// grownYCSB folds epochs epochs of the live YCSB stream into its base
+// instance and returns the grown instance with the next epoch's delta.
+func grownYCSB(b *testing.B, epochs int) (*vpart.Instance, vpart.WorkloadDelta) {
+	b.Helper()
+	stream, err := randgen.NewYCSB(randgen.YCSBParams{Shapes: 1 << 16}, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pipe, err := ingest.New(stream.Base(), ingest.Config{
+		Shards: 1, EpochEvents: 8192, TopK: 2048,
+		SketchWidth: 1 << 15, SketchDepth: 4, ScaleTol: 0.2,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	inst := stream.Base()
+	events := make([]ingest.Event, 8192)
+	for e := 0; ; e++ {
+		stream.Fill(events)
+		closed, err := pipe.Ingest(events)
+		if err != nil || len(closed) != 1 {
+			b.Fatalf("epoch %d: %d epochs closed, error %v", e+1, len(closed), err)
+		}
+		if e == epochs {
+			return inst, closed[0].Delta
+		}
+		if inst, err = vpart.ApplyDelta(inst, closed[0].Delta); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -136,10 +136,13 @@
 // not. The package therefore models workload drift as first-class data: a
 // WorkloadDelta is an ordered batch of typed edits — AddQuery, RemoveQuery,
 // ScaleFreq, AddAttr — turning one instance into the next. ApplyDelta
-// applies it to a plain instance (copy-on-write, the input is never
-// mutated), and the drifted instance is compiled into its cost model the
-// same way the first one was: there is one compile path, and a compiled
-// Model never changes after NewModel.
+// applies it to a plain instance in one private copy: the instance is
+// copied once per delta, a transaction or table the first time an op edits
+// it, and the input is never mutated. The drifted instance is compiled into
+// its cost model the same way the first one was: there is one compile path,
+// and a compiled Model never changes after NewModel. The compile resolves
+// names once: validation resolves every table and attribute name, and the
+// compile builds each query from that resolution.
 //
 // Solves can start from where the last one ended: Options.Warm carries a
 // previous Solution, and every built-in solver exploits it. The SA

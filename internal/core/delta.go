@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -158,209 +159,219 @@ func (d WorkloadDelta) Touch(inst *Instance, ds *DirtySet) (*Instance, error) {
 	if inst == nil {
 		return nil, fmt.Errorf("delta: nil instance")
 	}
-	cur := inst
+	a := newDeltaApply(inst)
 	for _, op := range d.Ops {
-		next, err := applyOp(cur, op)
+		accs, err := a.apply(op)
 		if err != nil {
 			return nil, err
 		}
 		if ds != nil {
-			ds.mark(cur, op)
+			ds.mark(op, accs)
 		}
-		cur = next
 	}
-	if cur == inst {
-		// Empty delta: still hand back a distinct shallow copy so callers can
-		// rely on ApplyDelta returning a fresh *Instance identity.
-		cp := *inst
-		cur = &cp
-	}
-	return cur, nil
+	return a.out, nil
 }
 
-// mark marks the table and transaction names op touches. op has just been
-// applied to inst without error, so the query it addresses exists there.
-func (s *DirtySet) mark(inst *Instance, op DeltaOp) {
-	var q *Query
+// mark marks the table and transaction names op touched; accs are the
+// accesses of the query op added, removed or scaled.
+func (s *DirtySet) mark(op DeltaOp, accs []TableAccess) {
 	switch op := op.(type) {
 	case AddQuery:
 		s.Txns[op.Txn] = true
-		q = &op.Query
 	case RemoveQuery:
 		s.Txns[op.Txn] = true
-		q = findQuery(inst, op.Txn, op.Query)
 	case ScaleFreq:
 		s.Txns[op.Txn] = true
-		q = findQuery(inst, op.Txn, op.Query)
 	case AddAttr:
 		s.Tables[op.Table] = true
 	}
-	if q != nil {
-		for _, acc := range q.Accesses {
-			s.Tables[acc.Table] = true
-		}
+	for i := range accs {
+		s.Tables[accs[i].Table] = true
 	}
 }
 
-// findQuery locates a query by transaction and query name, nil if absent.
-func findQuery(inst *Instance, txn, query string) *Query {
-	for ti := range inst.Workload.Transactions {
-		tx := &inst.Workload.Transactions[ti]
-		if tx.Name != txn {
-			continue
-		}
-		for qi := range tx.Queries {
-			if tx.Queries[qi].Name == query {
-				return &tx.Queries[qi]
-			}
-		}
-		return nil
-	}
-	return nil
+// deltaApply applies a delta's ops to one private copy of an instance. The
+// header and the transaction slice are copied once. A transaction's query
+// slice, the table slice and a table's attribute slice are copied by the
+// first op that edits them, and later ops edit those copies in place.
+// Everything else stays shared with the input, which is never written.
+type deltaApply struct {
+	out  *Instance
+	txns map[string]int // transaction name -> index in out
+	// ownQueries[t] and ownAttrs[t] report whether out owns the query slice
+	// of transaction t and the attribute slice of table t. ownAttrs stays
+	// nil, and out shares the input's table slice, until the first AddAttr.
+	ownQueries []bool
+	ownAttrs   []bool
+	// qc checks the AddQuery ops; nil until the first one and after an
+	// AddAttr, which changes what a table's attribute names resolve to.
+	qc *queryChecker
 }
 
-// applyOp applies a single op, returning a new instance that shares all
-// untouched structure with inst.
-func applyOp(inst *Instance, op DeltaOp) (*Instance, error) {
-	switch op := op.(type) {
+func newDeltaApply(inst *Instance) *deltaApply {
+	out := *inst
+	txns := slices.Clone(inst.Workload.Transactions)
+	out.Workload.Transactions = txns
+	a := &deltaApply{
+		out:        &out,
+		txns:       make(map[string]int, len(txns)),
+		ownQueries: make([]bool, len(txns)),
+	}
+	for ti := range txns {
+		// The first of two equally named transactions wins, as in a scan.
+		if _, dup := a.txns[txns[ti].Name]; !dup {
+			a.txns[txns[ti].Name] = ti
+		}
+	}
+	return a
+}
+
+// apply applies one op to a.out and returns the accesses of the query it
+// added, removed or scaled. Its errors name the op.
+func (a *deltaApply) apply(op DeltaOp) (accs []TableAccess, err error) {
+	switch o := op.(type) {
 	case AddQuery:
-		return applyAddQuery(inst, op)
+		accs, err = a.addQuery(o)
 	case RemoveQuery:
-		return applyRemoveQuery(inst, op)
+		accs, err = a.removeQuery(o)
 	case ScaleFreq:
-		return applyScaleFreq(inst, op)
+		accs, err = a.scaleFreq(o)
 	case AddAttr:
-		return applyAddAttr(inst, op)
+		err = a.addAttr(o)
 	default:
 		return nil, fmt.Errorf("delta: unknown op type %T", op)
 	}
-}
-
-// shallowWorkloadCopy clones the instance and its transaction slice (but not
-// the transactions' query slices).
-func shallowWorkloadCopy(inst *Instance) *Instance {
-	cp := *inst
-	cp.Workload.Transactions = append([]Transaction(nil), inst.Workload.Transactions...)
-	return &cp
-}
-
-func applyAddQuery(inst *Instance, op AddQuery) (*Instance, error) {
-	if op.Txn == "" {
-		return nil, fmt.Errorf("delta %s: empty transaction name", op)
-	}
-	if err := newQueryChecker(&inst.Schema).check(op.Txn, &op.Query); err != nil {
+	if err != nil {
 		return nil, fmt.Errorf("delta %s: %w", op, err)
 	}
-	cp := shallowWorkloadCopy(inst)
-	for ti := range cp.Workload.Transactions {
-		tx := &cp.Workload.Transactions[ti]
-		if tx.Name != op.Txn {
-			continue
-		}
-		for _, q := range tx.Queries {
-			if q.Name == op.Query.Name {
-				return nil, fmt.Errorf("delta %s: transaction %q already has a query %q",
-					op, op.Txn, op.Query.Name)
-			}
-		}
-		qs := make([]Query, 0, len(tx.Queries)+1)
-		qs = append(qs, tx.Queries...)
-		qs = append(qs, op.Query)
-		tx.Queries = qs
-		return cp, nil
-	}
-	// New transaction, appended at the end of the workload.
-	cp.Workload.Transactions = append(cp.Workload.Transactions, Transaction{
-		Name:    op.Txn,
-		Queries: []Query{op.Query},
-	})
-	return cp, nil
+	return accs, nil
 }
 
-func applyRemoveQuery(inst *Instance, op RemoveQuery) (*Instance, error) {
-	cp := shallowWorkloadCopy(inst)
-	for ti := range cp.Workload.Transactions {
-		tx := &cp.Workload.Transactions[ti]
-		if tx.Name != op.Txn {
-			continue
+// queryIndex returns the index of the query named name in qs, or -1.
+func queryIndex(qs []Query, name string) int {
+	for i := range qs {
+		if qs[i].Name == name {
+			return i
 		}
-		for qi := range tx.Queries {
-			if tx.Queries[qi].Name != op.Query {
-				continue
-			}
-			if len(tx.Queries) == 1 {
-				return nil, fmt.Errorf("delta %s: cannot remove the last query of transaction %q (scale its frequency down instead)",
-					op, op.Txn)
-			}
-			qs := make([]Query, 0, len(tx.Queries)-1)
-			qs = append(qs, tx.Queries[:qi]...)
-			qs = append(qs, tx.Queries[qi+1:]...)
-			tx.Queries = qs
-			return cp, nil
-		}
-		return nil, fmt.Errorf("delta %s: transaction %q has no query %q", op, op.Txn, op.Query)
 	}
-	return nil, fmt.Errorf("delta %s: workload has no transaction %q", op, op.Txn)
+	return -1
 }
 
-func applyScaleFreq(inst *Instance, op ScaleFreq) (*Instance, error) {
+// find returns the indices in a.out of transaction txn and of its query
+// named query.
+func (a *deltaApply) find(txn, query string) (ti, qi int, err error) {
+	ti, ok := a.txns[txn]
+	if !ok {
+		return 0, 0, fmt.Errorf("workload has no transaction %q", txn)
+	}
+	if qi = queryIndex(a.out.Workload.Transactions[ti].Queries, query); qi < 0 {
+		return 0, 0, fmt.Errorf("transaction %q has no query %q", txn, query)
+	}
+	return ti, qi, nil
+}
+
+// queries returns transaction ti of a.out, copying its query slice, with
+// room for one more query, on the first edit.
+func (a *deltaApply) queries(ti int) *Transaction {
+	tx := &a.out.Workload.Transactions[ti]
+	if !a.ownQueries[ti] {
+		tx.Queries = append(make([]Query, 0, len(tx.Queries)+1), tx.Queries...)
+		a.ownQueries[ti] = true
+	}
+	return tx
+}
+
+func (a *deltaApply) addQuery(op AddQuery) ([]TableAccess, error) {
+	if op.Txn == "" {
+		return nil, fmt.Errorf("empty transaction name")
+	}
+	if a.qc == nil {
+		a.qc = newQueryChecker(&a.out.Schema)
+	}
+	if err := a.qc.check(op.Txn, &op.Query, nil); err != nil {
+		return nil, err
+	}
+	ti, ok := a.txns[op.Txn]
+	if !ok {
+		// New transaction, appended at the end of the workload.
+		a.txns[op.Txn] = len(a.out.Workload.Transactions)
+		a.ownQueries = append(a.ownQueries, true)
+		a.out.Workload.Transactions = append(a.out.Workload.Transactions, Transaction{
+			Name:    op.Txn,
+			Queries: []Query{op.Query},
+		})
+		return op.Query.Accesses, nil
+	}
+	if queryIndex(a.out.Workload.Transactions[ti].Queries, op.Query.Name) >= 0 {
+		return nil, fmt.Errorf("transaction %q already has a query %q", op.Txn, op.Query.Name)
+	}
+	tx := a.queries(ti)
+	tx.Queries = append(tx.Queries, op.Query)
+	return op.Query.Accesses, nil
+}
+
+func (a *deltaApply) removeQuery(op RemoveQuery) ([]TableAccess, error) {
+	ti, qi, err := a.find(op.Txn, op.Query)
+	if err != nil {
+		return nil, err
+	}
+	if len(a.out.Workload.Transactions[ti].Queries) == 1 {
+		return nil, fmt.Errorf("cannot remove the last query of transaction %q (scale its frequency down instead)", op.Txn)
+	}
+	tx := a.queries(ti)
+	accs := tx.Queries[qi].Accesses
+	tx.Queries = slices.Delete(tx.Queries, qi, qi+1)
+	return accs, nil
+}
+
+func (a *deltaApply) scaleFreq(op ScaleFreq) ([]TableAccess, error) {
 	if op.Factor <= 0 {
-		return nil, fmt.Errorf("delta %s: non-positive factor", op)
+		return nil, fmt.Errorf("non-positive factor")
 	}
 	if !finite(op.Factor) {
-		return nil, fmt.Errorf("delta %s: non-finite factor", op)
+		return nil, fmt.Errorf("non-finite factor")
 	}
-	cp := shallowWorkloadCopy(inst)
-	for ti := range cp.Workload.Transactions {
-		tx := &cp.Workload.Transactions[ti]
-		if tx.Name != op.Txn {
-			continue
-		}
-		for qi := range tx.Queries {
-			if tx.Queries[qi].Name != op.Query {
-				continue
-			}
-			qs := append([]Query(nil), tx.Queries...)
-			qs[qi].Frequency *= op.Factor
-			if qs[qi].Frequency <= 0 {
-				return nil, fmt.Errorf("delta %s: scaled frequency %g is not positive", op, qs[qi].Frequency)
-			}
-			if !finite(qs[qi].Frequency) {
-				return nil, fmt.Errorf("delta %s: scaled frequency %g is not finite", op, qs[qi].Frequency)
-			}
-			tx.Queries = qs
-			return cp, nil
-		}
-		return nil, fmt.Errorf("delta %s: transaction %q has no query %q", op, op.Txn, op.Query)
+	ti, qi, err := a.find(op.Txn, op.Query)
+	if err != nil {
+		return nil, err
 	}
-	return nil, fmt.Errorf("delta %s: workload has no transaction %q", op, op.Txn)
+	f := a.out.Workload.Transactions[ti].Queries[qi].Frequency * op.Factor
+	if f <= 0 {
+		return nil, fmt.Errorf("scaled frequency %g is not positive", f)
+	}
+	if !finite(f) {
+		return nil, fmt.Errorf("scaled frequency %g is not finite", f)
+	}
+	q := &a.queries(ti).Queries[qi]
+	q.Frequency = f
+	return q.Accesses, nil
 }
 
-func applyAddAttr(inst *Instance, op AddAttr) (*Instance, error) {
+func (a *deltaApply) addAttr(op AddAttr) error {
 	if op.Attr.Name == "" {
-		return nil, fmt.Errorf("delta %s: empty attribute name", op)
+		return fmt.Errorf("empty attribute name")
 	}
 	if op.Attr.Width <= 0 {
-		return nil, fmt.Errorf("delta %s: non-positive width %d", op, op.Attr.Width)
+		return fmt.Errorf("non-positive width %d", op.Attr.Width)
 	}
-	cp := *inst
-	cp.Schema.Tables = append([]Table(nil), inst.Schema.Tables...)
-	for ti := range cp.Schema.Tables {
-		tbl := &cp.Schema.Tables[ti]
-		if tbl.Name != op.Table {
-			continue
-		}
-		for _, a := range tbl.Attributes {
-			if a.Name == op.Attr.Name {
-				return nil, fmt.Errorf("delta %s: table %q already has an attribute %q",
-					op, op.Table, op.Attr.Name)
-			}
-		}
-		attrs := make([]Attribute, 0, len(tbl.Attributes)+1)
-		attrs = append(attrs, tbl.Attributes...)
-		attrs = append(attrs, op.Attr)
-		tbl.Attributes = attrs
-		return &cp, nil
+	tables := a.out.Schema.Tables
+	ti := slices.IndexFunc(tables, func(t Table) bool { return t.Name == op.Table })
+	if ti < 0 {
+		return fmt.Errorf("schema has no table %q", op.Table)
 	}
-	return nil, fmt.Errorf("delta %s: schema has no table %q", op, op.Table)
+	if _, dup := tables[ti].Attribute(op.Attr.Name); dup {
+		return fmt.Errorf("table %q already has an attribute %q", op.Table, op.Attr.Name)
+	}
+	if a.ownAttrs == nil {
+		a.out.Schema.Tables = slices.Clone(tables)
+		a.ownAttrs = make([]bool, len(tables))
+	}
+	tbl := &a.out.Schema.Tables[ti]
+	if !a.ownAttrs[ti] {
+		tbl.Attributes = append(make([]Attribute, 0, len(tbl.Attributes)+1), tbl.Attributes...)
+		a.ownAttrs[ti] = true
+	}
+	tbl.Attributes = append(tbl.Attributes, op.Attr)
+	a.qc = nil
+	return nil
 }

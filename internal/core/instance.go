@@ -15,14 +15,18 @@ type Instance struct {
 }
 
 // Validate checks the schema and the workload for structural consistency.
-func (in *Instance) Validate() error {
+func (in *Instance) Validate() error { return in.validate(nil) }
+
+// validate is Validate handing each accepted query to visit, unless visit is
+// nil (see queryVisitor).
+func (in *Instance) validate(visit queryVisitor) error {
 	if in.Name == "" {
 		return fmt.Errorf("instance: empty name")
 	}
 	if err := in.Schema.Validate(); err != nil {
 		return fmt.Errorf("instance %q: %w", in.Name, err)
 	}
-	if err := in.Workload.Validate(&in.Schema); err != nil {
+	if err := in.Workload.validate(&in.Schema, visit); err != nil {
 		return fmt.Errorf("instance %q: %w", in.Name, err)
 	}
 	return nil

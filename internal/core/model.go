@@ -122,7 +122,7 @@ type queryAccess struct {
 
 // queryInfo is a compiled query.
 type queryInfo struct {
-	name     string
+	name     string // the query's own name; Queries qualifies it
 	txn      int
 	write    bool
 	freq     float64
@@ -201,6 +201,10 @@ type Model struct {
 	tableNames []string
 	txnNames   []string
 	queries    []queryInfo
+	// accBuf and idBuf are what is left of the two arrays compileQuery
+	// carves every query's accesses and their attribute ids from.
+	accBuf []queryAccess
+	idBuf  []int
 
 	// Coefficient decomposition (all already multiplied by frequencies and
 	// row counts; see cost.go for how they combine):
@@ -257,7 +261,12 @@ func NewModel(inst *Instance, opts ModelOptions) (*Model, error) {
 // solvers and the incremental Evaluator consult. A nil or empty set compiles
 // exactly like NewModel — the unconstrained path carries zero overhead.
 func NewModelConstrained(inst *Instance, opts ModelOptions, cons *Constraints) (*Model, error) {
-	if err := inst.Validate(); err != nil {
+	m := &Model{inst: inst, opts: opts}
+	// The catalogue numbers the attributes first, so validation can hand
+	// each query over to compileQuery with its names already resolved. A
+	// model whose instance fails validation is dropped.
+	m.compileCatalogue()
+	if err := inst.validate(m.compileQuery); err != nil {
 		return nil, err
 	}
 	if err := opts.validate(); err != nil {
@@ -266,11 +275,7 @@ func NewModelConstrained(inst *Instance, opts ModelOptions, cons *Constraints) (
 	if cons.Empty() {
 		cons = nil
 	}
-	m := &Model{inst: inst, opts: opts, consSrc: cons}
-	m.compileCatalogue()
-	if err := m.compileQueries(); err != nil {
-		return nil, err
-	}
+	m.consSrc = cons
 	m.compileCoefficients()
 	m.compileAttrTerms()
 	m.compileWriteIndices()
@@ -284,13 +289,19 @@ func NewModelConstrained(inst *Instance, opts ModelOptions, cons *Constraints) (
 	return m, nil
 }
 
+// compileCatalogue numbers the attributes in declaration order, table by
+// table, names the transactions and sizes the compiled queries.
 func (m *Model) compileCatalogue() {
 	sch := &m.inst.Schema
-	m.attrIndex = make(map[QualifiedAttr]int)
+	nA := sch.NumAttributes()
+	m.attrs = make([]AttrInfo, 0, nA)
+	m.attrIndex = make(map[QualifiedAttr]int, nA)
 	m.tableAttrs = make([][]int, len(sch.Tables))
 	m.tableNames = make([]string, len(sch.Tables))
+	ids := make([]int, nA)
 	for ti, t := range sch.Tables {
 		m.tableNames[ti] = t.Name
+		first := len(m.attrs)
 		for _, a := range t.Attributes {
 			id := len(m.attrs)
 			q := QualifiedAttr{Table: t.Name, Attr: a.Name}
@@ -301,46 +312,53 @@ func (m *Model) compileCatalogue() {
 				Width:     a.Width,
 			})
 			m.attrIndex[q] = id
-			m.tableAttrs[ti] = append(m.tableAttrs[ti], id)
+			ids[id] = id
+		}
+		m.tableAttrs[ti] = ids[first:len(m.attrs):len(m.attrs)]
+	}
+	txns := m.inst.Workload.Transactions
+	m.txnNames = make([]string, len(txns))
+	nQ, nAcc, nIDs := 0, 0, 0
+	for ti := range txns {
+		m.txnNames[ti] = txns[ti].Name
+		nQ += len(txns[ti].Queries)
+		for qi := range txns[ti].Queries {
+			accs := txns[ti].Queries[qi].Accesses
+			nAcc += len(accs)
+			for i := range accs {
+				nIDs += len(accs[i].Attributes)
+			}
 		}
 	}
+	m.queries = make([]queryInfo, 0, nQ)
+	m.accBuf = make([]queryAccess, nAcc)
+	m.idBuf = make([]int, nIDs)
 }
 
-func (m *Model) compileQueries() error {
-	sch := &m.inst.Schema
-	tblIndex := make(map[string]int, len(sch.Tables))
-	for i, t := range sch.Tables {
-		tblIndex[t.Name] = i
-	}
-	for ti, txn := range m.inst.Workload.Transactions {
-		m.txnNames = append(m.txnNames, txn.Name)
-		for _, q := range txn.Queries {
-			qi := queryInfo{
-				name:  txn.Name + "/" + q.Name,
-				txn:   ti,
-				write: q.IsWrite(),
-				freq:  q.Frequency,
-			}
-			for _, acc := range q.Accesses {
-				tid, ok := tblIndex[acc.Table]
-				if !ok {
-					return fmt.Errorf("model: query %s references unknown table %q", qi.name, acc.Table)
-				}
-				ca := queryAccess{table: tid, rows: acc.Rows}
-				for _, an := range acc.Attributes {
-					aid, ok := m.attrIndex[QualifiedAttr{Table: acc.Table, Attr: an}]
-					if !ok {
-						return fmt.Errorf("model: query %s references unknown attribute %s.%s", qi.name, acc.Table, an)
-					}
-					ca.attrs = append(ca.attrs, aid)
-				}
-				sort.Ints(ca.attrs)
-				qi.accesses = append(qi.accesses, ca)
-			}
-			m.queries = append(m.queries, qi)
+// compileQuery compiles query q of transaction txn, a queryVisitor: tables
+// and attrs hold the names validation resolved, so no name is looked up.
+func (m *Model) compileQuery(txn int, q *Query, tables, attrs []int) {
+	accs := m.accBuf[:len(q.Accesses):len(q.Accesses)]
+	m.accBuf = m.accBuf[len(q.Accesses):]
+	for i := range q.Accesses {
+		n := len(q.Accesses[i].Attributes)
+		ids := m.idBuf[:n:n]
+		m.idBuf = m.idBuf[n:]
+		tableAttrs := m.tableAttrs[tables[i]]
+		for j, a := range attrs[:n] {
+			ids[j] = tableAttrs[a]
 		}
+		attrs = attrs[n:]
+		slices.Sort(ids)
+		accs[i] = queryAccess{table: tables[i], attrs: ids, rows: q.Accesses[i].Rows}
 	}
-	return nil
+	m.queries = append(m.queries, queryInfo{
+		name:     q.Name,
+		txn:      txn,
+		write:    q.IsWrite(),
+		freq:     q.Frequency,
+		accesses: accs,
+	})
 }
 
 // compileCoefficients sums the coefficients of Section 2. writeLocal and
@@ -393,7 +411,7 @@ func (m *Model) compileCoefficients() {
 		}
 	}
 
-	// compileQueries lists each transaction's queries contiguously, so a
+	// Validation visits each transaction's queries contiguously, so a
 	// transaction's scratch is complete when the next one's queries begin.
 	for i, q := range m.queries {
 		if i > 0 && q.txn != m.queries[i-1].txn {
@@ -703,11 +721,14 @@ type QueryInfo struct {
 	Accesses []AccessInfo
 }
 
+// queryName returns the "transaction/query" name of compiled query q.
+func (m *Model) queryName(q queryInfo) string { return m.txnNames[q.txn] + "/" + q.name }
+
 // Queries returns all compiled queries of the workload in declaration order.
 func (m *Model) Queries() []QueryInfo {
 	out := make([]QueryInfo, 0, len(m.queries))
 	for _, q := range m.queries {
-		info := QueryInfo{Name: q.name, Txn: q.txn, Write: q.write, Freq: q.freq}
+		info := QueryInfo{Name: m.queryName(q), Txn: q.txn, Write: q.write, Freq: q.freq}
 		for _, acc := range q.accesses {
 			info.Accesses = append(info.Accesses, AccessInfo{
 				Table: acc.table,
@@ -727,7 +748,7 @@ func (m *Model) WriteQueries() []WriteQueryInfo {
 		if !q.write {
 			continue
 		}
-		info := WriteQueryInfo{Name: q.name, Txn: q.txn, Freq: q.freq}
+		info := WriteQueryInfo{Name: m.queryName(q), Txn: q.txn, Freq: q.freq}
 		for _, acc := range q.accesses {
 			info.Attrs = append(info.Attrs, acc.attrs...)
 		}

@@ -141,11 +141,28 @@ func (w *Workload) NumQueries() int {
 // positive, finite row counts and no duplicate table access within one query.
 // Names resolve through indices built once per call, so validating a query
 // allocates nothing.
-func (w *Workload) Validate(s *Schema) error {
+func (w *Workload) Validate(s *Schema) error { return w.validate(s, nil) }
+
+// A queryVisitor receives each query of a workload as soon as validation has
+// accepted it, with the names validation resolved: txn is the index of the
+// query's transaction, tables[i] the schema index of the table of
+// q.Accesses[i], and attrs the indices within their tables of the accesses'
+// attributes, flattened in access order. Both slices are reused for the next
+// query. The model compile is the one visitor; it reads the resolution
+// instead of looking every name up again.
+type queryVisitor func(txn int, q *Query, tables, attrs []int)
+
+// validate is Validate handing each accepted query to visit, unless visit is
+// nil.
+func (w *Workload) validate(s *Schema, visit queryVisitor) error {
 	if len(w.Transactions) == 0 {
 		return fmt.Errorf("workload: no transactions")
 	}
 	qc := newQueryChecker(s)
+	var res *resolution
+	if visit != nil {
+		res = &resolution{}
+	}
 	seenTxn := make(map[string]bool, len(w.Transactions))
 	for ti := range w.Transactions {
 		txn := &w.Transactions[ti]
@@ -160,8 +177,12 @@ func (w *Workload) Validate(s *Schema) error {
 			return fmt.Errorf("workload: transaction %q has no queries", txn.Name)
 		}
 		for qi := range txn.Queries {
-			if err := qc.check(txn.Name, &txn.Queries[qi]); err != nil {
+			q := &txn.Queries[qi]
+			if err := qc.check(txn.Name, q, res); err != nil {
 				return err
+			}
+			if visit != nil {
+				visit(ti, q, res.tables, res.attrs)
 			}
 		}
 	}
@@ -181,6 +202,12 @@ type queryChecker struct {
 	tableSeen []int            // per table: stamp of the last query accessing it
 	attrSeen  [][]int          // per table and attribute: stamp of the last access naming it
 	stamp     int
+}
+
+// A resolution holds the names of one checked query resolved, laid out as a
+// queryVisitor receives them.
+type resolution struct {
+	tables, attrs []int
 }
 
 func newQueryChecker(s *Schema) *queryChecker {
@@ -223,8 +250,9 @@ func (qc *queryChecker) attrIndex(ti int) map[string]int {
 // finite reports whether x is neither infinite nor NaN.
 func finite(x float64) bool { return !math.IsInf(x, 0) && !math.IsNaN(x) }
 
-// check validates query q of transaction txn.
-func (qc *queryChecker) check(txn string, q *Query) error {
+// check validates query q of transaction txn and, unless res is nil, leaves
+// its resolved names in res.
+func (qc *queryChecker) check(txn string, q *Query, res *resolution) error {
 	if q.Name == "" {
 		return fmt.Errorf("workload: transaction %q has a query with empty name", txn)
 	}
@@ -242,6 +270,9 @@ func (qc *queryChecker) check(txn string, q *Query) error {
 	}
 	qc.stamp++
 	query := qc.stamp
+	if res != nil {
+		res.tables, res.attrs = res.tables[:0], res.attrs[:0]
+	}
 	for i := range q.Accesses {
 		acc := &q.Accesses[i]
 		ti, ok := qc.tables[acc.Table]
@@ -278,6 +309,12 @@ func (qc *queryChecker) check(txn string, q *Query) error {
 					txn, q.Name, acc.Table, a)
 			}
 			seen[ai] = qc.stamp
+			if res != nil {
+				res.attrs = append(res.attrs, ai)
+			}
+		}
+		if res != nil {
+			res.tables = append(res.tables, ti)
 		}
 	}
 	return nil

@@ -26,7 +26,10 @@
 // tracked shapes whose estimated frequency moved beyond Config.ScaleTol, and
 // RemoveQuery for stream-added shapes that fell out of the top-k (a
 // transaction's last query is scaled down to frequency 1 instead, because a
-// workload transaction must stay non-empty).
+// workload transaction must stay non-empty). Each shape gets at most one op
+// per epoch, so compaction emits the delta directly, with nothing to
+// coalesce: adds, then scales, each in the order compaction met them, then
+// removes sorted by transaction and query name.
 //
 // Frequencies are expressed in stream counts: an AddQuery enters with the
 // shape's estimated cumulative count, and seed queries that are observed in

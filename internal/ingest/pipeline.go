@@ -1,8 +1,11 @@
 package ingest
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"vpart/internal/core"
@@ -274,7 +277,7 @@ func (p *Pipeline) Close() {
 //
 // Events are not validated here (see Event.Validate) and their table and
 // attribute names must exist in the base schema, or applying the resulting
-// epoch delta will fail.
+// epoch delta will fail. Compaction itself cannot fail, so the error is nil.
 func (p *Pipeline) Ingest(events []Event) ([]Epoch, error) {
 	var out []Epoch
 	// Counted loop: each round consumes n ≥ 1 events (an epoch always has
@@ -290,11 +293,7 @@ func (p *Pipeline) Ingest(events []Event) ([]Epoch, error) {
 		p.epochEv += n
 		p.events += uint64(n)
 		if p.epochEv == p.cfg.EpochEvents {
-			ep, err := p.compact()
-			if err != nil {
-				return out, err
-			}
-			out = append(out, ep)
+			out = append(out, p.compact())
 		}
 	}
 	return out, nil
@@ -336,15 +335,13 @@ func (p *Pipeline) flushAll() {
 // FlushEpoch forces an epoch boundary now, compacting whatever the current
 // partial epoch accumulated. Returns nil when no events arrived since the
 // last boundary. The daemon uses this to keep sparse event flows moving; the
-// Ingestor facade uses it on demand before a resolve.
+// Ingestor facade uses it on demand before a resolve. As with Ingest, the
+// error is nil.
 func (p *Pipeline) FlushEpoch() (*Epoch, error) {
 	if p.epochEv == 0 {
 		return nil, nil
 	}
-	ep, err := p.compact()
-	if err != nil {
-		return nil, err
-	}
+	ep := p.compact()
 	return &ep, nil
 }
 
@@ -352,7 +349,7 @@ func (p *Pipeline) FlushEpoch() (*Epoch, error) {
 // the global top-K, diff against the tracked shadow and build the minimal
 // delta. Deterministic by construction — shard-order concatenation, a total
 // sort order and slice (never map) iteration.
-func (p *Pipeline) compact() (Epoch, error) {
+func (p *Pipeline) compact() Epoch {
 	merged := p.mergedBuf[:0]
 	for si, sh := range p.shards {
 		for ei := range sh.tk.entries {
@@ -379,8 +376,20 @@ func (p *Pipeline) compact() (Epoch, error) {
 		p.topkeys[m.e.key] = true
 	}
 
-	b := core.NewDeltaBuilder()
-	var adds, removes, scales int
+	// Pass 1 visits each top-k shape once and pass 2 only shapes outside
+	// the top-k, so every (transaction, query) gets at most one op. The
+	// delta lists adds, then scales, each in the order compaction met them,
+	// then removes sorted by name: adds first keep a transaction non-empty
+	// when one of its queries is removed and another added.
+	var adds, scales, removes []core.DeltaOp
+	add := func(txn string, e *entry) {
+		adds = append(adds, core.AddQuery{Txn: txn, Query: core.Query{
+			Name:      e.query,
+			Kind:      e.kind,
+			Frequency: float64(e.count),
+			Accesses:  cloneAccesses(e.accs),
+		}})
+	}
 
 	// Pass 1, in merged (global top) order: adds for untracked shapes,
 	// rescales for tracked ones that drifted beyond tolerance.
@@ -388,13 +397,7 @@ func (p *Pipeline) compact() (Epoch, error) {
 		e := m.e
 		ti, ok := p.trackedIdx[e.key]
 		if !ok {
-			b.Add(e.txn, core.Query{
-				Name:      e.query,
-				Kind:      e.kind,
-				Frequency: float64(e.count),
-				Accesses:  cloneAccesses(e.accs),
-			})
-			adds++
+			add(e.txn, e)
 			p.trackedIdx[e.key] = int32(len(p.tracked))
 			p.tracked = append(p.tracked, trackedShape{
 				key: e.key, txn: e.txn, query: e.query,
@@ -406,13 +409,7 @@ func (p *Pipeline) compact() (Epoch, error) {
 		t := &p.tracked[ti]
 		if !t.live {
 			// Removed in an earlier epoch, heavy again now: re-add.
-			b.Add(t.txn, core.Query{
-				Name:      e.query,
-				Kind:      e.kind,
-				Frequency: float64(e.count),
-				Accesses:  cloneAccesses(e.accs),
-			})
-			adds++
+			add(t.txn, e)
 			t.freq = float64(e.count)
 			t.live = true
 			p.txnLive[t.txn]++
@@ -421,8 +418,7 @@ func (p *Pipeline) compact() (Epoch, error) {
 		f := float64(e.count)
 		rel := f/t.freq - 1
 		if rel > p.cfg.ScaleTol || rel < -p.cfg.ScaleTol {
-			b.Scale(t.txn, t.query, f/t.freq)
-			scales++
+			scales = append(scales, core.ScaleFreq{Txn: t.txn, Query: t.query, Factor: f / t.freq})
 			t.freq = f
 		}
 	}
@@ -437,36 +433,37 @@ func (p *Pipeline) compact() (Epoch, error) {
 			continue
 		}
 		if p.txnLive[t.txn] > 1 {
-			b.Remove(t.txn, t.query)
-			removes++
+			removes = append(removes, core.RemoveQuery{Txn: t.txn, Query: t.query})
 			t.live = false
 			p.txnLive[t.txn]--
 			continue
 		}
 		if t.freq != 1 {
-			b.Scale(t.txn, t.query, 1/t.freq)
-			scales++
+			scales = append(scales, core.ScaleFreq{Txn: t.txn, Query: t.query, Factor: 1 / t.freq})
 			t.freq = 1
 		}
 	}
+	slices.SortFunc(removes, func(a, b core.DeltaOp) int {
+		x, y := a.(core.RemoveQuery), b.(core.RemoveQuery)
+		return cmp.Or(strings.Compare(x.Txn, y.Txn), strings.Compare(x.Query, y.Query))
+	})
 
-	delta, err := b.Build()
-	if err != nil {
-		return Epoch{}, fmt.Errorf("ingest: epoch %d compaction: %w", p.epochs+1, err)
-	}
+	ops := make([]core.DeltaOp, 0, len(adds)+len(scales)+len(removes))
+	ops = append(append(append(ops, adds...), scales...), removes...)
+
 	p.epochs++
 	p.epochEv = 0
-	p.adds += uint64(adds)
-	p.removes += uint64(removes)
-	p.scales += uint64(scales)
+	p.adds += uint64(len(adds))
+	p.removes += uint64(len(removes))
+	p.scales += uint64(len(scales))
 	return Epoch{
 		Seq:     p.epochs,
 		Events:  p.events,
-		Delta:   delta,
-		Adds:    adds,
-		Removes: removes,
-		Scales:  scales,
-	}, nil
+		Delta:   core.WorkloadDelta{Ops: ops},
+		Adds:    len(adds),
+		Removes: len(removes),
+		Scales:  len(scales),
+	}
 }
 
 // Stats snapshots the pipeline's counters and recomputes the state-size and

@@ -192,13 +192,19 @@ func TestPipelineFoldsValidInstances(t *testing.T) {
 				t.Fatalf("Ingest: %v", err)
 			}
 			inst := stream.Base()
+			removes := 0
 			for _, ep := range epochs {
+				checkEpochDelta(t, ep)
+				removes += ep.Removes
 				if inst, err = core.ApplyDelta(inst, ep.Delta); err != nil {
 					t.Fatalf("epoch %d delta does not apply: %v", ep.Seq, err)
 				}
 			}
 			if err := inst.Validate(); err != nil {
 				t.Fatalf("folded instance invalid: %v", err)
+			}
+			if removes < 2 {
+				t.Fatalf("%d removes across the epochs: their order went unchecked", removes)
 			}
 			stats := pipe.Stats()
 			if stats.Events != 120_000 || stats.Epochs != 3 {
@@ -222,6 +228,48 @@ func TestPipelineFoldsValidInstances(t *testing.T) {
 				t.Fatalf("folded instance has %d queries, seed had %d — no heavy hitters installed", nq, seed)
 			}
 		})
+	}
+}
+
+// checkEpochDelta checks what lets compaction emit its delta directly,
+// without coalescing edits: the delta names each (transaction, query) at
+// most once, and it lists adds, then scales, then removes sorted by
+// transaction and query name, with the epoch's counts matching.
+func checkEpochDelta(t *testing.T, ep ingest.Epoch) {
+	t.Helper()
+	type shape struct{ txn, query string }
+	seen := map[shape]bool{}
+	var counts [3]int // adds, scales, removes
+	kind, prev := 0, shape{}
+	for _, op := range ep.Delta.Ops {
+		var s shape
+		k := 0
+		switch op := op.(type) {
+		case core.AddQuery:
+			s, k = shape{op.Txn, op.Query.Name}, 0
+		case core.ScaleFreq:
+			s, k = shape{op.Txn, op.Query}, 1
+		case core.RemoveQuery:
+			s, k = shape{op.Txn, op.Query}, 2
+		default:
+			t.Fatalf("epoch %d: unexpected op %s", ep.Seq, op)
+		}
+		if seen[s] {
+			t.Fatalf("epoch %d: %s names %s/%s a second time", ep.Seq, op, s.txn, s.query)
+		}
+		seen[s] = true
+		if k < kind {
+			t.Fatalf("epoch %d: %s after an op of a later kind", ep.Seq, op)
+		}
+		if k == 2 && kind == 2 && (s.txn < prev.txn || s.txn == prev.txn && s.query < prev.query) {
+			t.Fatalf("epoch %d: remove of %s/%s after %s/%s", ep.Seq, s.txn, s.query, prev.txn, prev.query)
+		}
+		counts[k]++
+		kind, prev = k, s
+	}
+	if counts != [3]int{ep.Adds, ep.Scales, ep.Removes} {
+		t.Fatalf("epoch %d: delta has %v adds/scales/removes, epoch counts %d/%d/%d",
+			ep.Seq, counts, ep.Adds, ep.Scales, ep.Removes)
 	}
 }
 

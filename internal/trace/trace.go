@@ -98,10 +98,13 @@ func BuildInstance(name string, schema core.Schema, workload io.Reader) (*core.I
 
 	inst := &core.Instance{Name: name, Schema: schema}
 	txnIdx := make(map[string]int)
+	// Queries are indexed by position, not by pointer: appending a
+	// transaction's next query may move its query slice.
 	type queryKey struct{ txn, query, kind string }
-	queryIdx := make(map[queryKey]*core.Query)
+	type queryPos struct{ txn, query int }
+	queryIdx := make(map[queryKey]queryPos)
 
-	addQuery := func(txn string, q core.Query) *core.Query {
+	addQuery := func(txn string, q core.Query) queryPos {
 		ti, ok := txnIdx[txn]
 		if !ok {
 			ti = len(inst.Workload.Transactions)
@@ -110,7 +113,10 @@ func BuildInstance(name string, schema core.Schema, workload io.Reader) (*core.I
 		}
 		qs := &inst.Workload.Transactions[ti].Queries
 		*qs = append(*qs, q)
-		return &(*qs)[len(*qs)-1]
+		return queryPos{ti, len(*qs) - 1}
+	}
+	query := func(pos queryPos) *core.Query {
+		return &inst.Workload.Transactions[pos.txn].Queries[pos.query]
 	}
 
 	for _, l := range lines {
@@ -125,11 +131,12 @@ func BuildInstance(name string, schema core.Schema, workload io.Reader) (*core.I
 				return nil, fmt.Errorf("trace: workload csv line %d: %w", l.line, err)
 			}
 			key := queryKey{l.txn, l.query, l.kind}
-			q, ok := queryIdx[key]
+			pos, ok := queryIdx[key]
 			if !ok {
-				q = addQuery(l.txn, core.Query{Name: l.query, Kind: kind, Frequency: l.freq})
-				queryIdx[key] = q
+				pos = addQuery(l.txn, core.Query{Name: l.query, Kind: kind, Frequency: l.freq})
+				queryIdx[key] = pos
 			}
+			q := query(pos)
 			q.Accesses = append(q.Accesses, core.TableAccess{Table: l.table, Attributes: attrs, Rows: l.rows})
 
 		case "update":
@@ -139,7 +146,8 @@ func BuildInstance(name string, schema core.Schema, workload io.Reader) (*core.I
 			}
 			for _, sub := range core.NewUpdate(l.query, l.table, readPart, writePart, l.rows, l.freq) {
 				key := queryKey{l.txn, sub.Name, sub.Kind.String()}
-				if q, ok := queryIdx[key]; ok {
+				if pos, ok := queryIdx[key]; ok {
+					q := query(pos)
 					q.Accesses = append(q.Accesses, sub.Accesses...)
 				} else {
 					queryIdx[key] = addQuery(l.txn, sub)

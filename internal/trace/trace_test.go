@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -102,6 +103,36 @@ func TestBuildInstanceFromTrace(t *testing.T) {
 	}
 	if m.NumQueries() != 5 {
 		t.Errorf("model has %d queries", m.NumQueries())
+	}
+
+	// A query's later rows must reach it after the transaction's next query
+	// was appended, which may move the transaction's query slice.
+	for _, tc := range []struct {
+		name, csv string
+		accesses  map[string]int // per query name
+	}{
+		{"interleaved reads", `T,qA,read,Users,id,1,1
+T,qB,read,Users,email,1,1
+T,qA,read,Orders,id,1,1
+`, map[string]int{"qA": 2, "qB": 1}},
+		{"interleaved updates", `T,u,update,Users,id|balance,1,1
+T,r,read,Users,email,1,1
+T,u,update,Orders,id|total,1,1
+`, map[string]int{"u.read": 2, "u.write": 2, "r": 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			inst, err := BuildInstance("t", schema, strings.NewReader(tc.csv))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := map[string]int{}
+			for _, q := range inst.Workload.Transactions[0].Queries {
+				got[q.Name] = len(q.Accesses)
+			}
+			if !reflect.DeepEqual(got, tc.accesses) {
+				t.Fatalf("accesses per query %v, want %v", got, tc.accesses)
+			}
+		})
 	}
 }
 
