@@ -75,10 +75,13 @@
 // Two cost-preserving reductions run before any solver. The reasonable-cuts
 // grouping of Section 4 (GroupAttributes) merges attributes of a table that
 // every query treats identically; it is on by default and never changes the
-// optimum. A grouping that merges nothing is solved over the original model,
-// so the instance is compiled once. On top of it, DecomposeInstance splits the grouped instance into
-// the connected components of its table–transaction access graph: two tables
-// are connected when some transaction accesses both. Components share no
+// optimum. A solve groups from the ids its model compile resolved, each
+// attribute's list of query ids, so it validates the instance and looks its
+// names up once. A grouping that merges nothing is solved over the original
+// model, so the instance is compiled once. On top of it, DecomposeInstance
+// splits the grouped instance into the connected components of its
+// table–transaction access graph: two tables are connected when some
+// transaction accesses both. Components share no
 // term of objective (4) — every Section 2 coefficient is a sum over (query,
 // table) accesses, and the β terms couple a query to all attributes of an
 // accessed table but never beyond it — so each component is a standalone

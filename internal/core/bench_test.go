@@ -128,7 +128,10 @@ func BenchmarkEvaluateLargeInstance(b *testing.B) {
 
 // BenchmarkGroupAttributesLargeInstance groups a random instance, whose
 // attributes merge, and an identity-shaped one shaped like a live YCSB
-// epoch (one 11-attribute table, 2,048 queries), whose attributes do not.
+// epoch (one 11-attribute table, 2,048 queries), whose attributes do not:
+// each once from the instance (GroupAttributes, which compiles its names
+// first) and once from a model compiled beforehand (GroupModel, as a solve
+// groups).
 func BenchmarkGroupAttributesLargeInstance(b *testing.B) {
 	for _, row := range []struct {
 		name string
@@ -145,8 +148,23 @@ func BenchmarkGroupAttributesLargeInstance(b *testing.B) {
 				}
 			}
 		})
+		b.Run(row.name+"-model", func(b *testing.B) {
+			m, err := NewModel(row.inst, DefaultModelOptions())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				benchGrouping = GroupModel(m, nil)
+			}
+		})
 	}
 }
+
+// benchGrouping keeps the benchmarked GroupModel calls from being optimised
+// away.
+var benchGrouping *Grouping
 
 func BenchmarkPartitioningRepair(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))

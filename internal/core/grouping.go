@@ -2,8 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
-	"strings"
 )
 
 // Grouping is the result of the "reasonable cuts" preprocessing of Section 4:
@@ -23,6 +23,11 @@ type Grouping struct {
 	Members map[QualifiedAttr][]QualifiedAttr
 	// GroupOf maps each original attribute to its group.
 	GroupOf map[QualifiedAttr]QualifiedAttr
+
+	// groupID maps each attribute id of a model of Original to the id of its
+	// group in a model of Grouped. Both compiles number attributes in
+	// declaration order, so Expand and Reduce copy by id.
+	groupID []int
 }
 
 // GroupAttributes computes the reasonable-cuts grouping of an instance.
@@ -53,117 +58,192 @@ func GroupAttributes(inst *Instance) (*Grouping, error) {
 // kind, byte budgets void the Section 4 optimality argument.
 //
 // When no two attributes merge, Grouped is inst itself, not a copy; callers
-// can then solve over the model already compiled from inst.
+// can then solve over the model already compiled from inst. A caller that
+// holds that model calls GroupModel instead.
 func GroupAttributesConstrained(inst *Instance, cons *Constraints) (*Grouping, error) {
-	if err := inst.Validate(); err != nil {
+	m, err := compileNames(inst)
+	if err != nil {
 		return nil, err
 	}
+	if g := GroupModel(m, cons); g != nil {
+		return g, nil
+	}
+	return newGrouping(m, nil), nil
+}
+
+// GroupModel is GroupAttributesConstrained over a model compiled from the
+// instance: it compares the query ids the compile resolved instead of
+// names, and it does not validate the instance again. It returns nil when
+// no two attributes merge; the solve then runs over m itself.
+func GroupModel(m *Model, cons *Constraints) *Grouping {
 	if cons.Empty() {
 		cons = nil
 	}
-	profile := constraintProfiles(cons)
-	identity := cons != nil && len(cons.SiteCapacities) > 0
+	if cons != nil && len(cons.SiteCapacities) > 0 {
+		return nil
+	}
+	rep := groupReps(m, constraintProfiles(cons))
+	if rep == nil {
+		return nil
+	}
+	return newGrouping(m, rep)
+}
 
-	// Assign a global index to every query so access signatures can be built.
-	type queryRef struct {
-		txn, query int
-	}
-	var queries []queryRef
-	for ti := range inst.Workload.Transactions {
-		for qi := range inst.Workload.Transactions[ti].Queries {
-			queries = append(queries, queryRef{ti, qi})
-		}
-	}
-
-	// signature[attr] = set of query indices referencing the attribute.
-	signature := make(map[QualifiedAttr][]bool)
-	for _, tbl := range inst.Schema.Tables {
-		for _, a := range tbl.Attributes {
-			signature[QualifiedAttr{Table: tbl.Name, Attr: a.Name}] = make([]bool, len(queries))
-		}
-	}
-	for gi, qr := range queries {
-		q := &inst.Workload.Transactions[qr.txn].Queries[qr.query]
-		for _, acc := range q.Accesses {
-			for _, an := range acc.Attributes {
-				signature[QualifiedAttr{Table: acc.Table, Attr: an}][gi] = true
+// groupReps returns, for every attribute of m, its group's representative:
+// the first attribute of its table, in declaration order, that the same
+// queries reference and that has the same constraint profile. It returns nil
+// when every attribute represents itself.
+func groupReps(m *Model, profile map[QualifiedAttr]string) []int {
+	nA := len(m.attrs)
+	// The ids of the queries referencing attribute a, in query order, are
+	// refs[off[a]:off[a+1]]. Validation lets a query access a table once and
+	// name an attribute once per access, so no query repeats in a list.
+	off := make([]int32, nA+1)
+	for qi := range m.queries {
+		for _, acc := range m.queries[qi].accesses {
+			for _, a := range acc.attrs {
+				off[a+1]++
 			}
 		}
 	}
+	for a := 0; a < nA; a++ {
+		off[a+1] += off[a]
+	}
+	refs := make([]int32, off[nA])
+	for qi := range m.queries {
+		for _, acc := range m.queries[qi].accesses {
+			for _, a := range acc.attrs {
+				refs[off[a]] = int32(qi)
+				off[a]++
+			}
+		}
+	}
+	// Filling advanced off[a] to where attribute a+1's list starts.
+	copy(off[1:], off[:nA])
+	off[0] = 0
 
+	// Within a table, attributes with equal lists hash alike. head holds the
+	// last representative seen per hash, and prev chains the earlier ones a
+	// collision left behind; an entry whose attribute belongs to an earlier
+	// table is stale.
+	same := func(r, a int) bool {
+		return slices.Equal(refs[off[r]:off[r+1]], refs[off[a]:off[a+1]]) &&
+			profile[m.attrs[r].Qualified] == profile[m.attrs[a].Qualified]
+	}
+	rep := make([]int, nA)
+	prev := make([]int, nA)
+	head := make(map[uint64]int, nA)
+	merged := false
+	for a := range m.attrs {
+		h := uint64(fnvOffset64)
+		for _, q := range refs[off[a]:off[a+1]] {
+			h = (h ^ uint64(q)) * fnvPrime64
+		}
+		r, ok := head[h]
+		if !ok || m.attrs[r].Table != m.attrs[a].Table {
+			r = -1
+		}
+		first := r
+		for r >= 0 && !same(r, a) {
+			r = prev[r]
+		}
+		if r >= 0 {
+			rep[a] = r
+			merged = true
+			continue
+		}
+		rep[a], prev[a], head[h] = a, first, a
+	}
+	if !merged {
+		return nil
+	}
+	return rep
+}
+
+// FNV-1a parameters of the query-list hash in groupReps.
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+// newGrouping builds the grouping of m's instance in which every attribute a
+// belongs to rep[a]'s group; a nil rep is the identity grouping, whose
+// Grouped is the instance itself. Group widths are the sums of the member
+// widths, and every access of the grouped workload names the groups of its
+// attributes in the order the access first names them.
+func newGrouping(m *Model, rep []int) *Grouping {
+	inst := m.inst
+	nA := len(m.attrs)
 	g := &Grouping{
 		Original: inst,
-		Members:  make(map[QualifiedAttr][]QualifiedAttr),
-		GroupOf:  make(map[QualifiedAttr]QualifiedAttr),
+		Grouped:  inst,
+		Members:  make(map[QualifiedAttr][]QualifiedAttr, nA),
+		GroupOf:  make(map[QualifiedAttr]QualifiedAttr, nA),
+		groupID:  make([]int, nA),
+	}
+	if rep == nil {
+		for a, info := range m.attrs {
+			g.Members[info.Qualified] = []QualifiedAttr{info.Qualified}
+			g.GroupOf[info.Qualified] = info.Qualified
+			g.groupID[a] = a
+		}
+		return g
 	}
 
 	grouped := &Instance{Name: inst.Name + " (grouped)"}
-	merged := false
-	for _, tbl := range inst.Schema.Tables {
+	grouped.Schema.Tables = make([]Table, len(inst.Schema.Tables))
+	groups := 0
+	for ti, tbl := range inst.Schema.Tables {
+		// A representative precedes its members in declaration order, so
+		// its group id is known when a member is reached.
+		first := groups
 		newTbl := Table{Name: tbl.Name}
-		// Group attributes by signature, preserving declaration order of the
-		// first member.
-		groupIdx := make(map[string]int) // signature key -> index into newTbl.Attributes
-		for _, a := range tbl.Attributes {
-			qa := QualifiedAttr{Table: tbl.Name, Attr: a.Name}
-			key := sigKey(signature[qa])
-			if identity {
-				key = qa.String() // every attribute is its own group
-			} else if profile != nil {
-				key += "|" + profile[qa]
-			}
-			if gi, ok := groupIdx[key]; ok {
-				// Extend the existing group.
-				merged = true
-				newTbl.Attributes[gi].Width += a.Width
-				gq := QualifiedAttr{Table: tbl.Name, Attr: newTbl.Attributes[gi].Name}
-				g.Members[gq] = append(g.Members[gq], qa)
-				g.GroupOf[qa] = gq
+		for _, a := range m.tableAttrs[ti] {
+			qa, r := m.attrs[a].Qualified, rep[a]
+			if r == a {
+				g.groupID[a] = groups
+				groups++
+				newTbl.Attributes = append(newTbl.Attributes, Attribute{Name: qa.Attr, Width: m.attrs[a].Width})
+				g.Members[qa] = []QualifiedAttr{qa}
+				g.GroupOf[qa] = qa
 				continue
 			}
-			groupIdx[key] = len(newTbl.Attributes)
-			newTbl.Attributes = append(newTbl.Attributes, Attribute{Name: a.Name, Width: a.Width})
-			gq := QualifiedAttr{Table: tbl.Name, Attr: a.Name}
-			g.Members[gq] = []QualifiedAttr{qa}
-			g.GroupOf[qa] = gq
+			g.groupID[a] = g.groupID[r]
+			newTbl.Attributes[g.groupID[r]-first].Width += m.attrs[a].Width
+			rq := m.attrs[r].Qualified
+			g.Members[rq] = append(g.Members[rq], qa)
+			g.GroupOf[qa] = rq
 		}
-		grouped.Schema.Tables = append(grouped.Schema.Tables, newTbl)
-	}
-	if !merged {
-		// The identity grouping: a rewritten copy of inst would compile to
-		// the same model, so inst is its own grouped instance.
-		g.Grouped = inst
-		return g, nil
+		grouped.Schema.Tables[ti] = newTbl
 	}
 
 	// Rewrite the workload: every referenced attribute is replaced by its
-	// group representative (deduplicated per access).
-	for _, txn := range inst.Workload.Transactions {
-		newTxn := Transaction{Name: txn.Name}
-		for _, q := range txn.Queries {
-			nq := Query{Name: q.Name, Kind: q.Kind, Frequency: q.Frequency}
-			for _, acc := range q.Accesses {
+	// group representative, each group named once per access.
+	seen := make([]int, groups) // per group: stamp of the last access naming it
+	stamp := 0
+	grouped.Workload.Transactions = make([]Transaction, len(inst.Workload.Transactions))
+	for ti, txn := range inst.Workload.Transactions {
+		newTxn := Transaction{Name: txn.Name, Queries: make([]Query, len(txn.Queries))}
+		for qi, q := range txn.Queries {
+			nq := Query{Name: q.Name, Kind: q.Kind, Frequency: q.Frequency, Accesses: make([]TableAccess, len(q.Accesses))}
+			for ai, acc := range q.Accesses {
+				stamp++
 				na := TableAccess{Table: acc.Table, Rows: acc.Rows}
-				seen := make(map[string]bool)
 				for _, an := range acc.Attributes {
-					rep := g.GroupOf[QualifiedAttr{Table: acc.Table, Attr: an}].Attr
-					if !seen[rep] {
-						seen[rep] = true
-						na.Attributes = append(na.Attributes, rep)
+					a, _ := m.AttrID(QualifiedAttr{Table: acc.Table, Attr: an})
+					if gid := g.groupID[a]; seen[gid] != stamp {
+						seen[gid] = stamp
+						na.Attributes = append(na.Attributes, m.attrs[rep[a]].Qualified.Attr)
 					}
 				}
-				nq.Accesses = append(nq.Accesses, na)
+				nq.Accesses[ai] = na
 			}
-			newTxn.Queries = append(newTxn.Queries, nq)
+			newTxn.Queries[qi] = nq
 		}
-		grouped.Workload.Transactions = append(grouped.Workload.Transactions, newTxn)
+		grouped.Workload.Transactions[ti] = newTxn
 	}
-
 	g.Grouped = grouped
-	if err := grouped.Validate(); err != nil {
-		return nil, fmt.Errorf("grouping produced an invalid instance: %w", err)
-	}
-	return g, nil
+	return g
 }
 
 // constraintProfiles renders, for every attribute a constraint references, a
@@ -343,19 +423,6 @@ func (g *Grouping) MapConstraints(cons *Constraints) (*Constraints, error) {
 	return out, nil
 }
 
-func sigKey(sig []bool) string {
-	var b strings.Builder
-	b.Grow(len(sig))
-	for _, v := range sig {
-		if v {
-			b.WriteByte('1')
-		} else {
-			b.WriteByte('0')
-		}
-	}
-	return b.String()
-}
-
 // NumGroups returns the number of attribute groups (|A| of the grouped
 // instance).
 func (g *Grouping) NumGroups() int { return g.Grouped.NumAttributes() }
@@ -373,11 +440,8 @@ func (g *Grouping) Reduction() (original, grouped int) {
 // result is not repaired; callers seeding a solver should Repair it under the
 // grouped model.
 func (g *Grouping) Reduce(originalModel, groupedModel *Model, p *Partitioning) (*Partitioning, error) {
-	if groupedModel.Instance() != g.Grouped {
-		return nil, fmt.Errorf("grouping: grouped model was not compiled from this grouping")
-	}
-	if originalModel.Instance() != g.Original {
-		return nil, fmt.Errorf("grouping: original model was not compiled from this grouping")
+	if err := g.checkModels(groupedModel, originalModel); err != nil {
+		return nil, err
 	}
 	if len(p.TxnSite) != originalModel.NumTxns() || len(p.AttrSites) != originalModel.NumAttrs() {
 		return nil, fmt.Errorf("grouping: partitioning has %d txns × %d attrs, original model has %d × %d",
@@ -385,16 +449,7 @@ func (g *Grouping) Reduce(originalModel, groupedModel *Model, p *Partitioning) (
 	}
 	out := NewPartitioning(groupedModel.NumTxns(), groupedModel.NumAttrs(), p.Sites)
 	copy(out.TxnSite, p.TxnSite)
-	for a := 0; a < originalModel.NumAttrs(); a++ {
-		orig := originalModel.Attr(a).Qualified
-		group, ok := g.GroupOf[orig]
-		if !ok {
-			return nil, fmt.Errorf("grouping: attribute %s has no group", orig)
-		}
-		gid, ok := groupedModel.AttrID(group)
-		if !ok {
-			return nil, fmt.Errorf("grouping: group %s missing from grouped model", group)
-		}
+	for a, gid := range g.groupID {
 		for s, on := range p.AttrSites[a] {
 			if on {
 				out.AttrSites[gid][s] = true
@@ -408,29 +463,32 @@ func (g *Grouping) Reduce(originalModel, groupedModel *Model, p *Partitioning) (
 // partitioning of the original model: every original attribute inherits the
 // site set of its group; transaction placement is copied unchanged.
 func (g *Grouping) Expand(groupedModel, originalModel *Model, p *Partitioning) (*Partitioning, error) {
-	if groupedModel.Instance() != g.Grouped {
-		return nil, fmt.Errorf("grouping: grouped model was not compiled from this grouping")
+	if err := g.checkModels(groupedModel, originalModel); err != nil {
+		return nil, err
 	}
-	if originalModel.Instance() != g.Original {
-		return nil, fmt.Errorf("grouping: original model was not compiled from this grouping")
-	}
-	if len(p.TxnSite) != originalModel.NumTxns() {
-		return nil, fmt.Errorf("grouping: partitioning has %d transactions, want %d",
-			len(p.TxnSite), originalModel.NumTxns())
+	if len(p.TxnSite) != originalModel.NumTxns() || len(p.AttrSites) != groupedModel.NumAttrs() {
+		return nil, fmt.Errorf("grouping: partitioning has %d txns × %d attrs, grouped model has %d × %d",
+			len(p.TxnSite), len(p.AttrSites), groupedModel.NumTxns(), groupedModel.NumAttrs())
 	}
 	out := NewPartitioning(originalModel.NumTxns(), originalModel.NumAttrs(), p.Sites)
 	copy(out.TxnSite, p.TxnSite)
-	for a := 0; a < originalModel.NumAttrs(); a++ {
-		orig := originalModel.Attr(a).Qualified
-		group, ok := g.GroupOf[orig]
-		if !ok {
-			return nil, fmt.Errorf("grouping: attribute %s has no group", orig)
-		}
-		gid, ok := groupedModel.AttrID(group)
-		if !ok {
-			return nil, fmt.Errorf("grouping: group %s missing from grouped model", group)
-		}
+	for a, gid := range g.groupID {
 		copy(out.AttrSites[a], p.AttrSites[gid])
 	}
 	return out, nil
+}
+
+// checkModels fails unless the two models were compiled from the grouping's
+// instances, so its attribute ids are theirs.
+func (g *Grouping) checkModels(groupedModel, originalModel *Model) error {
+	if groupedModel.Instance() != g.Grouped {
+		return fmt.Errorf("grouping: grouped model was not compiled from this grouping")
+	}
+	if originalModel.Instance() != g.Original {
+		return fmt.Errorf("grouping: original model was not compiled from this grouping")
+	}
+	if len(g.groupID) != originalModel.NumAttrs() {
+		return fmt.Errorf("grouping: not computed by GroupAttributes or GroupModel")
+	}
+	return nil
 }

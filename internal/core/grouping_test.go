@@ -119,6 +119,30 @@ func TestGroupAttributesSiteCapacityIdentity(t *testing.T) {
 	checkIdentityGrouping(t, inst, g)
 }
 
+// TestGroupModelAllocs: an identity grouping from a compiled model
+// allocates per call, never per query, so a workload 32 times as large
+// allocates no more.
+func TestGroupModelAllocs(t *testing.T) {
+	allocs := func(n int) float64 {
+		m, err := NewModel(rangeInstance(1, 64, n), DefaultModelOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := GroupModel(m, nil); g != nil {
+			t.Fatalf("%d queries: attributes merge, want the identity grouping", n)
+		}
+		return testing.AllocsPerRun(20, func() {
+			_ = GroupModel(m, nil)
+		})
+	}
+	small, large := allocs(64), allocs(2048)
+	t.Logf("allocations per call: %v for 64 queries, %v for 2048", small, large)
+	if large > small+2 {
+		t.Fatalf("grouping 2048 queries allocates %v times, 64 queries %v: want at most %v",
+			large, small, small+2)
+	}
+}
+
 func TestGroupingRejectsInvalidInstance(t *testing.T) {
 	inst := testInstance()
 	inst.Schema.Tables[0].Attributes[0].Width = -1

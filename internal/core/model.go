@@ -261,14 +261,11 @@ func NewModel(inst *Instance, opts ModelOptions) (*Model, error) {
 // solvers and the incremental Evaluator consult. A nil or empty set compiles
 // exactly like NewModel — the unconstrained path carries zero overhead.
 func NewModelConstrained(inst *Instance, opts ModelOptions, cons *Constraints) (*Model, error) {
-	m := &Model{inst: inst, opts: opts}
-	// The catalogue numbers the attributes first, so validation can hand
-	// each query over to compileQuery with its names already resolved. A
-	// model whose instance fails validation is dropped.
-	m.compileCatalogue()
-	if err := inst.validate(m.compileQuery); err != nil {
+	m, err := compileNames(inst)
+	if err != nil {
 		return nil, err
 	}
+	m.opts = opts
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -285,6 +282,20 @@ func NewModelConstrained(inst *Instance, opts ModelOptions, cons *Constraints) (
 			return nil, err
 		}
 		m.cons = cs
+	}
+	return m, nil
+}
+
+// compileNames validates inst and compiles the part of its model that
+// resolves names: the attribute catalogue and every query's attribute ids.
+// The catalogue numbers the attributes first, so validation can hand each
+// query over to compileQuery with its names already resolved. The grouping
+// of a bare instance needs no more than this.
+func compileNames(inst *Instance) (*Model, error) {
+	m := &Model{inst: inst}
+	m.compileCatalogue()
+	if err := inst.validate(m.compileQuery); err != nil {
+		return nil, err
 	}
 	return m, nil
 }

@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+	"strings"
 )
 
 // QueryKind distinguishes read queries from write queries (the paper's δ_q).
@@ -136,11 +138,12 @@ func (w *Workload) NumQueries() int {
 }
 
 // Validate checks structural well-formedness of the workload against the
-// schema: unique transaction names, non-empty transactions, queries with
-// positive, finite frequency, accesses referring to existing tables/attributes,
-// positive, finite row counts and no duplicate table access within one query.
-// Names resolve through indices built once per call, so validating a query
-// allocates nothing.
+// schema: unique transaction names, non-empty transactions, unique query
+// names within a transaction, queries with positive, finite frequency,
+// accesses referring to existing tables/attributes, positive, finite row
+// counts and no duplicate table access within one query. Names resolve
+// through indices built once per call, so validating a query allocates
+// nothing.
 func (w *Workload) Validate(s *Schema) error { return w.validate(s, nil) }
 
 // A queryVisitor receives each query of a workload as soon as validation has
@@ -164,6 +167,14 @@ func (w *Workload) validate(s *Schema, visit queryVisitor) error {
 		res = &resolution{}
 	}
 	seenTxn := make(map[string]bool, len(w.Transactions))
+	// order is the scratch uniqueQueryNames sorts a transaction's query
+	// positions in; sized for the widest transaction, it is allocated once
+	// per call.
+	widest := 0
+	for ti := range w.Transactions {
+		widest = max(widest, len(w.Transactions[ti].Queries))
+	}
+	order := make([]int, widest)
 	for ti := range w.Transactions {
 		txn := &w.Transactions[ti]
 		if txn.Name == "" {
@@ -184,6 +195,33 @@ func (w *Workload) validate(s *Schema, visit queryVisitor) error {
 			if visit != nil {
 				visit(ti, q, res.tables, res.attrs)
 			}
+		}
+		if err := uniqueQueryNames(txn, order[:len(txn.Queries)]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// uniqueQueryNames fails when two queries of txn share a name, naming the
+// first two queries of the smallest such name. Delta ops address a query by
+// name and stop at the first match, so a repeated name would hide a query.
+// order is scratch of one int per query.
+func uniqueQueryNames(txn *Transaction, order []int) error {
+	qs := txn.Queries
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := strings.Compare(qs[a].Name, qs[b].Name); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	for i := 1; i < len(order); i++ {
+		if a, b := order[i-1], order[i]; qs[a].Name == qs[b].Name {
+			return fmt.Errorf("workload: transaction %q has two queries named %q: query %d (%s) and query %d (%s)",
+				txn.Name, qs[a].Name, a+1, qs[a].Kind, b+1, qs[b].Kind)
 		}
 	}
 	return nil

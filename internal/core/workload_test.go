@@ -134,6 +134,9 @@ func TestWorkloadValidateErrors(t *testing.T) {
 				TableAccess{Table: "S", Attributes: []string{"b1", "nope"}, Rows: 1},
 				q.Accesses[0])
 		}, "workload: query T1/q1 references unknown attribute S.nope"},
+		{"duplicate query name", func(in *Instance) {
+			in.Workload.Transactions[0].Queries[1].Name = "q1"
+		}, `workload: transaction "T1" has two queries named "q1": query 1 (read) and query 2 (write)`},
 		// Stamps of earlier queries never match: b1, named by q2 and by q3,
 		// is no repeat, while q3's own second b2 is.
 		{"repeat in a later query", func(in *Instance) {

@@ -2,6 +2,7 @@ package ingest
 
 import (
 	"fmt"
+	"strings"
 
 	"vpart/internal/core"
 )
@@ -29,7 +30,8 @@ type Event struct {
 }
 
 // Validate checks the event for structural well-formedness (non-empty names,
-// at least one access, positive rows, non-empty attribute lists). The
+// no NUL byte in the transaction or query name, at least one access,
+// positive rows, non-empty attribute lists). The
 // ingestion hot path does not validate — feed trusted generator or
 // pre-validated daemon input — but the daemon's HTTP decoder calls this on
 // every event.
@@ -39,6 +41,9 @@ func (e *Event) Validate() error {
 	}
 	if e.Query == "" {
 		return fmt.Errorf("ingest: event %s/? with empty query name", e.Txn)
+	}
+	if strings.IndexByte(e.Txn, 0) >= 0 || strings.IndexByte(e.Query, 0) >= 0 {
+		return fmt.Errorf("ingest: event %q/%q has a NUL byte in its name", e.Txn, e.Query)
 	}
 	if e.Kind != core.Read && e.Kind != core.Write {
 		return fmt.Errorf("ingest: event %s/%s has invalid kind %d", e.Txn, e.Query, int(e.Kind))
@@ -71,10 +76,12 @@ const (
 )
 
 // shapeKey hashes the shape identity (Txn, Query) with 64-bit FNV-1a over
-// the two strings separated by a zero byte. The 64-bit key is treated as the
-// shape identity throughout the pipeline; at the tracked-shape counts this
-// repository targets (millions) a collision has probability ~2⁻⁴⁴ and would
-// merge two shapes' counts, never corrupt state.
+// the two strings separated by a zero byte. Event.Validate rejects names
+// holding a zero byte, so two validated shapes never hash the same bytes.
+// The 64-bit key is treated as the shape identity throughout the pipeline;
+// at the tracked-shape counts this repository targets (millions) a collision
+// has probability ~2⁻⁴⁴ and would merge two shapes' counts, never corrupt
+// state.
 //
 //vpart:noalloc
 func shapeKey(txn, query string) uint64 {

@@ -19,7 +19,7 @@
 // column has the form "readAttrs|writtenAttrs" (each a ';'-separated list)
 // and the line expands into the paper's read + write sub-query pair. Multiple
 // lines with the same transaction and query name are merged into one query
-// accessing several tables.
+// accessing several tables; they must agree on its kind.
 package trace
 
 import (
@@ -99,12 +99,30 @@ func BuildInstance(name string, schema core.Schema, workload io.Reader) (*core.I
 	inst := &core.Instance{Name: name, Schema: schema}
 	txnIdx := make(map[string]int)
 	// Queries are indexed by position, not by pointer: appending a
-	// transaction's next query may move its query slice.
-	type queryKey struct{ txn, query, kind string }
-	type queryPos struct{ txn, query int }
+	// transaction's next query may move its query slice. A query keeps the
+	// kind and the line it was first seen with.
+	type queryKey struct{ txn, query string }
+	type queryPos struct {
+		txn, query int
+		kind       core.QueryKind
+		line       int
+	}
 	queryIdx := make(map[queryKey]queryPos)
 
-	addQuery := func(txn string, q core.Query) queryPos {
+	// addAccesses appends q's accesses to the query of transaction txn that
+	// has q's name, adding q itself when there is none. line is the CSV
+	// line q came from.
+	addAccesses := func(txn string, q core.Query, line int) error {
+		key := queryKey{txn, q.Name}
+		if pos, ok := queryIdx[key]; ok {
+			if pos.kind != q.Kind {
+				return fmt.Errorf("trace: workload csv line %d: query %s/%s is a %s, but line %d made it a %s",
+					line, txn, q.Name, q.Kind, pos.line, pos.kind)
+			}
+			prev := &inst.Workload.Transactions[pos.txn].Queries[pos.query]
+			prev.Accesses = append(prev.Accesses, q.Accesses...)
+			return nil
+		}
 		ti, ok := txnIdx[txn]
 		if !ok {
 			ti = len(inst.Workload.Transactions)
@@ -113,31 +131,24 @@ func BuildInstance(name string, schema core.Schema, workload io.Reader) (*core.I
 		}
 		qs := &inst.Workload.Transactions[ti].Queries
 		*qs = append(*qs, q)
-		return queryPos{ti, len(*qs) - 1}
-	}
-	query := func(pos queryPos) *core.Query {
-		return &inst.Workload.Transactions[pos.txn].Queries[pos.query]
+		queryIdx[key] = queryPos{txn: ti, query: len(*qs) - 1, kind: q.Kind, line: line}
+		return nil
 	}
 
 	for _, l := range lines {
 		switch l.kind {
 		case "read", "write":
-			kind := core.Read
-			if l.kind == "write" {
-				kind = core.Write
-			}
 			attrs, err := splitAttrs(l.attrs)
 			if err != nil {
 				return nil, fmt.Errorf("trace: workload csv line %d: %w", l.line, err)
 			}
-			key := queryKey{l.txn, l.query, l.kind}
-			pos, ok := queryIdx[key]
-			if !ok {
-				pos = addQuery(l.txn, core.Query{Name: l.query, Kind: kind, Frequency: l.freq})
-				queryIdx[key] = pos
+			q := core.NewRead(l.query, l.table, attrs, l.rows, l.freq)
+			if l.kind == "write" {
+				q.Kind = core.Write
 			}
-			q := query(pos)
-			q.Accesses = append(q.Accesses, core.TableAccess{Table: l.table, Attributes: attrs, Rows: l.rows})
+			if err := addAccesses(l.txn, q, l.line); err != nil {
+				return nil, err
+			}
 
 		case "update":
 			readPart, writePart, err := splitUpdateAttrs(l.attrs)
@@ -145,12 +156,8 @@ func BuildInstance(name string, schema core.Schema, workload io.Reader) (*core.I
 				return nil, fmt.Errorf("trace: workload csv line %d: %w", l.line, err)
 			}
 			for _, sub := range core.NewUpdate(l.query, l.table, readPart, writePart, l.rows, l.freq) {
-				key := queryKey{l.txn, sub.Name, sub.Kind.String()}
-				if pos, ok := queryIdx[key]; ok {
-					q := query(pos)
-					q.Accesses = append(q.Accesses, sub.Accesses...)
-				} else {
-					queryIdx[key] = addQuery(l.txn, sub)
+				if err := addAccesses(l.txn, sub, l.line); err != nil {
+					return nil, err
 				}
 			}
 

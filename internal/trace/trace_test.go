@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -106,24 +107,32 @@ func TestBuildInstanceFromTrace(t *testing.T) {
 	}
 
 	// A query's later rows must reach it after the transaction's next query
-	// was appended, which may move the transaction's query slice.
+	// was appended, which may move the transaction's query slice. A later
+	// row that gives a query the other kind is rejected at that row.
 	for _, tc := range []struct {
 		name, csv string
 		accesses  map[string]int // per query name
+		err       string         // the error, when the CSV is rejected
 	}{
 		{"interleaved reads", `T,qA,read,Users,id,1,1
 T,qB,read,Users,email,1,1
 T,qA,read,Orders,id,1,1
-`, map[string]int{"qA": 2, "qB": 1}},
+`, map[string]int{"qA": 2, "qB": 1}, ""},
 		{"interleaved updates", `T,u,update,Users,id|balance,1,1
 T,r,read,Users,email,1,1
 T,u,update,Orders,id|total,1,1
-`, map[string]int{"u.read": 2, "u.write": 2, "r": 1}},
+`, map[string]int{"u.read": 2, "u.write": 2, "r": 1}, ""},
+		{"kind conflict", `T,q,read,Users,id,1,1
+T,q,write,Users,email,1,1
+`, nil, "trace: workload csv line 2: query T/q is a write, but line 1 made it a read"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			inst, err := BuildInstance("t", schema, strings.NewReader(tc.csv))
-			if err != nil {
-				t.Fatal(err)
+			if tc.err != "" || err != nil {
+				if fmt.Sprint(err) != tc.err {
+					t.Fatalf("error %v, want %q", err, tc.err)
+				}
+				return
 			}
 			got := map[string]int{}
 			for _, q := range inst.Workload.Transactions[0].Queries {

@@ -347,17 +347,12 @@ func solve(ctx context.Context, inst *Instance, origModel *Model, opts Options) 
 	// Reasonable-cuts preprocessing. Under constraints the grouping is
 	// profile-aware — attributes with differing constraints never merge — and
 	// the set is rewritten onto the group representatives for the grouped
-	// model. A grouping that merges nothing is dropped: the solve runs over
-	// the original model, so the instance is compiled once.
+	// model. The grouping reads the ids origModel's compile resolved and is
+	// nil when nothing merges: the solve then runs over the original model,
+	// so the instance is validated and compiled once.
 	var grouping *Grouping
 	if !opts.DisableGrouping {
-		grouping, err = core.GroupAttributesConstrained(inst, cons)
-		if err != nil {
-			return nil, err
-		}
-		if grouping.Grouped == inst {
-			grouping = nil
-		}
+		grouping = core.GroupModel(origModel, cons)
 	}
 	solveModel := origModel
 	if grouping != nil {
