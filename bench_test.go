@@ -339,7 +339,7 @@ func BenchmarkEvaluatorApplyTPCC(b *testing.B) {
 // TestEvaluatorApplyFasterThanEvaluate times, with the benchmark harness,
 // the two operations BenchmarkCostEvaluationTPCC and
 // BenchmarkEvaluatorApplyTPCC measure — one full Model.Evaluate and one
-// incremental MoveTxn apply+undo round trip — from full replication on TPC-C
+// incremental ApplyMoveTxn+Undo round trip — from full replication on TPC-C
 // (3 sites) and rndAt64x200 (8 sites). The incremental round trip must be
 // the faster of the two.
 func TestEvaluatorApplyFasterThanEvaluate(t *testing.T) {

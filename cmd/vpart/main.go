@@ -53,7 +53,7 @@ func run(ctx context.Context, args []string) error {
 		dcWorkers    = fs.Int("decompose-workers", 0, "decompose meta-solver: max concurrently solved shards (0 = GOMAXPROCS)")
 		seedWithSA   = fs.Bool("seed-with-sa", true, "seed the QP solver with the SA solution")
 		timeout      = fs.Duration("timeout", 5*time.Minute, "soft solver time limit: stop and keep the best incumbent (0 = none)")
-		gap          = fs.Float64("gap", 0.001, "QP relative MIP gap")
+		gap          = fs.Float64("gap", 0.001, "QP relative MIP gap (finite, ≥ 0)")
 		pfSeeds      = fs.Int("portfolio-seeds", vpart.DefaultPortfolioSASeeds, "portfolio solver: number of concurrent SA seeds")
 		pfQP         = fs.Bool("portfolio-qp", false, "portfolio solver: also race the exact QP solver")
 		replicas     = fs.Int("replicas", 0, "sa-par solver: parallel-tempering replica count K (0 = default)")

@@ -147,10 +147,13 @@ func TestRunErrors(t *testing.T) {
 		{},                               // no instance selected
 		{"-tpcc", "-class", "rndAt4x15"}, // mutually exclusive
 		{"-tpcc", "-instance", "x.json"}, // mutually exclusive
-		{"-class", "does-not-exist", "-sites", "2"},          // unknown class
-		{"-instance", "/does/not/exist.json", "-sites", "2"}, // missing file
-		{"-tpcc", "-sites", "0"},                             // invalid sites
-		{"-tpcc", "-sites", "2", "-solver", "magic"},         // unknown solver
+		{"-class", "does-not-exist", "-sites", "2"},              // unknown class
+		{"-instance", "/does/not/exist.json", "-sites", "2"},     // missing file
+		{"-tpcc", "-sites", "0"},                                 // invalid sites
+		{"-tpcc", "-sites", "2", "-solver", "magic"},             // unknown solver
+		{"-tpcc", "-sites", "2", "-solver", "qp", "-gap", "-1"},  // negative gap
+		{"-tpcc", "-sites", "2", "-solver", "qp", "-gap", "NaN"}, // non-finite gap
+		{"-tpcc", "-sites", "2", "-solver", "qp", "-gap", "+Inf"},
 	}
 	for i, args := range cases {
 		if _, err := captureStdout(t, func() error { return run(context.Background(), args) }); err == nil {

@@ -112,20 +112,24 @@
 // oracle for every cost in the package. Local search, however, prices
 // thousands of small edits per second, so the package also exposes the
 // incremental Evaluator: NewEvaluator(model, partitioning) compiles the
-// current solution once, and Apply then re-prices a typed move — MoveTxn
-// relocates a transaction, AddReplica/DropReplica edit an attribute's
-// replica set — in time proportional to the cost terms the move actually
-// touches (via attribute→transaction and attribute→write-query reverse
-// indices compiled into the Model), returning the delta of the balanced
-// objective (6). All three WriteAccounting modes, the per-site work vector
-// and the Appendix A latency extension are maintained exactly.
+// current solution once, and three typed methods then apply one move each —
+// ApplyMoveTxn relocates a transaction, ApplyAddReplica and ApplyDropReplica
+// edit an attribute's replica set — in time proportional to the cost terms
+// the move actually touches (via attribute→transaction and
+// attribute→write-query reverse indices compiled into the Model), returning
+// the delta of the balanced objective (6). They allocate nothing once the
+// journal has grown. All three WriteAccounting modes, the per-site work
+// vector and the Appendix A latency extension are maintained exactly. On a
+// constrained model, AllowMoveTxn, AllowAddReplica and AllowDropReplica say
+// whether a move keeps the placement constraints before it is applied.
 //
 // Moves are journalled: Undo reverts everything applied since the last
-// Commit, which is what a Metropolis accept/reject step needs. It does not
-// replay the moves: every float is restored from the journal, and only the
-// placement bits and integer counters are inverted, so rejecting a move
-// costs O(1), plus its write-query counters under latency or WriteRelevant
-// accounting. Snapshot and Restore save and reinstate whole states for
+// Commit, which is what a Metropolis accept/reject step needs — a candidate
+// is priced by applying its moves and summing their deltas, then kept with
+// Commit or dropped with Undo. Undo does not replay the moves: every float
+// is restored from the journal, and only the placement bits and integer
+// counters are inverted, so rejecting a move costs O(1), plus its
+// write-query counters under latency or WriteRelevant accounting. Snapshot and Restore save and reinstate whole states for
 // best-incumbent tracking. The SA solver's hot loop is built entirely on this
 // API — it performs no Partitioning.Clone and no full Model.Evaluate per
 // iteration — and any future local-search solver (tabu, genetic, ...) can

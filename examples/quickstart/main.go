@@ -132,26 +132,27 @@ func main() {
 
 	// What-if analysis: edit a solution by hand through the incremental
 	// Evaluator and watch the cost react, without re-running a solver. The
-	// evaluator owns a private copy of the partitioning, prices every typed
-	// move in O(terms touched) and journals it, so a bad edit is one Undo
-	// away. This is the same engine the SA hot loop runs on.
+	// evaluator owns a private copy of the partitioning, prices every move
+	// (ApplyMoveTxn, ApplyAddReplica, ApplyDropReplica) in O(terms touched)
+	// and journals it, so a bad edit is one Undo away. This is the same
+	// engine the SA hot loop runs on.
 	ev, err := vpart.NewEvaluator(last.Model, last.Partitioning)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Println("=== what-if: move AccountPage (and the columns it reads) to site 0 ===")
-	// Apply prices moves against the balanced objective (6) — the value the
-	// solvers minimise — so the demo decides and reports on that.
+	// The Apply methods price moves against the balanced objective (6) — the
+	// value the solvers minimise — so the demo decides and reports on that.
 	fmt.Printf("current balanced objective (6): %.0f\n", ev.Cost().Balanced)
 	txn, ok := last.Model.TxnIndex("AccountPage")
 	if !ok {
 		log.Fatal("AccountPage transaction not found")
 	}
-	delta := ev.Apply(vpart.MoveTxn{Txn: txn, Site: 0})
+	delta := ev.ApplyMoveTxn(txn, 0)
 	for _, a := range last.Model.TxnReadAttrs(txn) {
 		if !ev.Partitioning().AttrSites[a][0] {
 			// Keep reads single-sited: replicate what AccountPage reads.
-			delta += ev.Apply(vpart.AddReplica{Attr: a, Site: 0})
+			delta += ev.ApplyAddReplica(a, 0)
 		}
 	}
 	fmt.Printf("balanced-objective delta of the edit: %+.0f\n", delta)

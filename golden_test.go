@@ -78,9 +78,35 @@ func goldenRandom(params vpart.RandomParams, seed int64) func(t *testing.T) *vpa
 	}
 }
 
-func goldenCases() []goldenCase {
+// goldenConstraints is one constraint set of every kind but a site capacity
+// over rndAt64x200 (seed 1) on 8 sites: a transaction pin, an attribute pin,
+// a forbidden site, a replica cap, a colocated pair and a separated pair. The
+// separated pair includes an attribute no transaction reads, so a random
+// transaction assignment cannot make the set infeasible.
+func goldenConstraints(t *testing.T) *vpart.Constraints {
+	qa := func(s string) vpart.QualifiedAttr {
+		q, err := vpart.ParseQualifiedAttr(s)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return q
+	}
+	return &vpart.Constraints{
+		PinTxns:     []vpart.PinTxn{{Txn: "txn007", Site: 3}},
+		PinAttrs:    []vpart.PinAttr{{Attr: qa("T03.a00"), Site: 1}},
+		ForbidAttrs: []vpart.ForbidAttr{{Attr: qa("T13.a00"), Site: 0}},
+		MaxReplicas: []vpart.MaxReplicas{{Attr: qa("T02.a12"), K: 6}},
+		Colocate:    []vpart.Colocate{{A: qa("T02.a01"), B: qa("T08.a01")}},
+		Separate:    []vpart.Separate{{A: qa("T03.a01"), B: qa("T07.a00")}},
+	}
+}
+
+func goldenCases(t *testing.T) []goldenCase {
 	tpcc := func(*testing.T) *vpart.Instance { return vpart.TPCC() }
 	rnd64 := goldenRandom(vpart.ClassA(64, 200, 10), 1)
+	relevant := vpart.DefaultModelOptions()
+	relevant.WriteAccounting = vpart.WriteRelevant
+	relevant.LatencyPenalty = 0.5
 	// The first instance of the cold benchmark workload at workload seed 1.
 	cold := goldenRandom(vpart.MultiComponentClass(8, 128, 400, 10), seeds.Derive(1, 0))
 	cases := []goldenCase{
@@ -88,6 +114,10 @@ func goldenCases() []goldenCase {
 		{"tpcc/3/portfolio", goldenSolve(tpcc, vpart.Options{Sites: 3, Solver: "portfolio", Seed: 1})},
 		{"rndAt64x200/8/sa", goldenSolve(rnd64, vpart.Options{Sites: 8, Solver: "sa", Seed: 1})},
 		{"rndAt64x200/8/portfolio", goldenSolve(rnd64, vpart.Options{Sites: 8, Solver: "portfolio", Seed: 1})},
+		{"rndAt64x200/8/sa/disjoint", goldenSolve(rnd64, vpart.Options{Sites: 8, Solver: "sa", Seed: 1, Disjoint: true})},
+		{"rndAt64x200/8/sa/relevant-latency", goldenSolve(rnd64, vpart.Options{Sites: 8, Solver: "sa", Seed: 1, Model: &relevant})},
+		{"rndAt64x200/8/sa/constrained", goldenSolve(rnd64, vpart.Options{Sites: 8, Solver: "sa", Seed: 1, Constraints: goldenConstraints(t)})},
+		{"rndAt64x200/8/sa-par/constrained", goldenSolve(rnd64, vpart.Options{Sites: 8, Solver: "sa-par", Seed: 1, Constraints: goldenConstraints(t)})},
 		{"rndAt128x400c8[0]/4/decompose", goldenSolve(cold, vpart.Options{Sites: 4, Solver: "decompose", Seed: 1})},
 	}
 	for _, solver := range []string{"sa", "portfolio"} {
@@ -130,10 +160,12 @@ func readGolden(t *testing.T) map[string]string {
 }
 
 // TestFixedSeedGolden pins the fixed-seed outputs of the solvers: the bits of
-// the balanced cost and a hash of the layout for TPC-C, rndAt64x200 and one
-// cold benchmark instance, and the fingerprints of the four scenarios. A
-// change that claims bit-identical results must pass it unchanged; one that
-// means to change results regenerates the file with -update.
+// the balanced cost and a hash of the layout for TPC-C, rndAt64x200 (default
+// model, disjoint, WriteRelevant accounting with the latency term, and
+// constrained under sa and sa-par) and one cold benchmark instance, and the
+// fingerprints of the four scenarios. A change that claims bit-identical
+// results must pass it unchanged; one that means to change results
+// regenerates the file with -update.
 //
 // Off amd64 the compiler may fuse multiply-adds, which changes the last bits
 // of a cost and with them the search trajectory, so the test is skipped there.
@@ -141,7 +173,7 @@ func TestFixedSeedGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("golden outputs are recorded on amd64; GOARCH=%s may fuse multiply-adds", runtime.GOARCH)
 	}
-	cases := goldenCases()
+	cases := goldenCases(t)
 	got := make([]string, len(cases))
 	for i, c := range cases {
 		cost, hash := c.run(t)

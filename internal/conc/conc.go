@@ -78,21 +78,6 @@ func (b *Budget) Acquire(ctx context.Context) error {
 	}
 }
 
-// TryAcquire takes a slot without blocking, reporting whether it got one. A
-// nil budget always grants.
-func (b *Budget) TryAcquire() bool {
-	if b == nil {
-		return true
-	}
-	select {
-	case b.slots <- struct{}{}:
-		b.note()
-		return true
-	default:
-		return false
-	}
-}
-
 // Release returns a previously acquired slot. Releasing without a matching
 // acquire panics — it means a composite solver released a child's slot.
 func (b *Budget) Release() {

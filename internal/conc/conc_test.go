@@ -68,32 +68,10 @@ func TestBudgetAcquireHonoursContext(t *testing.T) {
 	b.Release()
 }
 
-func TestBudgetTryAcquire(t *testing.T) {
-	b := NewBudget(2)
-	if !b.TryAcquire() || !b.TryAcquire() {
-		t.Fatal("TryAcquire failed with free slots")
-	}
-	if b.TryAcquire() {
-		t.Fatal("TryAcquire succeeded on a full budget")
-	}
-	if u := b.InUse(); u != 2 {
-		t.Fatalf("InUse() = %d, want 2", u)
-	}
-	b.Release()
-	if !b.TryAcquire() {
-		t.Fatal("TryAcquire failed after a Release")
-	}
-	b.Release()
-	b.Release()
-}
-
 func TestNilBudgetIsUnlimited(t *testing.T) {
 	var b *Budget
 	if err := b.Acquire(context.Background()); err != nil {
 		t.Fatal(err)
-	}
-	if !b.TryAcquire() {
-		t.Fatal("nil budget denied TryAcquire")
 	}
 	b.Release()
 	if b.Cap() != 0 || b.InUse() != 0 || b.HighWater() != 0 || b.Acquires() != 0 {

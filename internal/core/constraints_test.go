@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -361,6 +362,46 @@ func TestDecomposeConstrainedWeldsComponents(t *testing.T) {
 		}
 		if sc.Len() != 1 {
 			t.Fatalf("shard %d projection %s, want exactly one constraint", i, sc)
+		}
+	}
+}
+
+// TestDecomposeModelMatchesDecomposeConstrained: splitting a compiled
+// model's instance under its constraint set yields exactly the
+// decomposition of the validating public entry point, and that entry point
+// still rejects an invalid instance with and without grouping.
+func TestDecomposeModelMatchesDecomposeConstrained(t *testing.T) {
+	inst := consFixture(t)
+	sets := []*Constraints{
+		nil,
+		{Colocate: []Colocate{{A: qa("T1.c"), B: qa("T2.e")}}},
+		{SiteCapacities: []SiteCapacity{{Site: 0, Bytes: 1000}}},
+		{PinTxns: []PinTxn{{Txn: "Y", Site: 1}}, PinAttrs: []PinAttr{{Attr: qa("T1.c"), Site: 0}}},
+	}
+	for i, cons := range sets {
+		m, err := NewModelConstrained(inst, DefaultModelOptions(), cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecomposeModel(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := DecomposeConstrained(inst, false, cons)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("set %d: DecomposeModel differs from DecomposeConstrained", i)
+		}
+	}
+	bad := &Instance{Name: "bad", Schema: inst.Schema, Workload: Workload{Transactions: []Transaction{{
+		Name: "Z", Queries: []Query{{Name: "q", Kind: Read, Frequency: 1,
+			Accesses: []TableAccess{{Table: "missing", Attributes: []string{"x"}, Rows: 1}}}},
+	}}}}
+	for _, group := range []bool{false, true} {
+		if _, err := DecomposeConstrained(bad, group, nil); err == nil {
+			t.Fatalf("group=%v: an access to an unknown table was accepted", group)
 		}
 	}
 }

@@ -99,14 +99,12 @@ func Decompose(inst *Instance, group bool) (*Decomposition, error) {
 // the projection of the set onto its names (Decomposition.ShardConstraints).
 // A nil or empty set decomposes exactly like Decompose.
 func DecomposeConstrained(inst *Instance, group bool, cons *Constraints) (*Decomposition, error) {
-	if err := inst.Validate(); err != nil {
-		return nil, err
-	}
 	if cons.Empty() {
 		cons = nil
 	}
 	d := &Decomposition{Original: inst, Source: inst}
 	if group {
+		// The grouping compiles inst, which validates it.
 		g, err := GroupAttributesConstrained(inst, cons)
 		if err != nil {
 			return nil, err
@@ -119,7 +117,32 @@ func DecomposeConstrained(inst *Instance, group bool, cons *Constraints) (*Decom
 				return nil, err
 			}
 		}
+	} else if err := inst.Validate(); err != nil {
+		return nil, err
 	}
+	if err := d.split(cons); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// DecomposeModel splits the instance of a compiled model into the connected
+// components of its access graph under the model's constraint set
+// (m.SourceConstraints(), nil when unconstrained), without grouping: the
+// entry point of a solve whose model is already grouped. The compile
+// validated the instance, so DecomposeModel does not validate it again.
+func DecomposeModel(m *Model) (*Decomposition, error) {
+	d := &Decomposition{Original: m.Instance(), Source: m.Instance()}
+	if err := d.split(m.SourceConstraints()); err != nil {
+		return nil, err
+	}
+	return d, nil
+}
+
+// split fills d's components, orphans and per-shard constraint sets from
+// d.Source under cons, a set over Source's names. Source must be valid;
+// every component is a sub-instance of it, so the shards are valid too.
+func (d *Decomposition) split(cons *Constraints) error {
 	d.Constraints = cons
 	src := d.Source
 
@@ -172,22 +195,22 @@ func DecomposeConstrained(inst *Instance, group bool, cons *Constraints) (*Decom
 		for _, p := range cons.Colocate {
 			ta, err := consTable("colocate", p.A)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			tb, err := consTable("colocate", p.B)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			union(ta, tb)
 		}
 		for _, p := range cons.Separate {
 			ta, err := consTable("separate", p.A)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			tb, err := consTable("separate", p.B)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			union(ta, tb)
 		}
@@ -256,9 +279,6 @@ func DecomposeConstrained(inst *Instance, group bool, cons *Constraints) (*Decom
 		for _, xi := range c.txns {
 			shard.Workload.Transactions = append(shard.Workload.Transactions, src.Workload.Transactions[xi])
 		}
-		if err := shard.Validate(); err != nil {
-			return nil, fmt.Errorf("decompose: component %d is invalid: %w", i, err)
-		}
 		comp.Instance = shard
 		d.Components = append(d.Components, comp)
 	}
@@ -268,7 +288,7 @@ func DecomposeConstrained(inst *Instance, group bool, cons *Constraints) (*Decom
 			d.ShardConstraints[i] = projectConstraints(cons, &d.Components[i], src)
 		}
 	}
-	return d, nil
+	return nil
 }
 
 // projectConstraints restricts a constraint set to the names of one

@@ -2,30 +2,6 @@ package core
 
 import "fmt"
 
-// Move is a single incremental edit of a partitioning understood by the
-// Evaluator: MoveTxn, AddReplica or DropReplica. The interface is sealed; the
-// three concrete types are the whole neighbourhood vocabulary of the paper's
-// local-search solvers.
-type Move interface{ isMove() }
-
-// MoveTxn relocates transaction Txn to primary site Site (the x part of a
-// solution). Moving a transaction to its current site is a recorded no-op.
-type MoveTxn struct{ Txn, Site int }
-
-// AddReplica stores attribute Attr on site Site (extends the y part). Adding
-// a replica that already exists is a recorded no-op.
-type AddReplica struct{ Attr, Site int }
-
-// DropReplica removes attribute Attr from site Site. Dropping a replica that
-// does not exist is a recorded no-op. Dropping the last replica of an
-// attribute is allowed — the cost stays well defined — but yields an
-// infeasible partitioning, exactly as Model.Evaluate would score it.
-type DropReplica struct{ Attr, Site int }
-
-func (MoveTxn) isMove()     {}
-func (AddReplica) isMove()  {}
-func (DropReplica) isMove() {}
-
 // moveKind tags journal records.
 type moveKind uint8
 
@@ -62,15 +38,16 @@ type betaRec struct {
 }
 
 // Evaluator incrementally re-evaluates the cost of a partitioning under a
-// stream of Moves. It owns a private copy of the partitioning it was created
-// from and keeps the full Cost breakdown — ReadAccess, WriteAccess under all
-// three WriteAccounting modes, Transfer, per-site work and the Appendix A
-// latency extension — consistent after every Apply in time proportional to
-// the cost terms touching the moved transaction or attribute, instead of the
+// stream of moves: ApplyMoveTxn, ApplyAddReplica and ApplyDropReplica. It
+// owns a private copy of the partitioning it was created from and keeps the
+// full Cost breakdown — ReadAccess, WriteAccess under all three
+// WriteAccounting modes, Transfer, per-site work and the Appendix A latency
+// extension — consistent after every move in time proportional to the cost
+// terms touching the moved transaction or attribute, instead of the
 // O(attrs·txns) full Model.Evaluate.
 //
 // Moves are journalled: Undo reverts everything applied since the last
-// Commit (or Restore), Commit accepts the batch. Snapshot and Restore give
+// Commit (or Restore), Commit accepts the moves. Snapshot and Restore give
 // O(attrs·sites) best-incumbent bookkeeping for local-search solvers.
 //
 // Model.Evaluate remains the reference oracle: after any move sequence,
@@ -121,8 +98,8 @@ type Evaluator struct {
 
 // NewEvaluator compiles an incremental evaluator for the partitioning under
 // the model. The partitioning is deep-copied — later mutations of p are not
-// seen; edit through Apply instead. Only the dimensions of p are validated
-// (an infeasible partitioning still has a well defined cost).
+// seen; edit through the Apply methods instead. Only the dimensions of p are
+// validated (an infeasible partitioning still has a well defined cost).
 func NewEvaluator(m *Model, p *Partitioning) (*Evaluator, error) {
 	if p.Sites <= 0 {
 		return nil, fmt.Errorf("evaluator: non-positive site count %d", p.Sites)
@@ -281,29 +258,12 @@ func (e *Evaluator) reinit() {
 func (e *Evaluator) Model() *Model { return e.m }
 
 // Partitioning returns the evaluator's live working partitioning. It is owned
-// by the evaluator: treat it as read-only and edit through Apply.
+// by the evaluator: treat it as read-only and edit through the Apply methods.
 func (e *Evaluator) Partitioning() *Partitioning { return e.p }
 
 // Pending returns the number of moves applied since the last Commit (the
-// size of the batch Undo would revert). No-op moves count.
+// number Undo would revert). No-op moves count.
 func (e *Evaluator) Pending() int { return len(e.journal) }
-
-// Apply applies a move and returns the resulting change of the balanced
-// objective (6) — the value local-search solvers feed into their Metropolis
-// test. The move is journalled; revert it (with the rest of the uncommitted
-// batch) with Undo or accept it with Commit.
-func (e *Evaluator) Apply(mv Move) float64 {
-	switch mv := mv.(type) {
-	case MoveTxn:
-		return e.ApplyMoveTxn(mv.Txn, mv.Site)
-	case AddReplica:
-		return e.ApplyAddReplica(mv.Attr, mv.Site)
-	case DropReplica:
-		return e.ApplyDropReplica(mv.Attr, mv.Site)
-	default:
-		panic(fmt.Sprintf("core: unknown move type %T", mv))
-	}
-}
 
 // checkSite panics on an out-of-range site index (an invalid site would
 // silently corrupt the accumulators otherwise).
@@ -313,8 +273,12 @@ func (e *Evaluator) checkSite(s int) {
 	}
 }
 
-// ApplyMoveTxn is Apply(MoveTxn{t, s}) without the interface boxing — the
-// allocation-free form hot loops should call.
+// ApplyMoveTxn relocates transaction t to primary site s (the x part of a
+// solution) and returns the resulting change of the balanced objective (6),
+// the value local-search solvers feed into their Metropolis test. Moving a
+// transaction to its current site is a recorded no-op. Like every move, it
+// is journalled: revert it, with the rest of the uncommitted moves, with Undo
+// or accept it with Commit.
 //
 //vpart:noalloc
 func (e *Evaluator) ApplyMoveTxn(t, s int) float64 {
@@ -341,7 +305,9 @@ func (e *Evaluator) ApplyMoveTxn(t, s int) float64 {
 	return e.balancedRaw() - b0
 }
 
-// ApplyAddReplica is Apply(AddReplica{a, s}) without the interface boxing.
+// ApplyAddReplica stores attribute a on site s (extends the y part) and
+// returns the change of the balanced objective. Adding a replica that already
+// exists is a recorded no-op.
 //
 //vpart:noalloc
 func (e *Evaluator) ApplyAddReplica(a, s int) float64 {
@@ -367,7 +333,11 @@ func (e *Evaluator) ApplyAddReplica(a, s int) float64 {
 	return e.balancedRaw() - b0
 }
 
-// ApplyDropReplica is Apply(DropReplica{a, s}) without the interface boxing.
+// ApplyDropReplica removes attribute a from site s and returns the change of
+// the balanced objective. Dropping a replica that does not exist is a
+// recorded no-op. Dropping the last replica of an attribute is allowed — the
+// cost stays well defined — but yields an infeasible partitioning, exactly as
+// Model.Evaluate would score it.
 //
 //vpart:noalloc
 func (e *Evaluator) ApplyDropReplica(a, s int) float64 {
@@ -394,19 +364,104 @@ func (e *Evaluator) ApplyDropReplica(a, s int) float64 {
 }
 
 // Undo reverts every move applied since the last Commit (or Restore), in
-// reverse order. Every float accumulator is restored bitwise from the
-// journal, and only the placement bits and integer counters are inverted, so
-// an apply-undo cycle is exact and rejecting a move costs O(1), plus its
-// write-query counters under latency or WriteRelevant accounting.
+// reverse order. It never replays a move: every float accumulator is restored
+// bitwise from the move's journal record (and the WriteRelevant per-access
+// sums from betaLog), and only the placement bits and integer counters are
+// inverted, so an apply-undo cycle is exact and rejecting a move costs O(1),
+// plus its write-query counters under latency or WriteRelevant accounting.
 //
 //vpart:noalloc
 func (e *Evaluator) Undo() {
-	e.undoTo(0)
+	for i := len(e.journal) - 1; i >= 0; i-- {
+		rec := &e.journal[i]
+		if rec.noop {
+			continue
+		}
+		switch rec.kind {
+		case mkMoveTxn:
+			e.unmoveTxn(int(rec.x), int(rec.prevSite))
+			e.siteWork[rec.prevSite] = rec.work1
+		case mkAddReplica:
+			e.unflipReplica(int(rec.x), int(rec.site), false)
+		case mkDropReplica:
+			e.unflipReplica(int(rec.x), int(rec.site), true)
+		}
+		// Walking the log backwards to the move's mark assigns the oldest —
+		// true — prior value of every touched sum last.
+		for j := len(e.betaLog) - 1; j >= int(rec.betaMark); j-- {
+			e.betaSum[e.betaLog[j].idx] = e.betaLog[j].prev
+		}
+		e.betaLog = e.betaLog[:rec.betaMark]
+		e.siteWork[rec.site] = rec.work0
+		e.readAccess = rec.readAccess
+		e.writeAccess = rec.writeAccess
+		e.transfer = rec.transfer
+		e.transferGross = rec.transferGross
+		e.latencyUnits = rec.latencyUnits
+	}
+	e.journal = e.journal[:0]
 	e.betaLog = e.betaLog[:0]
 }
 
-// Commit accepts the uncommitted move batch: the journal is cleared and the
-// moves can no longer be undone.
+// unmoveTxn puts transaction t back on site s, the site it left in the move
+// being undone, and recounts the remote replicas of its write queries there.
+// The replica bits and qTotal are those the move saw, because moves are undone
+// in reverse order.
+//
+//vpart:noalloc
+func (e *Evaluator) unmoveTxn(t, s int) {
+	m, p := e.m, e.p
+	p.TxnSite[t] = s
+	if m.opts.LatencyPenalty > 0 {
+		for _, q := range m.txnWriteQ[t] {
+			own := int32(0)
+			for _, ar := range m.writeQAlpha[q] {
+				if p.AttrSites[ar.attr][s] {
+					own += ar.mult
+				}
+			}
+			e.qRemote[q] = e.qTotal[q] - own
+		}
+	}
+}
+
+// unflipReplica sets attribute a's bit on site s back to on, the value before
+// the flip being undone, and inverts the flip's integer counters: the replica
+// count, the site's stored bytes, the WriteRelevant written-attribute counts
+// and the latency replica counts.
+//
+//vpart:noalloc
+func (e *Evaluator) unflipReplica(a, s int, on bool) {
+	m, p := e.m, e.p
+	d := int32(-1)
+	if on {
+		d = 1
+	}
+	e.replicas[a] += d
+	p.AttrSites[a][s] = on
+	if e.siteBytes != nil {
+		e.siteBytes[s] += int64(d) * int64(m.attrs[a].Width)
+	}
+	if m.opts.WriteAccounting == WriteRelevant {
+		S := p.Sites
+		for _, ref := range m.attrWriteAcc[a] {
+			if ref.alpha {
+				e.alphaCnt[int(ref.access)*S+s] += d
+			}
+		}
+	}
+	if m.opts.LatencyPenalty > 0 {
+		for _, qr := range m.attrWriteQ[a] {
+			e.qTotal[qr.query] += d * qr.mult
+			if p.TxnSite[m.writeQTxn[qr.query]] != s {
+				e.qRemote[qr.query] += d * qr.mult
+			}
+		}
+	}
+}
+
+// Commit accepts the uncommitted moves: the journal is cleared and they can
+// no longer be undone.
 //
 //vpart:noalloc
 func (e *Evaluator) Commit() {
@@ -609,7 +664,8 @@ func (e *Evaluator) AllowAddReplica(a, s int) bool {
 
 // AllowDropReplica reports whether removing attribute a from site s respects
 // the compiled constraints: s is not a required site of a. O(1). Dropping
-// below one replica stays the caller's concern, exactly as with Apply.
+// below one replica stays the caller's concern, exactly as with
+// ApplyDropReplica.
 func (e *Evaluator) AllowDropReplica(a, s int) bool {
 	if e.ct == nil {
 		return true

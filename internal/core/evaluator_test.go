@@ -75,16 +75,16 @@ func applyRandomMove(e *core.Evaluator, rng *rand.Rand, disjoint bool) float64 {
 	switch rng.Intn(3) {
 	case 0:
 		t := rng.Intn(m.NumTxns())
-		return e.Apply(core.MoveTxn{Txn: t, Site: rng.Intn(p.Sites)})
+		return e.ApplyMoveTxn(t, rng.Intn(p.Sites))
 	case 1:
 		a := rng.Intn(m.NumAttrs())
 		s := rng.Intn(p.Sites)
-		d := e.Apply(core.AddReplica{Attr: a, Site: s})
+		d := e.ApplyAddReplica(a, s)
 		if disjoint {
 			// Relocate: drop some other replica of a.
 			for st := 0; st < p.Sites; st++ {
 				if st != s && p.AttrSites[a][st] {
-					d += e.Apply(core.DropReplica{Attr: a, Site: st})
+					d += e.ApplyDropReplica(a, st)
 					break
 				}
 			}
@@ -98,7 +98,7 @@ func applyRandomMove(e *core.Evaluator, rng *rand.Rand, disjoint bool) float64 {
 		if p.Replicas(a) == 1 && rng.Intn(4) != 0 {
 			return 0
 		}
-		return e.Apply(core.DropReplica{Attr: a, Site: s})
+		return e.ApplyDropReplica(a, s)
 	}
 }
 
@@ -339,9 +339,9 @@ func TestEvaluatorCopiesInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Apply(core.MoveTxn{Txn: 0, Site: 1})
+	e.ApplyMoveTxn(0, 1)
 	if p.TxnSite[0] != 0 {
-		t.Fatal("Apply mutated the caller's partitioning")
+		t.Fatal("ApplyMoveTxn mutated the caller's partitioning")
 	}
 }
 
@@ -382,11 +382,11 @@ func TestEvaluatorNoDriftAcrossRejectedBatches(t *testing.T) {
 		a := rng.Intn(m.NumAttrs())
 		s := rng.Intn(3)
 		if e.Partitioning().AttrSites[a][s] {
-			e.Apply(core.DropReplica{Attr: a, Site: s})
+			e.ApplyDropReplica(a, s)
 		} else {
-			e.Apply(core.AddReplica{Attr: a, Site: s})
+			e.ApplyAddReplica(a, s)
 		}
-		e.Apply(core.MoveTxn{Txn: rng.Intn(m.NumTxns()), Site: rng.Intn(3)})
+		e.ApplyMoveTxn(rng.Intn(m.NumTxns()), rng.Intn(3))
 		e.Undo()
 	}
 	costsMatch(t, "after 200k rejected batches", e.Cost(), want, 0)
@@ -396,11 +396,78 @@ func TestEvaluatorNoDriftAcrossRejectedBatches(t *testing.T) {
 	for a := 0; a < m.NumAttrs(); a++ {
 		s := rng.Intn(3)
 		if e.Partitioning().AttrSites[a][s] {
-			e.Apply(core.DropReplica{Attr: a, Site: s})
+			e.ApplyDropReplica(a, s)
 		} else {
-			e.Apply(core.AddReplica{Attr: a, Site: s})
+			e.ApplyAddReplica(a, s)
 		}
 	}
 	e.Commit()
 	costsMatch(t, "fresh moves after churn", e.Cost(), m.Evaluate(e.Partitioning()), 1e-12)
+}
+
+// TestEvaluatorApplyUndoZeroAlloc keeps the steady-state move path — the
+// typed Apply methods followed by Undo — allocation-free once the journal and
+// the WriteRelevant log have grown to their high-water marks, matching the
+// //vpart:noalloc annotations vpartlint enforces statically. The model uses
+// WriteRelevant accounting, the latency term and placement constraints with
+// a site capacity, so every counter the evaluator keeps is touched.
+func TestEvaluatorApplyUndoZeroAlloc(t *testing.T) {
+	inst, err := randgen.Generate(randgen.ClassA(3, 8, 30), 77)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tbl := inst.Schema.Tables[0]
+	cons := &core.Constraints{
+		PinTxns:        []core.PinTxn{{Txn: inst.Workload.Transactions[0].Name, Site: 0}},
+		MaxReplicas:    []core.MaxReplicas{{Attr: core.QualifiedAttr{Table: tbl.Name, Attr: tbl.Attributes[0].Name}, K: 2}},
+		SiteCapacities: []core.SiteCapacity{{Site: 1, Bytes: 1 << 20}},
+	}
+	m, err := core.NewModelConstrained(inst, core.ModelOptions{
+		Penalty: 8, Lambda: 0.1, WriteAccounting: core.WriteRelevant, LatencyPenalty: 0.5,
+	}, cons)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const sites = 3
+	ev, err := core.NewEvaluator(m, randomFeasible(m, sites, rand.New(rand.NewSource(3))))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Pick moves that change the state, so none of them is a recorded no-op,
+	// and flip a written attribute, so the flip updates the WriteRelevant
+	// sums and the latency counters.
+	p := ev.Partitioning()
+	txn := 1
+	from := p.TxnSite[txn]
+	to := (from + 1) % sites
+	attr, site := -1, -1
+	for _, wq := range m.WriteQueries() {
+		for _, a := range wq.Attrs {
+			for s := 0; s < sites && attr < 0; s++ {
+				if !p.AttrSites[a][s] {
+					attr, site = a, s
+				}
+			}
+		}
+	}
+	if attr < 0 {
+		t.Fatal("no written attribute lacks a replica")
+	}
+	// Warm the journal and log capacities past the high-water mark.
+	for i := 0; i < 8; i++ {
+		ev.ApplyMoveTxn(i%m.NumTxns(), i%sites)
+		ev.ApplyAddReplica(i%m.NumAttrs(), i%sites)
+		ev.ApplyDropReplica(i%m.NumAttrs(), (i+1)%sites)
+	}
+	ev.Undo()
+
+	if avg := testing.AllocsPerRun(100, func() {
+		ev.ApplyMoveTxn(txn, to)
+		ev.ApplyAddReplica(attr, site)
+		ev.ApplyDropReplica(attr, site)
+		ev.ApplyMoveTxn(txn, from)
+		ev.Undo()
+	}); avg != 0 {
+		t.Errorf("Apply+Undo path allocates %.1f per run, want 0", avg)
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 
 	"vpart"
@@ -40,7 +41,8 @@ type SessionOptions struct {
 	TimeLimit string `json:"time_limit,omitempty"`
 	// Seed seeds the SA random generator (0 = derive distinct seeds).
 	Seed int64 `json:"seed,omitempty"`
-	// GapTol is the QP solver's relative MIP gap (0 = the paper's 0.1 %).
+	// GapTol is the QP solver's relative MIP gap (0 = the paper's 0.1 %;
+	// finite and ≥ 0).
 	GapTol float64 `json:"gap_tol,omitempty"`
 	// PortfolioSeeds / PortfolioQP configure the portfolio solver.
 	// PortfolioSeeds is the number of SA children of a full race (0 = the
@@ -131,6 +133,9 @@ func (o SessionOptions) ToOptions() (vpart.Options, error) {
 	}
 	if o.PortfolioSeeds < 0 || o.PortfolioSeeds > maxPortfolioSeeds {
 		return vpart.Options{}, fmt.Errorf("options: portfolio_seeds must be in [0, %d], got %d", maxPortfolioSeeds, o.PortfolioSeeds)
+	}
+	if o.GapTol < 0 || math.IsNaN(o.GapTol) || math.IsInf(o.GapTol, 0) {
+		return vpart.Options{}, fmt.Errorf("options: gap_tol must be finite and ≥ 0, got %v", o.GapTol)
 	}
 	opts := vpart.Options{
 		Sites:           o.Sites,

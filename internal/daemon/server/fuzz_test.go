@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"testing"
 
@@ -50,6 +51,7 @@ func FuzzDaemonRequests(f *testing.F) {
 	addCreate("rand", inst, SessionOptions{Sites: 2, Solver: "sa", Seed: 7, Lambda: &lambda, GapTol: 0.01}, nil)
 	addCreate("wide", inst, SessionOptions{Sites: maxSessionSites + 1, Solver: "portfolio", PortfolioSeeds: 1 << 40}, nil)
 	addCreate("neg", inst, SessionOptions{Sites: 2, Solver: "portfolio", PortfolioSeeds: -5}, nil)
+	addCreate("neggap", inst, SessionOptions{Sites: 2, Solver: "qp", GapTol: -1}, nil)
 
 	// Seed with real drift deltas.
 	deltas, err := vpart.Drift(vpart.TPCC(), 4, 0.3, 7)
@@ -78,6 +80,7 @@ func FuzzDaemonRequests(f *testing.F) {
 	f.Add("create", []byte(`{"name":"x","instance":{},"options":{"sites":0}}`))
 	f.Add("create", []byte(`{"name":"x","options":{"time_limit":"-3s"}}`))
 	f.Add("create", []byte(`{"name":"x","unknown":true}`))
+	f.Add("create", []byte(`{"name":"x","options":{"sites":2,"gap_tol":1e999}}`))
 	f.Add("delta", []byte(`{"ops":[]}`))
 	f.Add("delta", []byte(`{"ops":[{"op":"scale_freq","txn":"T","factor":-1}]}`))
 	f.Add("delta", []byte(`{"ops":[{"op":"no_such_op"}]}`))
@@ -130,6 +133,9 @@ func FuzzDaemonRequests(f *testing.F) {
 			}
 			if opts.TimeLimit < 0 {
 				t.Fatalf("decoder accepted a negative time limit %v", opts.TimeLimit)
+			}
+			if opts.GapTol < 0 || math.IsNaN(opts.GapTol) || math.IsInf(opts.GapTol, 0) {
+				t.Fatalf("decoder accepted gap_tol=%v", opts.GapTol)
 			}
 			if opts.Constraints != nil {
 				if err := opts.Constraints.Validate(); err != nil {

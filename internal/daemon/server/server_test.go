@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -226,20 +227,28 @@ func TestParseCreateSessionRequestBounds(t *testing.T) {
 		{"seeds above bound", SessionOptions{Sites: 2, Solver: "portfolio", PortfolioSeeds: maxPortfolioSeeds + 1}, "portfolio_seeds"},
 		{"seeds 2^40", SessionOptions{Sites: 2, Solver: "portfolio", PortfolioSeeds: 1 << 40}, "portfolio_seeds"},
 		{"negative seeds", SessionOptions{Sites: 2, Solver: "portfolio", PortfolioSeeds: -5}, "portfolio_seeds"},
+		{"gap_tol positive", SessionOptions{Sites: 2, Solver: "qp", GapTol: 0.05}, ""},
+		{"gap_tol negative", SessionOptions{Sites: 2, Solver: "qp", GapTol: -1}, "gap_tol"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, _, opts, err := ParseCreateSessionRequest(createBody(t, "x", inst, tc.opts, nil))
 			switch {
 			case tc.wantErr == "" && err != nil:
 				t.Fatalf("rejected: %v", err)
-			case tc.wantErr == "" && (opts.Sites != tc.opts.Sites || opts.Portfolio.SASeeds != tc.opts.PortfolioSeeds):
-				t.Fatalf("accepted as sites=%d seeds=%d", opts.Sites, opts.Portfolio.SASeeds)
+			case tc.wantErr == "" && (opts.Sites != tc.opts.Sites || opts.Portfolio.SASeeds != tc.opts.PortfolioSeeds || opts.GapTol != tc.opts.GapTol):
+				t.Fatalf("accepted as sites=%d seeds=%d gap_tol=%v", opts.Sites, opts.Portfolio.SASeeds, opts.GapTol)
 			case tc.wantErr != "" && err == nil:
-				t.Fatalf("accepted sites=%d portfolio_seeds=%d", opts.Sites, opts.Portfolio.SASeeds)
+				t.Fatalf("accepted sites=%d portfolio_seeds=%d gap_tol=%v", opts.Sites, opts.Portfolio.SASeeds, opts.GapTol)
 			case tc.wantErr != "" && !strings.Contains(err.Error(), tc.wantErr):
 				t.Fatalf("error %q does not name %s", err, tc.wantErr)
 			}
 		})
+	}
+	// JSON has no NaN or infinity, so those reach ToOptions only from Go.
+	for _, gap := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := (SessionOptions{Sites: 2, GapTol: gap}).ToOptions(); err == nil || !strings.Contains(err.Error(), "gap_tol") {
+			t.Errorf("ToOptions with gap_tol %v: error %v, want one naming gap_tol", gap, err)
+		}
 	}
 }
 

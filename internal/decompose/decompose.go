@@ -147,8 +147,10 @@ func Solve(ctx context.Context, m *core.Model, opts Options) (*Result, error) {
 	// The model is already grouped when the caller enabled grouping, so only
 	// the component split runs here — under the model's constraint set, which
 	// welds components coupled by cross-component constraints together and
-	// hands every shard its projection of the set.
-	d, err := core.DecomposeConstrained(m.Instance(), false, m.SourceConstraints())
+	// hands every shard its projection of the set. The model's compile
+	// validated the instance, and each shard's compile in solveOne validates
+	// the shard.
+	d, err := core.DecomposeModel(m)
 	if err != nil {
 		return nil, err
 	}

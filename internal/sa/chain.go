@@ -232,8 +232,8 @@ func (c *Chain) RunLevel(ctx context.Context) (stopped bool, err error) {
 		}
 
 		// The findSolution(fix) step of Algorithm 1, amortised: greedily
-		// re-optimise the non-fixed vector and apply the outcome as one
-		// diffed move batch, subject to the same Metropolis test.
+		// re-optimise the non-fixed vector and apply the difference as
+		// evaluator moves, subject to the same Metropolis test.
 		if c.res.Iterations%DefaultIntensifyEvery == 0 {
 			delta := c.s.intensify(c.ev, c.fixX)
 			c.fixX = !c.fixX

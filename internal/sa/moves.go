@@ -15,10 +15,10 @@ import (
 // perturb proposes one neighbourhood move of Algorithm 1 as a batch of
 // evaluator moves and returns its balanced-objective delta: a moveFraction
 // share of the transactions (components in disjoint mode) is relocated —
-// dragging along AddReplica repair moves for the attributes the relocated
-// transactions read — and the replication of a moveFraction share of the
-// attributes is extended (relocated, in disjoint mode). The caller decides
-// the batch's fate with ev.Commit or ev.Undo.
+// dragging along replica-addition repair moves for the attributes the
+// relocated transactions read — and the replication of a moveFraction share
+// of the attributes is extended (relocated, in disjoint mode). The caller
+// decides the batch's fate with ev.Commit or ev.Undo.
 //
 //vpart:noalloc
 func (s *solver) perturb(rng *rand.Rand, ev *core.Evaluator) float64 {
@@ -229,9 +229,9 @@ func (s *solver) canExtendUnit(ev *core.Evaluator, a, st int) bool {
 
 // intensify runs one findSolution(fix) pass of Algorithm 1 — the greedy
 // re-optimisation of the vector that is not fixed — on a scratch copy of the
-// evaluator's state, diffs the outcome against the current state into the
-// solver's reusable core.MoveBatch and applies it with one ApplyBatch call,
-// returning its delta. The caller commits or undoes the batch.
+// evaluator's state, applies the difference to the evaluator move by move
+// (transaction moves, then replica additions, then removals) and returns the
+// summed delta. The caller commits or undoes the moves.
 //
 //vpart:noalloc
 func (s *solver) intensify(ev *core.Evaluator, fixX bool) float64 {
@@ -248,24 +248,27 @@ func (s *solver) intensify(ev *core.Evaluator, fixX bool) float64 {
 	}
 	if s.ct != nil && fixX && !s.scratchSatisfiesConstraints(s.scratch) {
 		// The constrained greedy y-rebuild had to relax a capacity or
-		// separation on its fallback path: price the batch as +Inf so the
+		// separation on its fallback path: price the pass as +Inf so the
 		// Metropolis test rejects it without any move being applied.
 		return math.Inf(1)
 	}
 
-	s.batch.Reset()
+	// p is the evaluator's live partitioning, but every cell is compared
+	// once and only a move on that same cell changes it, so applying as we
+	// go yields the moves a diff against the pre-pass state would.
+	delta := 0.0
 	for t, st := range s.scratch.TxnSite {
 		if p.TxnSite[t] != st {
-			s.batch.MoveTxn(t, st)
+			delta += ev.ApplyMoveTxn(t, st)
 		}
 	}
 	// Additions before removals, so attributes keep at least one replica at
-	// every intermediate step of the batch.
+	// every intermediate step.
 	for a, row := range s.scratch.AttrSites {
 		cur := p.AttrSites[a]
 		for st := range row {
 			if row[st] && !cur[st] {
-				s.batch.AddReplica(a, st)
+				delta += ev.ApplyAddReplica(a, st)
 			}
 		}
 	}
@@ -273,11 +276,11 @@ func (s *solver) intensify(ev *core.Evaluator, fixX bool) float64 {
 		cur := p.AttrSites[a]
 		for st := range row {
 			if !row[st] && cur[st] {
-				s.batch.DropReplica(a, st)
+				delta += ev.ApplyDropReplica(a, st)
 			}
 		}
 	}
-	return ev.ApplyBatch(&s.batch)
+	return delta
 }
 
 // attrSite returns the site of a non-replicated attribute (disjoint mode).

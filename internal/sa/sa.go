@@ -19,15 +19,17 @@
 // processing orders depend on the model alone, so they are sorted once per
 // solver rather than per pass.
 //
-// The hot loop is move-based: every candidate is proposed as a batch of typed
-// moves (transaction relocations, replica additions/relocations plus the
-// repair moves that keep reads single-sited) applied to one incremental
-// core.Evaluator, whose balanced-objective delta feeds the Metropolis test
-// directly. The greedy findSolution passes are applied the same way — as a
-// move batch diffed against the current state — every DefaultIntensifyEvery
-// iterations, alternating the fixed vector. The loop performs no
-// Partitioning.Clone and no full Model.Evaluate per iteration; Model.Evaluate
-// remains the reference oracle for the returned result.
+// The hot loop is move-based: every candidate is a set of moves (transaction
+// relocations, replica additions/relocations plus the repair moves that keep
+// reads single-sited) applied to one incremental core.Evaluator through its
+// typed ApplyMoveTxn, ApplyAddReplica and ApplyDropReplica methods; the
+// summed balanced-objective delta feeds the Metropolis test directly, and
+// Undo rejects the set. The greedy findSolution passes are applied the same
+// way every DefaultIntensifyEvery iterations, alternating the fixed vector:
+// the pass runs on a scratch copy, and its difference from the current state
+// is applied move by move. The loop performs no Partitioning.Clone and no
+// full Model.Evaluate per iteration; Model.Evaluate remains the reference
+// oracle for the returned result.
 package sa
 
 import (

@@ -43,7 +43,6 @@ type solver struct {
 	// Scratch buffers reused across iterations so the steady-state inner loop
 	// does not allocate.
 	scratch  *core.Partitioning // intensify's findSolution target
-	batch    core.MoveBatch     // intensify's diffed move batch
 	missing  []int              // perturb: candidate sites for a new replica
 	work     []float64          // greedy passes: running site work
 	order    []int              // greedy passes: processing order

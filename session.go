@@ -171,7 +171,7 @@ func NewSession(inst *Instance, opts Options) (*Session, error) {
 	if opts.Warm != nil || opts.WarmDirty != nil {
 		return nil, fmt.Errorf("vpart: session: Options.Warm and Options.WarmDirty are session-managed; leave them unset")
 	}
-	opts, err := opts.checkConstraints()
+	opts, err := opts.check()
 	if err != nil {
 		return nil, fmt.Errorf("vpart: session: %w", err)
 	}
@@ -304,7 +304,7 @@ func (s *Session) UpdateConstraints(cons *Constraints) error {
 	defer s.mu.Unlock()
 	opts := s.opts
 	opts.Constraints = cons
-	opts, err := opts.checkConstraints()
+	opts, err := opts.check()
 	if err != nil {
 		return fmt.Errorf("vpart: session: %w", err)
 	}

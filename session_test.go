@@ -142,6 +142,11 @@ func TestSessionRejectsBadConfigs(t *testing.T) {
 	if _, err := vpart.NewSession(vpart.TPCC(), vpart.Options{Sites: 2, Warm: &vpart.Solution{}}); err == nil {
 		t.Error("caller-managed Warm accepted")
 	}
+	for _, gap := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := vpart.NewSession(vpart.TPCC(), vpart.Options{Sites: 2, GapTol: gap}); err == nil {
+			t.Errorf("GapTol %v accepted", gap)
+		}
+	}
 
 	sess, err := vpart.NewSession(vpart.TPCC(), vpart.Options{Sites: 2, Seed: 1})
 	if err != nil {

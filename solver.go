@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -74,7 +75,7 @@ type Options struct {
 	// result — cancel the context instead.
 	TimeLimit time.Duration
 	// GapTol is the QP solver's relative MIP gap; zero selects the paper's
-	// 0.1 %.
+	// 0.1 %. A negative or non-finite value is rejected.
 	GapTol float64
 	// SeedWithSA runs the SA heuristic first and uses its solution as the QP
 	// solver's initial incumbent. Ignored by the SA solver.
@@ -323,7 +324,7 @@ func solve(ctx context.Context, inst *Instance, origModel *Model, opts Options) 
 	if !ok {
 		return nil, fmt.Errorf("vpart: unknown solver %q (registered: %v)", name, Solvers())
 	}
-	opts, err := opts.checkConstraints()
+	opts, err := opts.check()
 	if err != nil {
 		return nil, fmt.Errorf("vpart: %w", err)
 	}
@@ -448,13 +449,17 @@ func (o Options) modelOptions() ModelOptions {
 	return DefaultModelOptions()
 }
 
-// checkConstraints returns the options with their constraint set checked,
-// for Solve, NewSession and Session.UpdateConstraints alike. An empty set is
-// the unconstrained fast path and becomes nil; a non-empty one is rejected
-// together with Disjoint, validated and cloned — the compiled model retains
-// it, so a caller mutating their value later must not change, or race, what
-// is enforced. Errors are unprefixed; callers wrap them.
-func (o Options) checkConstraints() (Options, error) {
+// check returns the options checked for Solve, NewSession and
+// Session.UpdateConstraints alike. GapTol must be finite and non-negative. An
+// empty constraint set is the unconstrained fast path and becomes nil; a
+// non-empty one is rejected together with Disjoint, validated and cloned —
+// the compiled model retains it, so a caller mutating their value later must
+// not change, or race, what is enforced. Errors are unprefixed; callers wrap
+// them.
+func (o Options) check() (Options, error) {
+	if o.GapTol < 0 || math.IsNaN(o.GapTol) || math.IsInf(o.GapTol, 0) {
+		return o, fmt.Errorf("invalid GapTol %v: want a finite value ≥ 0", o.GapTol)
+	}
 	if o.Constraints.Empty() {
 		o.Constraints = nil
 		return o, nil
@@ -470,7 +475,7 @@ func (o Options) checkConstraints() (Options, error) {
 }
 
 // compileModel compiles the cost model of inst against the checked
-// constraint set of opts (see checkConstraints) and checks that the set fits
+// constraint set of opts (see check) and checks that the set fits
 // opts.Sites. Errors are unprefixed; callers wrap them.
 func compileModel(inst *Instance, opts Options) (*Model, error) {
 	m, err := core.NewModelConstrained(inst, opts.modelOptions(), opts.Constraints)

@@ -73,6 +73,30 @@ func TestSolveUnknownSolver(t *testing.T) {
 	}
 }
 
+// TestSolveRejectsBadGapTol: a negative or non-finite MIP gap is an error,
+// while zero (the paper's default) and a positive gap still solve; a tiny QP
+// instance is proven optimal at the default gap.
+func TestSolveRejectsBadGapTol(t *testing.T) {
+	inst, err := vpart.RandomInstance(vpart.ClassA(3, 5, 10), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, gap := range []float64{-1, math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := vpart.Solve(context.Background(), inst, vpart.Options{Sites: 2, Solver: "qp", GapTol: gap}); err == nil {
+			t.Errorf("GapTol %v accepted", gap)
+		}
+	}
+	for _, gap := range []float64{0, 0.05} {
+		sol, err := vpart.Solve(context.Background(), inst, vpart.Options{Sites: 2, Solver: "qp", GapTol: gap})
+		if err != nil {
+			t.Fatalf("GapTol %v: %v", gap, err)
+		}
+		if gap == 0 && !sol.Optimal {
+			t.Errorf("GapTol 0: not proven optimal (gap %g)", sol.Gap)
+		}
+	}
+}
+
 // cancellationInstance is large enough that every solver is still busy tens
 // of milliseconds into the solve (a full SA run on it takes around a second
 // even with the incremental move-based loop), making a delayed cancellation

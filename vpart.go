@@ -50,23 +50,16 @@ type (
 	// Partitioning assigns transactions and attributes to sites.
 	Partitioning = core.Partitioning
 	// Evaluator incrementally re-evaluates the cost of a partitioning under
-	// typed moves; Apply returns the balanced-objective delta in time
-	// proportional to the cost terms the move touches, with Undo/Commit batch
-	// semantics and Snapshot/Restore best-incumbent bookkeeping. It is the
-	// evaluation engine behind the SA solver's hot loop; Model.Evaluate stays
-	// the reference oracle.
+	// moves: ApplyMoveTxn relocates a transaction, ApplyAddReplica and
+	// ApplyDropReplica edit an attribute's replica set, and each returns the
+	// balanced-objective delta in time proportional to the cost terms the
+	// move touches. Undo reverts the moves since the last Commit, the Allow
+	// methods check them against placement constraints, and Snapshot/Restore
+	// keep the best incumbent. It is the evaluation engine behind the SA
+	// solver's hot loop; Model.Evaluate stays the reference oracle.
 	Evaluator = core.Evaluator
 	// EvalSnapshot is a saved Evaluator state (see Evaluator.Snapshot).
 	EvalSnapshot = core.EvalSnapshot
-	// Move is a single incremental edit of a partitioning: MoveTxn,
-	// AddReplica or DropReplica.
-	Move = core.Move
-	// MoveTxn relocates a transaction to a new primary site.
-	MoveTxn = core.MoveTxn
-	// AddReplica stores an attribute on an additional site.
-	AddReplica = core.AddReplica
-	// DropReplica removes an attribute replica from a site.
-	DropReplica = core.DropReplica
 	// TermCoef is a sparse per-transaction cost term (see Model.TxnTerms).
 	TermCoef = core.TermCoef
 	// AttrTermCoef is a sparse per-attribute cost term (see Model.AttrTerms).
@@ -126,7 +119,8 @@ var (
 	// placement-constraint set (nil behaves exactly like NewModel).
 	NewModelConstrained = core.NewModelConstrained
 	// NewEvaluator compiles an incremental evaluator for a partitioning under
-	// a model. The partitioning is deep-copied; edit through Evaluator.Apply.
+	// a model. The partitioning is deep-copied; edit through the evaluator's
+	// ApplyMoveTxn, ApplyAddReplica and ApplyDropReplica.
 	NewEvaluator = core.NewEvaluator
 	// DefaultModelOptions returns p = 8, λ = 0.1, "access all attributes".
 	DefaultModelOptions = core.DefaultModelOptions

@@ -230,8 +230,8 @@ func TestAssignmentRoundTripViaFacade(t *testing.T) {
 }
 
 // TestEvaluatorFacade exercises the incremental evaluation API as exported
-// from the root package: typed moves through Apply, delta consistency with
-// Evaluate, Undo and Snapshot/Restore.
+// from the root package: moves through the typed Apply methods, delta
+// consistency with Evaluate, Undo and Snapshot/Restore.
 func TestEvaluatorFacade(t *testing.T) {
 	inst := vpart.TPCC()
 	m, err := vpart.NewModel(inst, vpart.DefaultModelOptions())
@@ -247,15 +247,9 @@ func TestEvaluatorFacade(t *testing.T) {
 	if got := m.Evaluate(p); got.Balanced != before.Balanced {
 		t.Fatalf("initial evaluator cost %g != Evaluate %g", before.Balanced, got.Balanced)
 	}
-	moves := []vpart.Move{
-		vpart.MoveTxn{Txn: 0, Site: 2},
-		vpart.DropReplica{Attr: 0, Site: 1},
-		vpart.AddReplica{Attr: 0, Site: 1},
-	}
-	delta := 0.0
-	for _, mv := range moves {
-		delta += ev.Apply(mv)
-	}
+	delta := ev.ApplyMoveTxn(0, 2)
+	delta += ev.ApplyDropReplica(0, 1)
+	delta += ev.ApplyAddReplica(0, 1)
 	after := ev.Cost()
 	if diff := after.Balanced - (before.Balanced + delta); diff > 1e-6 || diff < -1e-6 {
 		t.Fatalf("deltas inconsistent: %g vs %g", after.Balanced, before.Balanced+delta)
@@ -269,7 +263,7 @@ func TestEvaluatorFacade(t *testing.T) {
 		t.Fatalf("Undo did not restore the cost: %g vs %g", got, before.Balanced)
 	}
 	snap := ev.Snapshot()
-	ev.Apply(vpart.MoveTxn{Txn: 1, Site: 0})
+	ev.ApplyMoveTxn(1, 0)
 	ev.Commit()
 	ev.Restore(snap)
 	if got := ev.Cost().Balanced; got != before.Balanced {
