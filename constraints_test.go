@@ -181,8 +181,9 @@ func TestSolversHonourRandomConstraints(t *testing.T) {
 }
 
 // TestEmptyConstraintsBitIdentical is acceptance property (b): a solve with
-// an empty (or nil) constraint set takes the unconstrained fast path and is
-// bit-identical to today's results on fixed seeds.
+// an empty (or nil) constraint set compiles to the nil, empty set, which the
+// constraint-aware solvers narrow nothing with, and is bit-identical to
+// today's results on fixed seeds.
 func TestEmptyConstraintsBitIdentical(t *testing.T) {
 	ctx := context.Background()
 	rndA, err := vpart.RandomInstance(vpart.ClassA(8, 15, 10), 1)

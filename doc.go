@@ -244,15 +244,18 @@
 // Enforcement is constructive, not post-hoc: Partitioning.Validate and
 // Repair are constraint-aware, the incremental Evaluator exposes O(1)
 // AllowMoveTxn / AllowAddReplica / AllowDropReplica checks (plus per-site
-// byte tracking) so the SA hot loop never proposes a dead move — and stays
+// byte tracking), and the SA checks every relocation and replica extension
+// with them, so its hot loop never proposes a dead move — and stays
 // allocation-free with constraints compiled —, the QP solver fixes pinned
 // variables and prunes forbidden branches through its variable bounds, the
 // portfolio forwards the set to every child, and the decompose meta-solver
 // projects it onto the shards (a cross-component Colocate/Separate welds the
 // affected components into one shard; a SiteCapacity, being a shared budget,
 // collapses the split). Sessions persist constraints across Apply/Resolve,
-// and Session.Adopt rejects anchors that violate them. An empty set is the
-// zero-overhead unconstrained path, bit-identical to not passing one.
+// and Session.Adopt rejects anchors that violate them. Repair, the decompose
+// merge and the SA search each have one constraint-aware path: an
+// unconstrained model carries the nil, empty ConstraintSet, which narrows
+// nothing, and an empty set is bit-identical to not passing one.
 //
 // See examples/constrained for a runnable demo pinning TPC-C's WAREHOUSE
 // columns, and cmd/vpart's -constraints/-pin flags for the CLI form.

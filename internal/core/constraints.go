@@ -70,7 +70,8 @@ type SiteCapacity struct {
 
 // Constraints is a named, serialisable set of placement constraints carried
 // in the solve options and compiled into every Model built for the solve.
-// The zero value (and nil) mean "unconstrained" and add no overhead.
+// The zero value (and nil) mean "unconstrained": such a set compiles to the
+// nil ConstraintSet.
 type Constraints struct {
 	PinTxns        []PinTxn       `json:"pin_txns,omitempty"`
 	PinAttrs       []PinAttr      `json:"pin_attrs,omitempty"`
@@ -227,6 +228,12 @@ const unlimitedReplicas = int32(math.MaxInt32)
 // set required on the pinned site), colocation groups unioned, and the
 // obviously conflicting combinations rejected. Solvers consult it through
 // Model.Constraints.
+//
+// A nil *ConstraintSet is the empty set, the one an unconstrained model
+// carries: every accessor answers as if no constraint existed (no pin, every
+// site allowed, nothing required, forbidden, separated or colocated, no
+// replica cap or capacity), so a constraint-aware caller needs no separate
+// unconstrained path.
 type ConstraintSet struct {
 	src *Constraints
 
@@ -516,39 +523,74 @@ func containsAttr(sorted []int, a int) bool {
 
 // Source returns the name-based constraint set the compiled form was built
 // from.
-func (cs *ConstraintSet) Source() *Constraints { return cs.src }
+func (cs *ConstraintSet) Source() *Constraints {
+	if cs == nil {
+		return nil
+	}
+	return cs.src
+}
 
 // MaxSite returns the highest site index any constraint references (-1 when
 // none does).
-func (cs *ConstraintSet) MaxSite() int { return cs.maxSite }
+func (cs *ConstraintSet) MaxSite() int {
+	if cs == nil {
+		return -1
+	}
+	return cs.maxSite
+}
 
 // TxnPin returns the pinned site of transaction t, or -1.
-func (cs *ConstraintSet) TxnPin(t int) int { return int(cs.txnPin[t]) }
+func (cs *ConstraintSet) TxnPin(t int) int {
+	if cs == nil {
+		return -1
+	}
+	return int(cs.txnPin[t])
+}
 
 // Required returns the sorted sites attribute a must be stored on (after
 // colocation and transaction-pin propagation). Do not modify.
-func (cs *ConstraintSet) Required(a int) []int32 { return cs.attrRequired[a] }
+func (cs *ConstraintSet) Required(a int) []int32 {
+	if cs == nil {
+		return nil
+	}
+	return cs.attrRequired[a]
+}
 
 // Forbidden returns the sorted sites attribute a must not be stored on. Do
 // not modify.
-func (cs *ConstraintSet) Forbidden(a int) []int32 { return cs.attrForbidden[a] }
+func (cs *ConstraintSet) Forbidden(a int) []int32 {
+	if cs == nil {
+		return nil
+	}
+	return cs.attrForbidden[a]
+}
 
 // ForbiddenAt reports whether attribute a is forbidden on site s.
 func (cs *ConstraintSet) ForbiddenAt(a, s int) bool {
-	return containsSite(cs.attrForbidden[a], int32(s))
+	return containsSite(cs.Forbidden(a), int32(s))
 }
 
 // RequiredAt reports whether attribute a is required on site s.
 func (cs *ConstraintSet) RequiredAt(a, s int) bool {
-	return containsSite(cs.attrRequired[a], int32(s))
+	return containsSite(cs.Required(a), int32(s))
 }
 
 // MaxReplicasOf returns attribute a's effective replica cap (a large value
 // when uncapped).
-func (cs *ConstraintSet) MaxReplicasOf(a int) int { return int(cs.attrMax[a]) }
+func (cs *ConstraintSet) MaxReplicasOf(a int) int {
+	if cs == nil {
+		return int(unlimitedReplicas)
+	}
+	return int(cs.attrMax[a])
+}
 
 // ColocGroupOf returns the colocation-group index of attribute a, or -1.
-func (cs *ConstraintSet) ColocGroupOf(a int) int { return int(cs.colocGroup[a]) }
+func (cs *ConstraintSet) ColocGroupOf(a int) int {
+	if cs == nil {
+		return -1
+	}
+	return int(cs.colocGroup[a])
+}
 
 // ColocGroupMembers returns the sorted member attribute ids of group g. Do
 // not modify.
@@ -556,18 +598,28 @@ func (cs *ConstraintSet) ColocGroupMembers(g int) []int32 { return cs.colocGroup
 
 // NumColocGroups returns the number of colocation groups (some may be empty
 // after degenerate pairs collapsed).
-func (cs *ConstraintSet) NumColocGroups() int { return len(cs.colocGroups) }
+func (cs *ConstraintSet) NumColocGroups() int {
+	if cs == nil {
+		return 0
+	}
+	return len(cs.colocGroups)
+}
 
 // SeparatedFrom returns the sorted attribute ids attribute a must not share
 // a site with. Do not modify.
-func (cs *ConstraintSet) SeparatedFrom(a int) []int32 { return cs.sepPartners[a] }
+func (cs *ConstraintSet) SeparatedFrom(a int) []int32 {
+	if cs == nil {
+		return nil
+	}
+	return cs.sepPartners[a]
+}
 
 // HasCapacities reports whether any site capacity is constrained.
-func (cs *ConstraintSet) HasCapacities() bool { return cs.hasCap }
+func (cs *ConstraintSet) HasCapacities() bool { return cs != nil && cs.hasCap }
 
 // CapacityOf returns the byte capacity of site s, or -1 when unlimited.
 func (cs *ConstraintSet) CapacityOf(s int) int64 {
-	if !cs.hasCap || s >= len(cs.siteCap) {
+	if !cs.HasCapacities() || s >= len(cs.siteCap) {
 		return -1
 	}
 	return cs.siteCap[s]
@@ -577,6 +629,9 @@ func (cs *ConstraintSet) CapacityOf(s int) int64 {
 // pin matches and none of its read attributes is forbidden there (a read
 // attribute must follow the transaction under single-sitedness).
 func (cs *ConstraintSet) TxnSiteAllowed(m *Model, t, s int) bool {
+	if cs == nil {
+		return true
+	}
 	if cs.txnPin[t] >= 0 && cs.txnPin[t] != int32(s) {
 		return false
 	}
@@ -724,11 +779,12 @@ func (cs *ConstraintSet) check(m *Model, p *Partitioning, partial bool) error {
 // sites with capacity headroom for a's width. The preference relaxes in
 // passes (sep+cap, sep, cap, any non-forbidden), so a hard-to-satisfy
 // attribute is still covered and Validate reports what could not be
-// honoured. Returns -1 when every site is forbidden.
+// honoured. Returns -1 when every site is forbidden; the nil set picks
+// site 0.
 func (cs *ConstraintSet) PlaceAllowedSite(m *Model, p *Partitioning, a int, used []int64) int {
 	w := int64(m.Attr(a).Width)
 	sepFree := func(s int) bool {
-		for _, b := range cs.sepPartners[a] {
+		for _, b := range cs.SeparatedFrom(a) {
 			if p.AttrSites[b][s] {
 				return false
 			}
@@ -786,16 +842,12 @@ func SiteWidthUsage(m *Model, p *Partitioning) []int64 {
 // count: the per-txn/per-attr allowed-site bitsets and capacity bounds the
 // hot loops index in O(1).
 type ConstraintTables struct {
-	Sites int
-	// TxnAllowed[t*Sites+s] reports whether transaction t may run on site s.
+	// TxnAllowed[t*sites+s] reports whether transaction t may run on site s.
 	TxnAllowed []bool
-	// AttrForbidden[a*Sites+s] / AttrRequired[a*Sites+s] flatten the per-site
+	// AttrForbidden[a*sites+s] / AttrRequired[a*sites+s] flatten the per-site
 	// forbid/require sets.
 	AttrForbidden []bool
 	AttrRequired  []bool
-	// MaxReplicas is the per-attribute replica cap (unlimitedReplicas when
-	// uncapped).
-	MaxReplicas []int32
 	// SiteCap[s] is the byte capacity of site s (-1 = unlimited); HasCap
 	// reports whether any site is capped.
 	SiteCap []int64
@@ -822,11 +874,9 @@ func (cs *ConstraintSet) Tables(m *Model, sites int) *ConstraintTables {
 func (cs *ConstraintSet) buildTables(m *Model, sites int) *ConstraintTables {
 	nA, nT := m.NumAttrs(), m.NumTxns()
 	ct := &ConstraintTables{
-		Sites:         sites,
 		TxnAllowed:    make([]bool, nT*sites),
 		AttrForbidden: make([]bool, nA*sites),
 		AttrRequired:  make([]bool, nA*sites),
-		MaxReplicas:   append([]int32(nil), cs.attrMax...),
 		SiteCap:       make([]int64, sites),
 		HasCap:        cs.hasCap,
 	}
@@ -856,6 +906,9 @@ func (cs *ConstraintSet) buildTables(m *Model, sites int) *ConstraintTables {
 // SeparatePairs returns each separation pair once, as sorted (a, b)
 // attribute-id tuples with a < b (pairs expanded across colocation groups).
 func (cs *ConstraintSet) SeparatePairs() [][2]int {
+	if cs == nil {
+		return nil
+	}
 	var out [][2]int
 	for a := range cs.sepPartners {
 		for _, b := range cs.sepPartners[a] {

@@ -74,6 +74,43 @@ func TestConstraintCompileResolvesAndPropagates(t *testing.T) {
 	if got := cs.MaxReplicasOf(aID); got != 2 {
 		t.Errorf("MaxReplicasOf(T1.a) = %d, want 2 (inherited through colocation)", got)
 	}
+
+	// An unconstrained model carries the nil set, which answers every
+	// accessor as the empty set.
+	plain, err := NewModel(inst, DefaultModelOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	none := plain.Constraints()
+	if none != nil {
+		t.Fatal("unconstrained model carries a constraint set")
+	}
+	p := NewPartitioning(plain.NumTxns(), plain.NumAttrs(), 3)
+	for _, row := range []struct {
+		name      string
+		got, want any
+	}{
+		{"Source", none.Source(), (*Constraints)(nil)},
+		{"MaxSite", none.MaxSite(), -1},
+		{"TxnPin", none.TxnPin(xi), -1},
+		{"TxnSiteAllowed", none.TxnSiteAllowed(plain, xi, 2), true},
+		{"Required", none.Required(aID), []int32(nil)},
+		{"Forbidden", none.Forbidden(aID), []int32(nil)},
+		{"RequiredAt", none.RequiredAt(aID, 1), false},
+		{"ForbiddenAt", none.ForbiddenAt(aID, 1), false},
+		{"MaxReplicasOf", none.MaxReplicasOf(aID), int(unlimitedReplicas)},
+		{"ColocGroupOf", none.ColocGroupOf(aID), -1},
+		{"NumColocGroups", none.NumColocGroups(), 0},
+		{"SeparatedFrom", none.SeparatedFrom(aID), []int32(nil)},
+		{"SeparatePairs", none.SeparatePairs(), [][2]int(nil)},
+		{"HasCapacities", none.HasCapacities(), false},
+		{"CapacityOf", none.CapacityOf(0), int64(-1)},
+		{"PlaceAllowedSite", none.PlaceAllowedSite(plain, p, aID, nil), 0},
+	} {
+		if !reflect.DeepEqual(row.got, row.want) {
+			t.Errorf("nil set: %s = %v, want %v", row.name, row.got, row.want)
+		}
+	}
 }
 
 func TestConstraintCompileConflicts(t *testing.T) {

@@ -425,17 +425,14 @@ func (d *Decomposition) MergeSolutions(m *Model, parts []*Partitioning) (*Partit
 	}
 	cs := m.Constraints()
 	var used []int64
-	if cs != nil && cs.HasCapacities() {
+	if cs.HasCapacities() {
 		used = SiteWidthUsage(m, merged)
 	}
 	for _, a := range d.OrphanAttrs {
 		// Orphan-table attributes carry no cost term, but they may still be
 		// constrained: honour required sites, avoid forbidden ones, and keep
-		// separations and capacity headroom intact where possible.
-		if cs == nil {
-			merged.AttrSites[a][0] = true
-			continue
-		}
+		// separations and capacity headroom intact where possible. Without
+		// constraints that is site 0.
 		placed := false
 		for _, s := range cs.Required(a) {
 			if int(s) < sites {

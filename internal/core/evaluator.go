@@ -87,8 +87,8 @@ type Evaluator struct {
 	// allowed-site bitsets plus the per-site stored bytes maintained on every
 	// replica flip, so AllowMoveTxn / AllowAddReplica / AllowDropReplica run
 	// in O(1) (O(separation partners) for separated attributes) and the hot
-	// loop never proposes a dead move. ct is nil for unconstrained models —
-	// the zero-overhead path.
+	// loop never proposes a dead move. ct and cs are nil for unconstrained
+	// models, whose every Allow answer is true.
 	ct        *ConstraintTables
 	cs        *ConstraintSet
 	siteBytes []int64
@@ -646,7 +646,7 @@ func (e *Evaluator) AllowAddReplica(a, s int) bool {
 	if e.ct.AttrForbidden[a*S+s] {
 		return false
 	}
-	if e.replicas[a]+1 > e.ct.MaxReplicas[a] {
+	if e.replicas[a]+1 > e.cs.attrMax[a] {
 		return false
 	}
 	if e.ct.HasCap {

@@ -250,7 +250,7 @@ func newGrouping(m *Model, rep []int) *Grouping {
 // canonical string of its placement-constraint profile; attributes the set
 // never mentions map to "". Attributes group together only when their
 // profiles match, so a group's members always carry identical constraints.
-// Returns nil for a nil set (the unconstrained fast path).
+// Returns nil for a nil set, under which no attribute carries a profile.
 func constraintProfiles(cons *Constraints) map[QualifiedAttr]string {
 	if cons == nil {
 		return nil

@@ -259,7 +259,8 @@ func NewModel(inst *Instance, opts ModelOptions) (*Model, error) {
 // placement-constraint set: the name-based constraints are resolved against
 // the instance and compiled into per-txn/per-attr allowed-site tables the
 // solvers and the incremental Evaluator consult. A nil or empty set compiles
-// exactly like NewModel — the unconstrained path carries zero overhead.
+// exactly like NewModel, to the nil ConstraintSet — the empty set every
+// constraint-aware step accepts.
 func NewModelConstrained(inst *Instance, opts ModelOptions, cons *Constraints) (*Model, error) {
 	m, err := compileNames(inst)
 	if err != nil {

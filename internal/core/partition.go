@@ -196,45 +196,16 @@ func (p *Partitioning) Validate(m *Model) error {
 // site with the smallest index. It returns the number of attribute replicas
 // added or moved.
 //
-// When the model carries compiled placement constraints, Repair additionally
-// enforces the constructive ones: pinned transactions move to their pinned
-// site, transactions leave sites a read attribute is forbidden on, required
-// replicas are added, forbidden replicas are dropped and colocation groups
-// are unioned onto identical site sets. Replica caps, separations and site
-// capacities are not repaired (there is no canonical least-change fix);
-// Validate remains the oracle for those.
+// The model's compiled placement constraints narrow those choices, and their
+// constructive ones are enforced too: pinned transactions move to their
+// pinned site, transactions leave sites a read attribute is forbidden on,
+// required replicas are added, forbidden replicas are dropped and colocation
+// groups are unioned onto identical site sets. Replica caps, separations and
+// site capacities are not repaired (there is no canonical least-change fix);
+// Validate remains the oracle for those. An unconstrained model carries the
+// nil, empty set, so it takes the same steps with nothing to narrow.
 func (p *Partitioning) Repair(m *Model) int {
 	cs := m.cons
-	if cs == nil {
-		changed := 0
-		for t := range p.TxnSite {
-			if p.TxnSite[t] < 0 || p.TxnSite[t] >= p.Sites {
-				p.TxnSite[t] = 0
-				changed++
-			}
-		}
-		for t := 0; t < m.NumTxns(); t++ {
-			site := p.TxnSite[t]
-			for _, a := range m.TxnReadAttrs(t) {
-				if !p.AttrSites[a][site] {
-					p.AttrSites[a][site] = true
-					changed++
-				}
-			}
-		}
-		for a := range p.AttrSites {
-			if p.Replicas(a) == 0 {
-				p.AttrSites[a][0] = true
-				changed++
-			}
-		}
-		return changed
-	}
-	return p.repairConstrained(m, cs)
-}
-
-// repairConstrained is the constraint-aware Repair body.
-func (p *Partitioning) repairConstrained(m *Model, cs *ConstraintSet) int {
 	changed := 0
 	// Transactions: pins first, then any transaction on an invalid or
 	// disallowed site (one where a read attribute is forbidden) moves to its

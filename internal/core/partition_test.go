@@ -217,7 +217,9 @@ func TestFromAssignmentErrors(t *testing.T) {
 }
 
 // Property: Repair always produces a feasible partitioning, for arbitrary
-// random starting points.
+// random starting points, and under a constraint set that binds nothing —
+// one MaxReplicas whose K is the site count — it makes exactly the changes it
+// makes under the nil set of an unconstrained model.
 func TestRepairAlwaysFeasible(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	f := func(seed int64) bool {
@@ -228,6 +230,13 @@ func TestRepairAlwaysFeasible(t *testing.T) {
 			return false
 		}
 		sites := 1 + r.Intn(5)
+		tbl := inst.Schema.Tables[0]
+		bound, err := NewModelConstrained(inst, DefaultModelOptions(), &Constraints{
+			MaxReplicas: []MaxReplicas{{Attr: QualifiedAttr{Table: tbl.Name, Attr: tbl.Attributes[0].Name}, K: sites}},
+		})
+		if err != nil || bound.Constraints() == nil {
+			return false
+		}
 		p := NewPartitioning(m.NumTxns(), m.NumAttrs(), sites)
 		for t := range p.TxnSite {
 			p.TxnSite[t] = r.Intn(sites*2) - sites/2 // may be out of range
@@ -237,7 +246,10 @@ func TestRepairAlwaysFeasible(t *testing.T) {
 				p.AttrSites[a][s] = r.Intn(4) == 0
 			}
 		}
-		p.Repair(m)
+		q := p.Clone()
+		if p.Repair(m) != q.Repair(bound) || !reflect.DeepEqual(p, q) {
+			return false
+		}
 		return p.Validate(m) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 80, Rand: rng}); err != nil {

@@ -52,31 +52,17 @@ type Chain struct {
 // or cold initial solution, the incremental evaluator and the initial
 // temperature — everything up to (but not including) the first annealing
 // iteration. Chains need at least two sites; the single-site case has nothing
-// to anneal (Solve handles it with a closed-form layout).
+// to anneal (Solve handles it with a closed-form layout). The construction
+// sequence (RNG draw order, temperature rule) is pinned by the fixed-seed
+// regression tests across the repository.
 func NewChain(m *core.Model, opts Options) (*Chain, error) {
 	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
+	if err := opts.check(m); err != nil {
 		return nil, err
 	}
 	if opts.Sites < 2 {
 		return nil, fmt.Errorf("sa: a chain needs at least 2 sites (use Solve for the single-site case)")
 	}
-	if m.Constraints() != nil {
-		if opts.Disjoint {
-			return nil, fmt.Errorf("sa: placement constraints are not supported in disjoint mode")
-		}
-		if err := m.ValidateConstraintSites(opts.Sites); err != nil {
-			return nil, fmt.Errorf("sa: %w", err)
-		}
-	}
-	return newChain(m, opts)
-}
-
-// newChain is NewChain after validation: the construction sequence is kept
-// bit-compatible with the historical monolithic Solve (same RNG draw order,
-// same temperature rule), because fixed-seed regression tests across the
-// repository pin the resulting trajectories.
-func newChain(m *core.Model, opts Options) (*Chain, error) {
 	c := &Chain{m: m, opts: opts, start: time.Now()}
 	if opts.TimeLimit > 0 {
 		c.deadline = c.start.Add(opts.TimeLimit)

@@ -2,10 +2,14 @@ package sa
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"reflect"
 	"strings"
 	"testing"
 
 	"vpart/internal/core"
+	"vpart/internal/randgen"
 	"vpart/internal/tpcc"
 )
 
@@ -117,5 +121,71 @@ func TestSolveSingleSiteConstrained(t *testing.T) {
 	}
 	if _, err := Solve(context.Background(), m2, opts); err == nil {
 		t.Fatal("single-site solve with a site-1 pin accepted")
+	}
+}
+
+// nonBinding is a constraint set that binds nothing on the given site count:
+// one MaxReplicas whose K is the site count.
+func nonBinding(inst *core.Instance, sites int) *core.Constraints {
+	tbl := inst.Schema.Tables[0]
+	qa := core.QualifiedAttr{Table: tbl.Name, Attr: tbl.Attributes[0].Name}
+	return &core.Constraints{MaxReplicas: []core.MaxReplicas{{Attr: qa, K: sites}}}
+}
+
+// TestNonBindingConstraintsChangeNothing: a model with a constraint set takes
+// the constraint-aware steps of a solve — randomX, the perturb draws, both
+// greedy passes and Repair — and with nothing binding they narrow nothing,
+// so the solve must return the unconstrained model's layout, cost bits and
+// iteration count at every fixed seed.
+func TestNonBindingConstraintsChangeNothing(t *testing.T) {
+	insts := []*core.Instance{tpcc.Instance()}
+	for _, g := range []struct {
+		class randgen.Params
+		seed  int64
+	}{
+		{randgen.ClassA(16, 60, 25), 1}, {randgen.ClassA(16, 60, 25), 2},
+		{randgen.ClassA(16, 60, 25), 3}, {randgen.ClassA(64, 200, 10), 1},
+	} {
+		inst, err := randgen.Generate(g.class, g.seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		insts = append(insts, inst)
+	}
+	ctx := context.Background()
+	for i, inst := range insts {
+		plain := mustModel(t, inst, core.DefaultModelOptions())
+		for _, sites := range []int{2, 3, 4, 8} {
+			bound, err := core.NewModelConstrained(inst, core.DefaultModelOptions(), nonBinding(inst, sites))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if bound.Constraints() == nil {
+				t.Fatal("the non-binding set compiled to no constraints")
+			}
+			for seed := int64(1); seed <= 3; seed++ {
+				name := fmt.Sprintf("%d:%s/sites%d/seed%d", i, inst.Name, sites, seed)
+				opts := DefaultOptions(sites)
+				opts.Seed = seed
+				want, err := Solve(ctx, plain, opts)
+				if err != nil {
+					t.Fatalf("%s unconstrained: %v", name, err)
+				}
+				got, err := Solve(ctx, bound, opts)
+				if err != nil {
+					t.Fatalf("%s constrained: %v", name, err)
+				}
+				if math.Float64bits(got.Cost.Balanced) != math.Float64bits(want.Cost.Balanced) ||
+					!reflect.DeepEqual(got.Cost, want.Cost) {
+					t.Errorf("%s: cost %v, unconstrained %v", name, got.Cost, want.Cost)
+				}
+				if got.Iterations != want.Iterations {
+					t.Errorf("%s: %d iterations, unconstrained %d", name, got.Iterations, want.Iterations)
+				}
+				if !reflect.DeepEqual(got.Partitioning, want.Partitioning) {
+					t.Errorf("%s: layout differs from the unconstrained one", name)
+				}
+			}
+		}
 	}
 }

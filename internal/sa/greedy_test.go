@@ -54,6 +54,12 @@ func randomConstraints(rng *rand.Rand, inst *core.Instance, sites int) *core.Con
 	return cons
 }
 
+// attrRequiredAt is the reference passes' O(1) flattened lookup of a
+// required site.
+func (s *solver) attrRequiredAt(a, st int) bool {
+	return s.ct.AttrRequired[a*s.sites+st]
+}
+
 // greedyCase is one solver configuration the passes are compared under.
 type greedyCase struct {
 	name string

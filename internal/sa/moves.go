@@ -57,30 +57,18 @@ func (s *solver) perturb(rng *rand.Rand, ev *core.Evaluator) float64 {
 			if st == p.TxnSite[t] {
 				continue
 			}
-			if s.ct != nil {
-				// Constrained: the target site must be allowed for the
-				// transaction, and the replica additions the relocation drags
-				// along (its read set plus their colocation partners) must fit
-				// the replica caps, separations and capacity headroom. Checked
-				// before the first sub-move is applied, so a rejected
-				// relocation leaves no partial batch to unwind.
-				if !s.txnSiteOK(t, st) || !s.canDragReads(ev, t, st) {
-					continue
-				}
-				delta += ev.ApplyMoveTxn(t, st)
-				for _, a := range s.m.TxnReadAttrs(t) {
-					for _, b := range s.unitMembers(a) {
-						if !p.AttrSites[b][st] {
-							delta += ev.ApplyAddReplica(int(b), st)
-						}
-					}
-				}
+			// Under constraints the target site must be allowed for the
+			// transaction, and the replica additions the relocation drags
+			// along (its read set plus their colocation partners) must all
+			// be admissible. Checked before the first sub-move is applied,
+			// so a rejected relocation leaves no partial batch to unwind.
+			if s.cs != nil && (!ev.AllowMoveTxn(t, st) || !s.canDragReads(ev, t, st)) {
 				continue
 			}
 			delta += ev.ApplyMoveTxn(t, st)
-			for _, a := range s.m.TxnReadAttrs(t) {
-				if !p.AttrSites[a][st] {
-					delta += ev.ApplyAddReplica(a, st)
+			for _, b := range s.drags[t] {
+				if !p.AttrSites[b][st] {
+					delta += ev.ApplyAddReplica(int(b), st)
 				}
 			}
 		}
@@ -105,82 +93,61 @@ func (s *solver) perturb(rng *rand.Rand, ev *core.Evaluator) float64 {
 			delta += ev.ApplyDropReplica(a, old)
 			continue
 		}
-		if s.ct != nil {
-			// Constrained: candidate sites are the missing ones the whole
-			// unit (the attribute plus its colocation partners) may extend
-			// to — allowed-site bitsets, separations, replica caps and
-			// capacity all checked through the evaluator in O(1) per site, so
-			// the hot loop never proposes a dead replica move.
-			s.missing = s.missing[:0]
-			for st, on := range p.AttrSites[a] {
-				if !on && s.canExtendUnit(ev, a, st) {
-					s.missing = append(s.missing, st)
-				}
-			}
-			if len(s.missing) == 0 {
-				continue
-			}
-			st := s.missing[rng.Intn(len(s.missing))]
-			for _, b := range s.unitMembers(a) {
-				if !p.AttrSites[b][st] {
-					delta += ev.ApplyAddReplica(int(b), st)
-				}
-			}
-			continue
-		}
+		// Candidate sites are the missing ones the whole unit (the attribute
+		// plus its colocation partners) may extend to, so the hot loop never
+		// proposes a dead replica move.
 		s.missing = s.missing[:0]
 		for st, on := range p.AttrSites[a] {
-			if !on {
+			if !on && (s.cs == nil || s.canExtendUnit(ev, a, st)) {
 				s.missing = append(s.missing, st)
 			}
 		}
 		if len(s.missing) == 0 {
 			continue
 		}
-		delta += ev.ApplyAddReplica(a, s.missing[rng.Intn(len(s.missing))])
+		st := s.missing[rng.Intn(len(s.missing))]
+		for _, b := range s.unitMembers(a) {
+			if !p.AttrSites[b][st] {
+				delta += ev.ApplyAddReplica(int(b), st)
+			}
+		}
 	}
 	return delta
 }
 
 // canDragReads reports whether relocating transaction t to site st can
-// legally drag along every missing read attribute (and the colocation
-// partners that must follow them): no forbidden site, no separation
-// conflict, replica caps respected and the combined widths within st's
-// remaining capacity.
+// legally drag along every missing read attribute and the colocation
+// partners that must follow them: each addition admitted by
+// Evaluator.AllowAddReplica, no separation among the pending additions
+// themselves, and their combined widths within st's remaining capacity.
 //
 //vpart:noalloc
 func (s *solver) canDragReads(ev *core.Evaluator, t, st int) bool {
 	p := ev.Partitioning()
 	var need int64
-	headroom := ev.SiteHeadroom(st)
 	s.dragBuf = s.dragBuf[:0]
-	for _, a := range s.m.TxnReadAttrs(t) {
-		for _, b := range s.unitMembers(a) {
-			bi := int(b)
-			if p.AttrSites[bi][st] {
-				continue
-			}
-			if s.attrForbiddenAt(bi, st) || s.sepConflict(p, bi, st) {
-				return false
-			}
-			if ev.Replicas(bi)+1 > s.cs.MaxReplicasOf(bi) {
-				return false
-			}
-			// Separation among the pending additions themselves: the
-			// live-state sepConflict above cannot see replicas this batch has
-			// not applied yet.
-			for _, prev := range s.dragBuf {
-				if containsInt32(s.cs.SeparatedFrom(bi), int32(prev)) {
-					return false
-				}
-			}
-			s.dragBuf = append(s.dragBuf, bi)
-			need += int64(s.m.Attr(bi).Width)
+	for _, b := range s.drags[t] {
+		bi := int(b)
+		if p.AttrSites[bi][st] {
+			continue
 		}
+		if !ev.AllowAddReplica(bi, st) {
+			return false
+		}
+		// The evaluator judges each addition against the live state, which
+		// cannot see replicas this batch has not applied yet.
+		for _, prev := range s.dragBuf {
+			if containsInt32(s.cs.SeparatedFrom(bi), int32(prev)) {
+				return false
+			}
+		}
+		s.dragBuf = append(s.dragBuf, bi)
+		need += int64(s.m.Attr(bi).Width)
 	}
 	// Colocation partners shared between two read attributes are counted
 	// twice in need — a conservative over-estimate that can only reject, not
 	// admit, a capacity-violating batch.
+	headroom := ev.SiteHeadroom(st)
 	return headroom < 0 || need <= headroom
 }
 
@@ -201,7 +168,9 @@ func containsInt32(sorted []int32, v int32) bool {
 }
 
 // canExtendUnit reports whether the whole unit of attribute a (its
-// colocation group, or just a) may gain a replica on site st.
+// colocation group, or just a), which is missing on site st, may gain a
+// replica there: each addition admitted by Evaluator.AllowAddReplica and
+// their summed width within st's remaining capacity.
 //
 //vpart:noalloc
 func (s *solver) canExtendUnit(ev *core.Evaluator, a, st int) bool {
@@ -212,16 +181,10 @@ func (s *solver) canExtendUnit(ev *core.Evaluator, a, st int) bool {
 		if p.AttrSites[bi][st] {
 			continue
 		}
-		if s.attrForbiddenAt(bi, st) || s.sepConflict(p, bi, st) {
-			return false
-		}
-		if ev.Replicas(bi)+1 > s.cs.MaxReplicasOf(bi) {
+		if !ev.AllowAddReplica(bi, st) {
 			return false
 		}
 		need += int64(s.m.Attr(bi).Width)
-	}
-	if need == 0 {
-		return false // nothing to add
 	}
 	headroom := ev.SiteHeadroom(st)
 	return headroom < 0 || need <= headroom
@@ -246,7 +209,7 @@ func (s *solver) intensify(ev *core.Evaluator, fixX bool) float64 {
 	} else {
 		s.findSolution(s.scratch, "y")
 	}
-	if s.ct != nil && fixX && !s.scratchSatisfiesConstraints(s.scratch) {
+	if s.cs != nil && fixX && !s.scratchSatisfiesConstraints(s.scratch) {
 		// The constrained greedy y-rebuild had to relax a capacity or
 		// separation on its fallback path: price the pass as +Inf so the
 		// Metropolis test rejects it without any move being applied.

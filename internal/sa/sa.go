@@ -13,11 +13,20 @@
 //
 // The subproblems ("findSolution" in Algorithm 1) are solved with fast greedy
 // optimisers by default; they account for both the cost term (λ) and the
-// load-balancing term (1−λ) of objective (6). A greedy pass walks each
-// attribute's non-zero cost terms (core.Model.AttrTerms) once to price it on
-// every site, instead of scanning every site's transactions, and its
-// processing orders depend on the model alone, so they are sorted once per
-// solver rather than per pass.
+// load-balancing term (1−λ) of objective (6). A greedy pass prices each
+// attribute on every site once, walking its non-zero cost terms
+// (core.Model.AttrTerms) instead of scanning every site's transactions, and
+// its processing orders depend on the model alone, so they are sorted once
+// per solver rather than per pass.
+//
+// Placement constraints (core.Model.Constraints) narrow where the search may
+// place things; they do not add a second search. The greedy y-pass places
+// colocation groups as one unit and skips sites a unit may not use, and every
+// relocation and replica extension a move proposes is checked with the
+// evaluator's AllowMoveTxn and AllowAddReplica before it is applied. An
+// unconstrained model carries the nil, empty constraint set, so it runs the
+// same code with nothing to narrow: every unit is a single attribute and no
+// check is consulted.
 //
 // The hot loop is move-based: every candidate is a set of moves (transaction
 // relocations, replica additions/relocations plus the repair moves that keep
@@ -138,9 +147,18 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-func (o Options) validate() error {
+// check rejects options the model cannot be solved under: fewer than one
+// site, or placement constraints combined with Disjoint or failing
+// core.Model.ValidateConstraintSites on Sites sites.
+func (o Options) check(m *core.Model) error {
 	if o.Sites < 1 {
 		return fmt.Errorf("sa: invalid site count %d", o.Sites)
+	}
+	if m.Constraints() != nil && o.Disjoint {
+		return fmt.Errorf("sa: placement constraints are not supported in disjoint mode")
+	}
+	if err := m.ValidateConstraintSites(o.Sites); err != nil {
+		return fmt.Errorf("sa: %w", err)
 	}
 	return nil
 }

@@ -27,23 +27,13 @@ func Solve(ctx context.Context, m *core.Model, opts Options) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	opts = opts.withDefaults()
-	if err := opts.validate(); err != nil {
-		return nil, err
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("sa: %w", err)
 	}
-	cons := m.Constraints()
-	if cons != nil {
-		if opts.Disjoint {
-			return nil, fmt.Errorf("sa: placement constraints are not supported in disjoint mode")
-		}
-		if err := m.ValidateConstraintSites(opts.Sites); err != nil {
-			return nil, fmt.Errorf("sa: %w", err)
-		}
-	}
 	if opts.Sites == 1 {
+		if err := opts.check(m); err != nil {
+			return nil, err
+		}
 		start := time.Now()
 		p := core.SingleSite(m, 1)
 		if err := p.Validate(m); err != nil {
@@ -53,7 +43,7 @@ func Solve(ctx context.Context, m *core.Model, opts Options) (*Result, error) {
 		return &Result{Partitioning: p, Cost: cost, Runtime: time.Since(start)}, nil
 	}
 
-	c, err := newChain(m, opts)
+	c, err := NewChain(m, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -95,10 +85,6 @@ func (s *solver) randomX(rng *rand.Rand, p *core.Partitioning) {
 		return
 	}
 	for t := range p.TxnSite {
-		if s.ct == nil {
-			p.TxnSite[t] = rng.Intn(s.sites)
-			continue
-		}
 		s.missing = s.missing[:0]
 		for st := 0; st < s.sites; st++ {
 			if s.txnSiteOK(t, st) {

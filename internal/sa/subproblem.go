@@ -26,33 +26,41 @@ type solver struct {
 	// disjoint mode they relocate together with the component.
 	compAttrs [][]int
 
-	// Placement constraints (nil for unconstrained models): the compiled set
-	// and its site-count-flattened tables. Every neighbourhood move and
-	// greedy placement consults them, so the search walks the feasible
-	// region instead of repairing after the fact.
+	// Placement constraints: the compiled set and its site-count-flattened
+	// tables, both nil for an unconstrained model — the empty set, under
+	// which every placement is allowed. Every neighbourhood move and greedy
+	// placement consults them only when they are present, so the search
+	// walks the feasible region instead of repairing after the fact.
 	cs *core.ConstraintSet
 	ct *core.ConstraintTables
 
-	// attrOrder lists every attribute by decreasing c4+c2 and txnOrder every
-	// transaction by decreasing Σ_a c3(a,t), ties by index. Both depend on the
-	// model alone; the greedy passes filter them instead of sorting per pass.
-	// Each comparator is a strict total order, so a filtered order equals the
-	// sorted subset.
+	// units[a] lists the attributes placed together with a — its colocation
+	// group, or just a — ascending, so units[a][0] is the unit's
+	// representative. drags[t] lists the units of transaction t's read
+	// attributes back to back, in read order: the replicas a relocation of
+	// t drags along (a group two reads share appears twice).
+	units, drags [][]int32
+
+	// attrOrder lists every unit representative by decreasing c4+c2 and
+	// txnOrder every transaction by decreasing Σ_a c3(a,t), ties by index.
+	// Both depend on the model alone; the greedy passes filter them instead
+	// of sorting per pass. Each comparator is a strict total order, so a
+	// filtered order equals the sorted subset.
 	attrOrder, txnOrder []int
 
 	// Scratch buffers reused across iterations so the steady-state inner loop
 	// does not allocate.
-	scratch  *core.Partitioning // intensify's findSolution target
-	missing  []int              // perturb: candidate sites for a new replica
-	work     []float64          // greedy passes: running site work
-	order    []int              // greedy passes: processing order
-	bytes    []int64            // greedy passes: running site bytes (constrained)
-	dragBuf  []int              // perturb: pending additions of one txn move
-	unitSelf [1]int32           // unitMembers' singleton backing (no alloc)
+	scratch *core.Partitioning // intensify's findSolution target
+	missing []int              // perturb, randomX: candidate sites
+	work    []float64          // greedy passes: running site work
+	order   []int              // greedy passes: processing order
+	bytes   []int64            // greedy passes: running site bytes (constrained)
+	dragBuf []int              // perturb: pending additions of one txn move
 
-	// attrCost/attrLoad hold one attribute's cost and load per site
-	// (attrSums); unitCost/unitLoad the sums over a colocation unit's members
-	// (unitSums, constrained only).
+	// attrCost/attrLoad hold every attribute's cost and load per site as the
+	// running greedy pass priced them, row a at [a·sites, (a+1)·sites)
+	// (attrSums); unitCost/unitLoad the sums over a colocation group's
+	// members (unitSums, constrained only).
 	attrCost, attrLoad []float64
 	unitCost, unitLoad []float64
 
@@ -83,9 +91,10 @@ func (s *solver) stopped() bool {
 
 func newSolver(m *core.Model, opts Options) *solver {
 	s := &solver{m: m, sites: opts.Sites, opts: opts}
+	nA, nT := m.NumAttrs(), m.NumTxns()
 	s.work = make([]float64, s.sites)
-	s.attrCost = make([]float64, s.sites)
-	s.attrLoad = make([]float64, s.sites)
+	s.attrCost = make([]float64, nA*s.sites)
+	s.attrLoad = make([]float64, nA*s.sites)
 	if cs := m.Constraints(); cs != nil {
 		s.cs = cs
 		s.ct = cs.Tables(m, s.sites)
@@ -93,13 +102,46 @@ func newSolver(m *core.Model, opts Options) *solver {
 		s.unitCost = make([]float64, s.sites)
 		s.unitLoad = make([]float64, s.sites)
 	}
-	nA, nT := m.NumAttrs(), m.NumTxns()
+
+	s.units = make([][]int32, nA)
+	self := make([]int32, nA)
+	for a := range s.units {
+		if g := s.cs.ColocGroupOf(a); g >= 0 {
+			s.units[a] = s.cs.ColocGroupMembers(g)
+		} else {
+			self[a] = int32(a)
+			s.units[a] = self[a : a+1 : a+1]
+		}
+	}
+
+	n := 0
+	for t := 0; t < nT; t++ {
+		for _, a := range m.TxnReadAttrs(t) {
+			n += len(s.units[a])
+		}
+	}
+	flat := make([]int32, 0, n)
+	s.drags = make([][]int32, nT)
+	for t := range s.drags {
+		start := len(flat)
+		for _, a := range m.TxnReadAttrs(t) {
+			flat = append(flat, s.units[a]...)
+		}
+		s.drags[t] = flat[start:len(flat):len(flat)]
+	}
 
 	attrWeight := make([]float64, nA)
 	for a := range attrWeight {
 		attrWeight[a] = m.C4(a) + m.C2(a)
 	}
-	s.attrOrder = byDecreasingWeight(attrWeight)
+	// A colocation group places through its representative alone.
+	order := byDecreasingWeight(attrWeight)
+	s.attrOrder = order[:0]
+	for _, a := range order {
+		if int(s.units[a][0]) == a {
+			s.attrOrder = append(s.attrOrder, a)
+		}
+	}
 	txnWeight := make([]float64, nT)
 	for t := range txnWeight {
 		for _, tc := range m.TxnTerms(t) {
@@ -171,43 +213,57 @@ func byDecreasingWeight(w []float64) []int {
 	return order
 }
 
-// attrSums returns the marginal objective-(4) cost C2(a) + Σ_{t on st}
-// C1(a,t) and the load C4(a) + Σ_{t on st} C3(a,t) of storing attribute a on
-// each site st under p's transaction assignment. It walks a's non-zero terms
-// once, in ascending transaction order, the order a scan of each site's
-// transactions adds them. A pair without a term would add +0.0, which leaves
-// a sum unchanged unless it is −0.0, and neither C2(a), C4(a) nor any sum
-// grown from them is; c1 is computed from the term's C3 and Xfer exactly as
-// the model computes C1. The sums are therefore bit-identical to that scan.
-// The returned slices are the solver's scratch, valid until the next call.
+// attrSums prices attribute a on every site under p's transaction
+// assignment — the marginal objective-(4) cost C2(a) + Σ_{t on st} C1(a,t)
+// and the load C4(a) + Σ_{t on st} C3(a,t) of storing it on site st — into
+// its rows of the pass's price table, and returns them. It walks a's
+// non-zero terms once, in ascending transaction order, the order a scan of
+// each site's transactions adds them. A pair without a term would add +0.0,
+// which leaves a sum unchanged unless it is −0.0, and neither C2(a), C4(a)
+// nor any sum grown from them is; c1 is computed from the term's C3 and Xfer
+// exactly as the model computes C1. The sums are therefore bit-identical to
+// that scan.
 //
 //vpart:noalloc
 func (s *solver) attrSums(p *core.Partitioning, a int) (cost, load []float64) {
 	m := s.m
+	cost, load = s.priced(a)
 	c2, c4 := m.C2(a), m.C4(a)
-	for st := range s.attrCost {
-		s.attrCost[st], s.attrLoad[st] = c2, c4
+	for st := range cost {
+		cost[st], load[st] = c2, c4
 	}
 	pen := m.Options().Penalty
 	for _, at := range m.AttrTerms(a) {
 		st := p.TxnSite[at.Txn]
-		s.attrCost[st] += at.C3 - pen*at.Xfer
-		s.attrLoad[st] += at.C3
+		cost[st] += at.C3 - pen*at.Xfer
+		load[st] += at.C3
 	}
-	return s.attrCost, s.attrLoad
+	return cost, load
 }
 
-// unitSums returns attrSums summed over a colocation unit's members: each
-// site's sums start from zero and add the members in order. The returned
-// slices are the solver's scratch, valid until the next call.
+// priced returns attribute a's rows of the price table as attrSums last
+// filled them.
 //
 //vpart:noalloc
-func (s *solver) unitSums(p *core.Partitioning, members []int32) (cost, load []float64) {
-	for st := range s.unitCost {
-		s.unitCost[st], s.unitLoad[st] = 0, 0
+func (s *solver) priced(a int) (cost, load []float64) {
+	i := a * s.sites
+	return s.attrCost[i : i+s.sites : i+s.sites], s.attrLoad[i : i+s.sites : i+s.sites]
+}
+
+// unitSums returns the priced sums of a unit's members: a single
+// attribute's own rows, and for a colocation group each site's sums started
+// from zero with the members added in order. The returned slices are valid
+// until the next pass (or, for a group, the next call).
+//
+//vpart:noalloc
+func (s *solver) unitSums(members []int32) (cost, load []float64) {
+	if len(members) == 1 {
+		return s.priced(int(members[0]))
 	}
+	clear(s.unitCost)
+	clear(s.unitLoad)
 	for _, b := range members {
-		c, l := s.attrSums(p, int(b))
+		c, l := s.priced(int(b))
 		for st := range s.unitCost {
 			s.unitCost[st] += c[st]
 			s.unitLoad[st] += l[st]
@@ -228,56 +284,77 @@ func (s *solver) resetWork() []float64 {
 func (s *solver) lambda() float64 { return s.m.Options().Lambda }
 
 // solveYGivenX computes an attribute assignment for the fixed transaction
-// assignment, writing it into p.AttrSites. It respects single-sitedness
-// (forced replicas), covers every attribute at least once, adds beneficial
-// extra replicas (negative marginal cost) and balances load greedily.
+// assignment, writing it into p.AttrSites. It marks the hard placements —
+// every read attribute on its transaction's site (single-sitedness), the
+// required sites and the colocation closure of both — covers every unplaced
+// unit (a colocation group, or a single attribute) on one site and adds
+// beneficial extra replicas (negative marginal cost), balancing load
+// greedily. Under placement constraints every further placement respects
+// forbidden sites, separation partners, replica caps and site capacities.
+// When the hard placements alone overrun a capacity, or no site admits a
+// unit, the unit is still stored and the caller's feasibility check
+// (Partitioning.Validate) reports the violation.
 func (s *solver) solveYGivenX(p *core.Partitioning) {
-	if s.ct != nil {
-		s.solveYGivenXConstrained(p)
-		return
-	}
 	m := s.m
 	nA := m.NumAttrs()
 	lam := s.lambda()
+	cs := s.cs
 
 	for a := 0; a < nA; a++ {
-		for st := 0; st < s.sites; st++ {
-			p.AttrSites[a][st] = false
-		}
+		clear(p.AttrSites[a])
 	}
-
-	work := s.resetWork()
-	maxWork := func() float64 {
-		mw := 0.0
-		for _, w := range work {
-			if w > mw {
-				mw = w
-			}
-		}
-		return mw
-	}
-
-	// Forced placements first (single-sitedness of reads).
 	for t := 0; t < m.NumTxns(); t++ {
 		st := p.TxnSite[t]
 		for _, a := range m.TxnReadAttrs(t) {
 			p.AttrSites[a][st] = true
 		}
 	}
-	for a := 0; a < nA; a++ {
-		var load []float64
-		for st := 0; st < s.sites; st++ {
-			if p.AttrSites[a][st] {
-				if load == nil {
-					_, load = s.attrSums(p, a)
+	if cs != nil {
+		for a := 0; a < nA; a++ {
+			for _, st := range cs.Required(a) {
+				p.AttrSites[a][st] = true
+			}
+		}
+		for g := 0; g < cs.NumColocGroups(); g++ {
+			members := cs.ColocGroupMembers(g)
+			for st := 0; st < s.sites; st++ {
+				for _, a := range members {
+					if p.AttrSites[a][st] {
+						for _, b := range members {
+							p.AttrSites[b][st] = true
+						}
+						break
+					}
 				}
-				work[st] += load[st]
 			}
 		}
 	}
 
-	// Process unplaced attributes in decreasing weight order (LPT-style) so
-	// the load balancing term is handled sensibly.
+	// Price every attribute once, and sum the site work (and stored bytes)
+	// of the hard placements in attribute order.
+	work := s.resetWork()
+	bytes := s.resetBytes()
+	for a := 0; a < nA; a++ {
+		_, load := s.attrSums(p, a)
+		for st, on := range p.AttrSites[a] {
+			if !on {
+				continue
+			}
+			work[st] += load[st]
+			if bytes != nil {
+				bytes[st] += int64(m.Attr(a).Width)
+			}
+		}
+	}
+	cur := 0.0
+	for _, w := range work {
+		if w > cur {
+			cur = w
+		}
+	}
+
+	// Cover the unplaced units in decreasing weight order (LPT-style), so the
+	// load balancing term is handled sensibly.
 	order := s.order[:0]
 	for _, a := range s.attrOrder {
 		if p.Replicas(a) == 0 {
@@ -285,38 +362,42 @@ func (s *solver) solveYGivenX(p *core.Partitioning) {
 		}
 	}
 	s.order = order
-	cur := maxWork()
-	// rush: the cancellation probe fired mid-pass. The remaining attributes
-	// still need a site (the pass cleared every row above), so they are dumped
-	// on site 0 unscored — feasible, just unoptimised — and the optional
-	// extra-replica sweep is skipped entirely.
+	// rush: the cancellation probe fired mid-pass. The remaining units still
+	// need a site (the pass cleared every row above), so they take their
+	// first allowed site unscored — site 0 without constraints — through the
+	// fallback a unit no site admits takes, and the optional extra-replica
+	// sweep is skipped entirely.
 	rush := false
 	for _, a := range order {
 		if !rush && s.stopped() {
 			rush = true
 		}
-		cost, load := s.attrSums(p, a)
-		if rush {
-			p.AttrSites[a][0] = true
-			work[0] += load[0]
-			if work[0] > cur {
-				cur = work[0]
+		members := s.unitMembers(a)
+		cost, load := s.unitSums(members)
+		// The best site minimises the balanced score, ties to the lowest
+		// index. Under constraints only sites every member may be stored on
+		// compete, with capacity headroom respected as long as any of them
+		// has room.
+		best, bestScore, found := 0, 0.0, false
+		for pass := 0; pass < 2 && !found && !rush; pass++ {
+			for st := 0; st < s.sites; st++ {
+				if cs != nil && !s.unitAllowedAt(p, members, st, pass == 0) {
+					continue
+				}
+				delta := work[st] + load[st] - cur
+				if delta < 0 {
+					delta = 0
+				}
+				score := lam*cost[st] + (1-lam)*delta
+				if !found || score < bestScore {
+					best, bestScore, found = st, score, true
+				}
 			}
-			continue
 		}
-		best, bestScore := 0, 0.0
-		for st := 0; st < s.sites; st++ {
-			delta := work[st] + load[st] - cur
-			if delta < 0 {
-				delta = 0
-			}
-			score := lam*cost[st] + (1-lam)*delta
-			if st == 0 || score < bestScore {
-				best, bestScore = st, score
-			}
+		if !found {
+			best = max(cs.PlaceAllowedSite(m, p, a, nil), 0)
 		}
-		p.AttrSites[a][best] = true
-		work[best] += load[best]
+		s.placeUnit(p, members, best)
 		if work[best] > cur {
 			cur = work[best]
 		}
@@ -324,31 +405,55 @@ func (s *solver) solveYGivenX(p *core.Partitioning) {
 
 	// Beneficial extra replicas: a replica whose combined cost and load
 	// effect is negative always pays off. Skipped in disjoint mode.
-	if !s.opts.Disjoint && !rush {
-		for a := 0; a < nA; a++ {
-			if s.stopped() {
-				break
+	if s.opts.Disjoint || rush {
+		return
+	}
+	for a := 0; a < nA; a++ {
+		if s.stopped() {
+			break
+		}
+		members := s.unitMembers(a)
+		if int(members[0]) != a {
+			continue // a colocation group extends through its representative
+		}
+		cost, load := s.unitSums(members)
+		for st := 0; st < s.sites; st++ {
+			if p.AttrSites[a][st] {
+				continue
 			}
-			var cost, load []float64
-			for st := 0; st < s.sites; st++ {
-				if p.AttrSites[a][st] {
+			if cs != nil {
+				if p.Replicas(a) >= cs.MaxReplicasOf(a) {
+					break
+				}
+				if !s.unitAllowedAt(p, members, st, true) {
 					continue
 				}
-				if cost == nil {
-					cost, load = s.attrSums(p, a)
-				}
-				delta := work[st] + load[st] - cur
-				if delta < 0 {
-					delta = 0
-				}
-				if lam*cost[st]+(1-lam)*delta < 0 {
-					p.AttrSites[a][st] = true
-					work[st] += load[st]
-					if work[st] > cur {
-						cur = work[st]
-					}
+			}
+			delta := work[st] + load[st] - cur
+			if delta < 0 {
+				delta = 0
+			}
+			if lam*cost[st]+(1-lam)*delta < 0 {
+				s.placeUnit(p, members, st)
+				if work[st] > cur {
+					cur = work[st]
 				}
 			}
+		}
+	}
+}
+
+// placeUnit stores every member of a unit on site st, adding each member's
+// priced load there to the site's work, and its width to the stored bytes,
+// one member at a time. The members of a unit share their sites, so none is
+// on st yet.
+func (s *solver) placeUnit(p *core.Partitioning, members []int32, st int) {
+	for _, b := range members {
+		p.AttrSites[b][st] = true
+		_, l := s.priced(int(b))
+		s.work[st] += l[st]
+		if s.bytes != nil {
+			s.bytes[st] += int64(s.m.Attr(int(b)).Width)
 		}
 	}
 }
@@ -382,7 +487,7 @@ func (s *solver) solveXGivenY(p *core.Partitioning) {
 		return cost, load
 	}
 	feasible := func(t, st int) bool {
-		if s.ct != nil && !s.txnSiteOK(t, st) {
+		if !s.txnSiteOK(t, st) {
 			return false
 		}
 		for _, a := range m.TxnReadAttrs(t) {
@@ -516,30 +621,20 @@ func (s *solver) assignComponents(p *core.Partitioning, work []float64) {
 // --- placement-constraint support ------------------------------------------
 
 // txnSiteOK reports whether transaction t may run on site st under the
-// compiled constraints (O(1) via the flattened table).
+// compiled constraints (O(1) via the flattened table; always without them).
 func (s *solver) txnSiteOK(t, st int) bool {
-	return s.ct.TxnAllowed[t*s.sites+st]
+	return s.ct == nil || s.ct.TxnAllowed[t*s.sites+st]
 }
 
-// attrForbiddenAt / attrRequiredAt are the O(1) flattened lookups.
+// attrForbiddenAt is the O(1) flattened lookup of a forbidden site.
 func (s *solver) attrForbiddenAt(a, st int) bool {
 	return s.ct.AttrForbidden[a*s.sites+st]
-}
-
-func (s *solver) attrRequiredAt(a, st int) bool {
-	return s.ct.AttrRequired[a*s.sites+st]
 }
 
 // unitMembers returns the attributes that must be placed together with a:
 // its colocation group, or just a itself. The returned slice must not be
 // modified.
-func (s *solver) unitMembers(a int) []int32 {
-	if g := s.cs.ColocGroupOf(a); g >= 0 {
-		return s.cs.ColocGroupMembers(g)
-	}
-	s.unitSelf[0] = int32(a)
-	return s.unitSelf[:]
-}
+func (s *solver) unitMembers(a int) []int32 { return s.units[a] }
 
 // sepConflict reports whether a separation partner of attribute a is stored
 // on site st in p.
@@ -552,237 +647,31 @@ func (s *solver) sepConflict(p *core.Partitioning, a, st int) bool {
 	return false
 }
 
-// resetBytes zeroes and returns the per-site byte accumulator.
-func (s *solver) resetBytes() []int64 {
-	for i := range s.bytes {
-		s.bytes[i] = 0
+// unitAllowedAt reports whether every member of a unit may be stored on site
+// st of p (constrained models only): none is forbidden there or separated
+// from an attribute stored there, and — when respectCap — the members' summed
+// width fits st's remaining capacity.
+func (s *solver) unitAllowedAt(p *core.Partitioning, members []int32, st int, respectCap bool) bool {
+	var width int64
+	for _, b := range members {
+		if s.attrForbiddenAt(int(b), st) || s.sepConflict(p, int(b), st) {
+			return false
+		}
+		width += int64(s.m.Attr(int(b)).Width)
 	}
-	return s.bytes
+	if respectCap && s.ct.HasCap {
+		if cap := s.ct.SiteCap[st]; cap >= 0 && s.bytes[st]+width > cap {
+			return false
+		}
+	}
+	return true
 }
 
-// solveYGivenXConstrained is solveYGivenX for a constrained model: forced and
-// required replicas are placed first, colocation groups place as one unit,
-// and every further placement respects forbidden sites, separation partners,
-// replica caps and site capacities. When the hard placements alone overrun a
-// capacity there is nothing local search can do about it — the caller's
-// feasibility check (Partitioning.Validate) reports it.
-func (s *solver) solveYGivenXConstrained(p *core.Partitioning) {
-	m := s.m
-	nA := m.NumAttrs()
-	lam := s.lambda()
-
-	for a := 0; a < nA; a++ {
-		for st := 0; st < s.sites; st++ {
-			p.AttrSites[a][st] = false
-		}
-	}
-
-	work := s.resetWork()
-	bytes := s.resetBytes()
-	place := func(a, st int) {
-		if p.AttrSites[a][st] {
-			return
-		}
-		p.AttrSites[a][st] = true
-		_, load := s.attrSums(p, a)
-		work[st] += load[st]
-		bytes[st] += int64(m.Attr(a).Width)
-	}
-
-	// Hard placements: single-sitedness of reads, required sites, then the
-	// colocation closure of both.
-	for t := 0; t < m.NumTxns(); t++ {
-		st := p.TxnSite[t]
-		for _, a := range m.TxnReadAttrs(t) {
-			place(a, st)
-		}
-	}
-	for a := 0; a < nA; a++ {
-		for st := 0; st < s.sites; st++ {
-			if s.attrRequiredAt(a, st) {
-				place(a, st)
-			}
-		}
-	}
-	for g := 0; g < s.cs.NumColocGroups(); g++ {
-		members := s.cs.ColocGroupMembers(g)
-		if len(members) < 2 {
-			continue
-		}
-		for st := 0; st < s.sites; st++ {
-			on := false
-			for _, a := range members {
-				if p.AttrSites[a][st] {
-					on = true
-					break
-				}
-			}
-			if on {
-				for _, a := range members {
-					place(int(a), st)
-				}
-			}
-		}
-	}
-
-	cur := 0.0
-	for _, w := range work {
-		if w > cur {
-			cur = w
-		}
-	}
-
-	// Cover the still-unplaced units: LPT order over the unit
-	// representatives, each unit placed on its best allowed site (capacity
-	// headroom respected when any site is capped; relaxed only when no
-	// allowed site has room — covering every attribute outranks the cap,
-	// and the feasibility check reports the overrun).
-	order := s.order[:0]
-	for _, a := range s.attrOrder {
-		if p.Replicas(a) > 0 {
-			continue
-		}
-		if g := s.cs.ColocGroupOf(a); g >= 0 && int(s.cs.ColocGroupMembers(g)[0]) != a {
-			continue // the group places through its representative
-		}
-		order = append(order, a)
-	}
-	s.order = order
-	// rush: the cancellation probe fired mid-pass. Remaining units still need
-	// a site (every row was cleared above); they take their first allowed site
-	// unscored via the same relax fallback the no-site case uses, keeping the
-	// assignment covered and constraint-respecting where possible.
-	rush := false
-	for _, a := range order {
-		if !rush && s.stopped() {
-			rush = true
-		}
-		if rush {
-			best := s.cs.PlaceAllowedSite(m, p, a, nil)
-			if best < 0 {
-				best = 0
-			}
-			for _, b := range s.unitMembers(a) {
-				place(int(b), best)
-			}
-			if work[best] > cur {
-				cur = work[best]
-			}
-			continue
-		}
-		members := s.unitMembers(a)
-		var unitWidth int64
-		for _, b := range members {
-			unitWidth += int64(m.Attr(int(b)).Width)
-		}
-		allowedAt := func(st int, respectCap bool) bool {
-			for _, b := range members {
-				if s.attrForbiddenAt(int(b), st) || s.sepConflict(p, int(b), st) {
-					return false
-				}
-			}
-			if respectCap && s.ct.HasCap {
-				if cap := s.ct.SiteCap[st]; cap >= 0 && bytes[st]+unitWidth > cap {
-					return false
-				}
-			}
-			return true
-		}
-		cost, load := s.unitSums(p, members)
-		best, bestScore, found := -1, 0.0, false
-		for pass := 0; pass < 2 && !found; pass++ {
-			respectCap := pass == 0
-			for st := 0; st < s.sites; st++ {
-				if !allowedAt(st, respectCap) {
-					continue
-				}
-				delta := work[st] + load[st] - cur
-				if delta < 0 {
-					delta = 0
-				}
-				score := lam*cost[st] + (1-lam)*delta
-				if !found || score < bestScore {
-					best, bestScore, found = st, score, true
-				}
-			}
-			if found {
-				break
-			}
-		}
-		if !found {
-			// Every site is blocked by a forbid, a separation partner or the
-			// capacity: relax in preference order so the unit is at least
-			// stored somewhere (the feasibility check reports the leftover
-			// violation).
-			best = s.cs.PlaceAllowedSite(m, p, a, nil)
-			if best < 0 {
-				best = 0
-			}
-		}
-		for _, b := range members {
-			place(int(b), best)
-		}
-		if work[best] > cur {
-			cur = work[best]
-		}
-	}
-
-	// Beneficial extra replicas, each addition fully constraint-checked.
-	// Skipped entirely once the cancellation probe fires — they are an
-	// optional improvement, not needed for feasibility.
-	for a := 0; a < nA && !rush; a++ {
-		if s.stopped() {
-			break
-		}
-		if g := s.cs.ColocGroupOf(a); g >= 0 && int(s.cs.ColocGroupMembers(g)[0]) != a {
-			continue
-		}
-		members := s.unitMembers(a)
-		var unitWidth int64
-		for _, b := range members {
-			unitWidth += int64(m.Attr(int(b)).Width)
-		}
-		maxRep := s.cs.MaxReplicasOf(a)
-		var cost, load []float64
-		for st := 0; st < s.sites; st++ {
-			if p.AttrSites[a][st] {
-				continue
-			}
-			if p.Replicas(a)+1 > maxRep {
-				break
-			}
-			ok := true
-			for _, b := range members {
-				if s.attrForbiddenAt(int(b), st) || s.sepConflict(p, int(b), st) {
-					ok = false
-					break
-				}
-			}
-			if !ok {
-				continue
-			}
-			if s.ct.HasCap {
-				if cap := s.ct.SiteCap[st]; cap >= 0 && bytes[st]+unitWidth > cap {
-					continue
-				}
-			}
-			if cost == nil {
-				cost, load = s.unitSums(p, members)
-			}
-			delta := work[st] + load[st] - cur
-			if delta < 0 {
-				delta = 0
-			}
-			if lam*cost[st]+(1-lam)*delta < 0 {
-				for _, b := range members {
-					place(int(b), st)
-				}
-				if work[st] > cur {
-					cur = work[st]
-				}
-			}
-		}
-	}
+// resetBytes zeroes and returns the per-site byte accumulator (nil for an
+// unconstrained model).
+func (s *solver) resetBytes() []int64 {
+	clear(s.bytes)
+	return s.bytes
 }
 
 // scratchSatisfiesConstraints verifies the softer constraints — capacities,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"testing"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"vpart/internal/core"
 	"vpart/internal/randgen"
 	"vpart/internal/sa"
+	"vpart/internal/tpcc"
 )
 
 // testModel compiles a small random instance — big enough that the replicas
@@ -332,4 +334,49 @@ func BenchmarkSolveRndAt64x200(b *testing.B) {
 		iters += res.Iterations
 	}
 	b.ReportMetric(float64(iters)/b.Elapsed().Seconds(), "iters/s")
+}
+
+// TestNonBindingConstraintsChangeNothing: one MaxReplicas whose K is the site
+// count binds nothing, so every replica's chain narrows nothing and the
+// population must return the unconstrained model's layout, cost bits and
+// summed iteration count at every fixed seed.
+func TestNonBindingConstraintsChangeNothing(t *testing.T) {
+	rnd, err := randgen.Generate(randgen.ClassA(16, 60, 25), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inst := range []*core.Instance{tpcc.Instance(), rnd} {
+		plain, err := core.NewModel(inst, core.DefaultModelOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		tbl := inst.Schema.Tables[0]
+		qa := core.QualifiedAttr{Table: tbl.Name, Attr: tbl.Attributes[0].Name}
+		for _, sites := range []int{3, 4} {
+			cons := &core.Constraints{MaxReplicas: []core.MaxReplicas{{Attr: qa, K: sites}}}
+			bound, err := core.NewModelConstrained(inst, core.DefaultModelOptions(), cons)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for seed := int64(1); seed <= 2; seed++ {
+				name := fmt.Sprintf("%s/sites%d/seed%d", inst.Name, sites, seed)
+				o := sa.DefaultOptions(sites)
+				o.Seed = seed
+				want, err := Solve(context.Background(), plain, Options{SA: o})
+				if err != nil {
+					t.Fatalf("%s unconstrained: %v", name, err)
+				}
+				got, err := Solve(context.Background(), bound, Options{SA: o})
+				if err != nil {
+					t.Fatalf("%s constrained: %v", name, err)
+				}
+				if fingerprint(got) != fingerprint(want) || !reflect.DeepEqual(got.Cost, want.Cost) {
+					t.Errorf("%s: result differs from the unconstrained one:\n got %s\nwant %s", name, fingerprint(got), fingerprint(want))
+				}
+				if got.Iterations != want.Iterations {
+					t.Errorf("%s: %d iterations, unconstrained %d", name, got.Iterations, want.Iterations)
+				}
+			}
+		}
+	}
 }

@@ -63,7 +63,8 @@ type Options struct {
 	// grouped, per-shard), so all registered solvers — SA, QP, the portfolio
 	// and the decompose meta-solver — honour it and the returned solution
 	// satisfies Constraints.Check. Not supported together with Disjoint. An
-	// empty set is identical to nil: the unconstrained fast path.
+	// empty set is identical to nil: the model carries the nil, empty
+	// ConstraintSet, which narrows nothing.
 	Constraints *Constraints
 	// DisableGrouping switches off the reasonable-cuts attribute grouping
 	// preprocessing (Section 4). Grouping never changes the optimum; it only
@@ -451,7 +452,7 @@ func (o Options) modelOptions() ModelOptions {
 
 // check returns the options checked for Solve, NewSession and
 // Session.UpdateConstraints alike. GapTol must be finite and non-negative. An
-// empty constraint set is the unconstrained fast path and becomes nil; a
+// empty constraint set means no constraints and becomes nil; a
 // non-empty one is rejected together with Disjoint, validated and cloned —
 // the compiled model retains it, so a caller mutating their value later must
 // not change, or race, what is enforced. Errors are unprefixed; callers wrap
