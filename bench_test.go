@@ -224,13 +224,16 @@ func BenchmarkSASolverTPCC(b *testing.B) {
 // the full race runs: sa+warm[0], the cold restarts sa[1..3] and the warm
 // sa-par child. The hint-from-warm rows mark it as coming out of a warm
 // start, so only the two warm children run. iters/op is the race's total SA
-// inner iterations.
+// inner iterations. The ycsb-2048 rows solve the live YCSB stream's instance
+// grown by 29 epochs (see BenchmarkSessionApply), the resolve of a live
+// session on that stream.
 func BenchmarkPortfolioWarmLineup(b *testing.B) {
 	ctx := context.Background()
 	rnd, err := vpart.RandomInstance(vpart.ClassA(16, 50, 10), 1)
 	if err != nil {
 		b.Fatal(err)
 	}
+	ycsb, _ := grownYCSB(b, 29)
 	for _, tc := range []struct {
 		name  string
 		inst  *vpart.Instance
@@ -238,6 +241,7 @@ func BenchmarkPortfolioWarmLineup(b *testing.B) {
 	}{
 		{"tpcc/3", vpart.TPCC(), 3},
 		{"rndAt16x50/4", rnd, 4},
+		{"ycsb-2048/4", ycsb, 4},
 	} {
 		layout, err := vpart.Solve(ctx, tc.inst, vpart.Options{Sites: tc.sites, Solver: "sa", Seed: 1})
 		if err != nil {

@@ -133,7 +133,11 @@
 // best-incumbent tracking. The SA solver's hot loop is built entirely on this
 // API — it performs no Partitioning.Clone and no full Model.Evaluate per
 // iteration — and any future local-search solver (tabu, genetic, ...) can
-// reuse it unchanged.
+// reuse it unchanged. Its periodic greedy findSolution pass depends only on
+// the vector it holds fixed, so the solver remembers each pass kind's last
+// result and, when that vector has not changed since, applies the
+// remembered result instead of running the pass again; the moves, and so
+// every fixed-seed result, are the same.
 // Evaluator.Cost assembles the full Cost breakdown of the current state on
 // demand, matching Model.Evaluate to floating point accumulation order.
 //

@@ -70,8 +70,9 @@ func NewChain(m *core.Model, opts Options) (*Chain, error) {
 	c.rng = rand.New(rand.NewSource(opts.Seed))
 	c.s = newSolver(m, opts)
 	// Arm the greedy passes' in-pass cancellation probe before the initial
-	// findSolution runs, so a tight TimeLimit binds during construction too.
-	c.armStop(nil)
+	// findSolution runs, so a tight TimeLimit binds during construction too;
+	// RunLevel adds its context.
+	c.s.deadline = c.deadline
 	cons := m.Constraints()
 
 	var cur *core.Partitioning
@@ -137,22 +138,10 @@ func NewChain(m *core.Model, opts Options) (*Chain, error) {
 	return c, nil
 }
 
-// armStop points the greedy passes' cancellation probe at the given context
-// (may be nil) plus the chain's deadline, so TimeLimit and Stop-style
-// cancellation are consulted inside the intensify/findSolution passes, not
-// only between inner iterations.
-func (c *Chain) armStop(ctx context.Context) {
-	if ctx == nil && c.deadline.IsZero() {
-		c.s.stop = nil
-		return
-	}
-	c.s.stop = func() bool {
-		if ctx != nil && ctx.Err() != nil {
-			return true
-		}
-		//vpartlint:allow determinism deadline enforcement is inherently wall-clock; results only vary when the run would time out anyway
-		return !c.deadline.IsZero() && time.Now().After(c.deadline)
-	}
+// pastDeadline reports whether the deadline is set and has passed.
+func pastDeadline(deadline time.Time) bool {
+	//vpartlint:allow determinism deadline enforcement is inherently wall-clock; results only vary when the run would time out anyway
+	return !deadline.IsZero() && time.Now().After(deadline)
 }
 
 // commit accepts the evaluator's pending move batch and tracks the best
@@ -193,15 +182,16 @@ func (c *Chain) RunLevel(ctx context.Context) (stopped bool, err error) {
 		c.stopped = true
 		return true, nil
 	}
-	c.armStop(ctx)
+	// The greedy passes' cancellation probe reads this level's context as
+	// well as the deadline, inside the intensify/findSolution passes.
+	c.s.ctx = ctx
 	c.res.OuterLoops++
 	c.improvedThisLevel = false
 	for i := 0; i < c.opts.InnerLoops; i++ {
 		if err := ctx.Err(); err != nil {
 			return false, fmt.Errorf("sa: %w", err)
 		}
-		//vpartlint:allow determinism deadline enforcement is inherently wall-clock; results only vary when the run would time out anyway
-		if !c.deadline.IsZero() && time.Now().After(c.deadline) {
+		if pastDeadline(c.deadline) {
 			c.res.TimedOut = true
 			c.stopped = true
 			return true, nil
@@ -230,13 +220,15 @@ func (c *Chain) RunLevel(ctx context.Context) (stopped bool, err error) {
 			}
 		}
 	}
-	c.opts.Progress.Emit(progress.Event{
-		Kind:      progress.KindIteration,
-		Cost:      c.curCost,
-		Iteration: c.res.Iterations,
-		Elapsed:   time.Since(c.start),
-		Message:   fmt.Sprintf("level %d τ=%.4g best=%.6g", c.level, c.tau, c.bestCost),
-	})
+	if c.opts.Progress != nil {
+		c.opts.Progress.Emit(progress.Event{
+			Kind:      progress.KindIteration,
+			Cost:      c.curCost,
+			Iteration: c.res.Iterations,
+			Elapsed:   time.Since(c.start),
+			Message:   fmt.Sprintf("level %d τ=%.4g best=%.6g", c.level, c.tau, c.bestCost),
+		})
+	}
 	c.tau *= DefaultRho
 	if c.improvedThisLevel {
 		c.noImprove = 0

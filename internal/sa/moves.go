@@ -191,43 +191,55 @@ func (s *solver) canExtendUnit(ev *core.Evaluator, a, st int) bool {
 }
 
 // intensify runs one findSolution(fix) pass of Algorithm 1 — the greedy
-// re-optimisation of the vector that is not fixed — on a scratch copy of the
-// evaluator's state, applies the difference to the evaluator move by move
-// (transaction moves, then replica additions, then removals) and returns the
-// summed delta. The caller commits or undoes the moves.
+// re-optimisation of the vector that is not fixed — and applies its
+// difference from the evaluator's state move by move: transaction moves after
+// a pass with y fixed, replica additions then removals after a pass with x
+// fixed (the other vector is the one the pass held fixed, so it cannot
+// differ). It returns the summed delta; the caller commits or undoes the
+// moves. The pass runs on a copy of the state in its kind's memo target, and
+// is skipped when recall finds the kind's last pass started from an equal
+// fixed vector: the moves, and so the delta, are the ones a fresh pass would
+// give.
 //
 //vpart:noalloc
 func (s *solver) intensify(ev *core.Evaluator, fixX bool) float64 {
 	p := ev.Partitioning()
-	if s.scratch == nil {
-		s.scratch = p.Clone()
-	} else {
-		s.scratch.CopyFrom(p)
+	memo := s.recall(p, fixX)
+	if memo == nil {
+		memo = &s.xFromY
+		fix := "y"
+		if fixX {
+			memo, fix = &s.yFromX, "x"
+		}
+		memo.out.CopyFrom(p)
+		s.tainted = false
+		s.findSolution(memo.out, fix)
+		memo.reusable = !s.tainted
+		memo.feasible = !fixX || s.cs == nil || s.scratchSatisfiesConstraints(memo.out)
 	}
-	if fixX {
-		s.findSolution(s.scratch, "x")
-	} else {
-		s.findSolution(s.scratch, "y")
-	}
-	if s.cs != nil && fixX && !s.scratchSatisfiesConstraints(s.scratch) {
-		// The constrained greedy y-rebuild had to relax a capacity or
-		// separation on its fallback path: price the pass as +Inf so the
-		// Metropolis test rejects it without any move being applied.
-		return math.Inf(1)
-	}
+	out := memo.out
 
 	// p is the evaluator's live partitioning, but every cell is compared
 	// once and only a move on that same cell changes it, so applying as we
 	// go yields the moves a diff against the pre-pass state would.
 	delta := 0.0
-	for t, st := range s.scratch.TxnSite {
-		if p.TxnSite[t] != st {
-			delta += ev.ApplyMoveTxn(t, st)
+	if !fixX {
+		for t, st := range out.TxnSite {
+			if p.TxnSite[t] != st {
+				delta += ev.ApplyMoveTxn(t, st)
+			}
 		}
+		return delta
+	}
+	if !memo.feasible {
+		// The constrained greedy y-rebuild had to relax a capacity or
+		// separation on its fallback path: price the pass as +Inf so the
+		// Metropolis test rejects it without any move being applied.
+		return math.Inf(1)
 	}
 	// Additions before removals, so attributes keep at least one replica at
 	// every intermediate step.
-	for a, row := range s.scratch.AttrSites {
+	for a, row := range out.AttrSites {
 		cur := p.AttrSites[a]
 		for st := range row {
 			if row[st] && !cur[st] {
@@ -235,7 +247,7 @@ func (s *solver) intensify(ev *core.Evaluator, fixX bool) float64 {
 			}
 		}
 	}
-	for a, row := range s.scratch.AttrSites {
+	for a, row := range out.AttrSites {
 		cur := p.AttrSites[a]
 		for st := range row {
 			if !row[st] && cur[st] {

@@ -39,6 +39,19 @@
 // is applied move by move. The loop performs no Partitioning.Clone and no
 // full Model.Evaluate per iteration; Model.Evaluate remains the reference
 // oracle for the returned result.
+//
+// A greedy pass depends only on the vector it holds fixed, and that vector
+// often has not changed since the chain's last pass of the same kind: the
+// moves in between were undone, or only the other vector moved. So each pass
+// kind keeps a one-entry memo, the scratch copy its last pass left, holding
+// the fixed vector it started from, the vector it rebuilt and (with x fixed,
+// under constraints) the feasibility verdict. When the fixed vector is equal
+// again the pass and the copy are skipped and only the rebuilt vector's
+// difference is applied, in the same order, so every delta, Metropolis draw
+// and fixed-seed result is unchanged. A pass whose result used more than its
+// fixed vector is not recorded: one the cancellation probe cut short, or a
+// pass with y fixed that left a transaction (or, disjoint, a component) on
+// its current site because no site was feasible.
 package sa
 
 import (

@@ -5,12 +5,15 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
 
 	"vpart/internal/core"
 	"vpart/internal/progress"
+	"vpart/internal/randgen"
 	"vpart/internal/tpcc"
 )
 
@@ -440,6 +443,71 @@ func TestPerturbSteadyStateAllocationFree(t *testing.T) {
 			ev.Undo()
 		}); allocs != 0 {
 			t.Errorf("disjoint=%v: perturb/undo cycle allocates %.1f objects per run", disjoint, allocs)
+		}
+	}
+}
+
+// memoArrays lists the backing arrays of the solver's two memo targets.
+func memoArrays(s *solver) []uintptr {
+	var arrs []uintptr
+	for _, out := range []*core.Partitioning{s.yFromX.out, s.xFromY.out} {
+		arrs = append(arrs, reflect.ValueOf(out.TxnSite).Pointer())
+		for _, row := range out.AttrSites {
+			arrs = append(arrs, reflect.ValueOf(row).Pointer())
+		}
+	}
+	return arrs
+}
+
+// TestRunLevelZeroAlloc: once a chain is warm, a whole temperature level —
+// the Metropolis iterations, the intensify passes and their memo, the
+// cooling step — allocates nothing when no Progress listens and no deadline
+// is set, for a cold and a warm-started chain on TPC-C and on a wide random
+// instance, 3 sites. The memo targets newSolver allocated are never
+// replaced or grown.
+func TestRunLevelZeroAlloc(t *testing.T) {
+	ctx := context.Background()
+	wide, err := randgen.Generate(randgen.ClassA(16, 50, 10), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inst := range []*core.Instance{tpcc.Instance(), wide} {
+		m := mustModel(t, inst, core.DefaultModelOptions())
+		hint, err := Solve(ctx, m, DefaultOptions(3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, warm := range []bool{false, true} {
+			opts := DefaultOptions(3)
+			opts.MaxOuterLoops = 1 << 20
+			if warm {
+				opts.Initial = hint.Partitioning
+			}
+			c, err := NewChain(m, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			arrays := memoArrays(c.s)
+			level := func() {
+				// Keep the chain annealing past its no-improvement and
+				// temperature stops.
+				c.stopped, c.noImprove = false, 0
+				if _, err := c.RunLevel(ctx); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := 0; i < 10; i++ { // warm up the journal and scratch capacities
+				level()
+			}
+			if allocs := testing.AllocsPerRun(50, level); allocs != 0 {
+				t.Errorf("%s warm=%v: RunLevel allocates %.1f objects per level", inst.Name, warm, allocs)
+			}
+			if !slices.Equal(memoArrays(c.s), arrays) {
+				t.Errorf("%s warm=%v: the memo targets were reallocated", inst.Name, warm)
+			}
+			if got := c.Stats().Iterations; got != 61*DefaultInnerLoops {
+				t.Errorf("%s warm=%v: %d iterations over 61 levels, want %d", inst.Name, warm, got, 61*DefaultInnerLoops)
+			}
 		}
 	}
 }

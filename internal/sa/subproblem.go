@@ -1,7 +1,10 @@
 package sa
 
 import (
+	"context"
+	"slices"
 	"sort"
+	"time"
 
 	"vpart/internal/core"
 )
@@ -16,15 +19,14 @@ type solver struct {
 	sites int
 	opts  Options
 
-	// readersOf[a] lists the transactions that read attribute a (ϕ).
-	readersOf [][]int
-	// components groups transactions that transitively share read attributes;
-	// used in disjoint mode where they must co-locate.
+	// Disjoint mode only (nil otherwise): readersOf[a] lists the
+	// transactions that read attribute a (ϕ); components groups transactions
+	// that transitively share read attributes, which must co-locate; and
+	// compAttrs[ci] lists the attributes read by component ci's members,
+	// which relocate together with the component.
+	readersOf  [][]int
 	components [][]int
-	compOf     []int
-	// compAttrs[ci] lists the attributes read by component ci's members; in
-	// disjoint mode they relocate together with the component.
-	compAttrs [][]int
+	compAttrs  [][]int
 
 	// Placement constraints: the compiled set and its site-count-flattened
 	// tables, both nil for an unconstrained model — the empty set, under
@@ -48,14 +50,17 @@ type solver struct {
 	// filtered order equals the sorted subset.
 	attrOrder, txnOrder []int
 
+	// yFromX and xFromY are intensify's findSolution targets, one per pass
+	// kind, and each is that kind's one-entry memo (see recall).
+	yFromX, xFromY memoPass
+
 	// Scratch buffers reused across iterations so the steady-state inner loop
 	// does not allocate.
-	scratch *core.Partitioning // intensify's findSolution target
-	missing []int              // perturb, randomX: candidate sites
-	work    []float64          // greedy passes: running site work
-	order   []int              // greedy passes: processing order
-	bytes   []int64            // greedy passes: running site bytes (constrained)
-	dragBuf []int              // perturb: pending additions of one txn move
+	missing []int     // perturb, randomX: candidate sites
+	work    []float64 // greedy passes: running site work
+	order   []int     // greedy passes: processing order
+	bytes   []int64   // greedy passes: running site bytes (constrained)
+	dragBuf []int     // perturb: pending additions of one txn move
 
 	// attrCost/attrLoad hold every attribute's cost and load per site as the
 	// running greedy pass priced them, row a at [a·sites, (a+1)·sites)
@@ -64,34 +69,84 @@ type solver struct {
 	attrCost, attrLoad []float64
 	unitCost, unitLoad []float64
 
-	// stop, when non-nil, reports whether the run's cancellation facility
-	// (deadline or context) has fired. The greedy passes consult it through
-	// stopped() inside their per-element loops and switch to a rush path that
-	// still produces a covered, single-sited assignment, so a TimeLimit binds
-	// mid-pass on large instances instead of only between inner iterations.
-	stop     func() bool
+	// ctx and deadline, when set, are the run's cancellation facility. The
+	// greedy passes consult them through stopped() inside their per-element
+	// loops and switch to a rush path that still produces a covered,
+	// single-sited assignment, so a TimeLimit binds mid-pass on large
+	// instances instead of only between inner iterations.
+	ctx      context.Context
+	deadline time.Time
 	stopTick uint
+
+	// tainted is set by a pass whose result used more than the vector it
+	// holds fixed: one the cancellation probe switched to its rush path, or a
+	// y-pass that left a transaction (in disjoint mode a component) on its
+	// current site because no site was feasible. intensify does not record
+	// such a pass in its memo.
+	tainted bool
+}
+
+// memoPass is intensify's target for one kind of findSolution pass. Both
+// vectors of out survive until the next pass of that kind: the one the pass
+// held fixed and the one it rebuilt from it. A greedy pass depends on its
+// fixed vector alone, so while reusable is set, a pass on an equal fixed
+// vector would rebuild the same vector again (see recall).
+type memoPass struct {
+	out      *core.Partitioning
+	reusable bool
+	// feasible is scratchSatisfiesConstraints' verdict on out after a y
+	// rebuild under constraints, and true otherwise.
+	feasible bool
 }
 
 // stopped rations the cancellation probe: the wall-clock (or context) read
-// behind s.stop costs far more than one greedy placement, so only every 64th
-// call actually consults it.
+// costs far more than one greedy placement, so only every 64th call actually
+// consults it. A probe that fires taints the running pass.
 //
 //vpart:noalloc
 func (s *solver) stopped() bool {
-	if s.stop == nil {
+	if s.ctx == nil && s.deadline.IsZero() {
 		return false
 	}
 	s.stopTick++
 	if s.stopTick&63 != 0 {
 		return false
 	}
-	return s.stop()
+	if (s.ctx != nil && s.ctx.Err() != nil) || pastDeadline(s.deadline) {
+		s.tainted = true
+		return true
+	}
+	return false
+}
+
+// recall returns the memo of the pass kind that holds x fixed (fixX) or y
+// fixed when its last pass was reusable and started from p's current fixed
+// vector, and nil when that pass has to run again.
+//
+//vpart:noalloc
+func (s *solver) recall(p *core.Partitioning, fixX bool) *memoPass {
+	if fixX {
+		if s.yFromX.reusable && slices.Equal(s.yFromX.out.TxnSite, p.TxnSite) {
+			return &s.yFromX
+		}
+		return nil
+	}
+	if !s.xFromY.reusable {
+		return nil
+	}
+	for a, row := range p.AttrSites {
+		if !slices.Equal(s.xFromY.out.AttrSites[a], row) {
+			return nil
+		}
+	}
+	return &s.xFromY
 }
 
 func newSolver(m *core.Model, opts Options) *solver {
 	s := &solver{m: m, sites: opts.Sites, opts: opts}
 	nA, nT := m.NumAttrs(), m.NumTxns()
+	s.yFromX.out = core.NewPartitioning(nT, nA, s.sites)
+	s.xFromY.out = core.NewPartitioning(nT, nA, s.sites)
 	s.work = make([]float64, s.sites)
 	s.attrCost = make([]float64, nA*s.sites)
 	s.attrLoad = make([]float64, nA*s.sites)
@@ -149,7 +204,17 @@ func newSolver(m *core.Model, opts Options) *solver {
 		}
 	}
 	s.txnOrder = byDecreasingWeight(txnWeight)
+	if opts.Disjoint {
+		s.buildComponents()
+	}
+	return s
+}
 
+// buildComponents fills the disjoint-mode tables readersOf, components and
+// compAttrs.
+func (s *solver) buildComponents() {
+	m := s.m
+	nA, nT := m.NumAttrs(), m.NumTxns()
 	s.readersOf = make([][]int, nA)
 	for t := 0; t < nT; t++ {
 		for _, a := range m.TxnReadAttrs(t) {
@@ -173,7 +238,7 @@ func newSolver(m *core.Model, opts Options) *solver {
 			parent[find(readers[i])] = find(readers[0])
 		}
 	}
-	s.compOf = make([]int, nT)
+	compOf := make([]int, nT)
 	index := map[int]int{}
 	for t := 0; t < nT; t++ {
 		root := find(t)
@@ -183,17 +248,16 @@ func newSolver(m *core.Model, opts Options) *solver {
 			index[root] = ci
 			s.components = append(s.components, nil)
 		}
-		s.compOf[t] = ci
+		compOf[t] = ci
 		s.components[ci] = append(s.components[ci], t)
 	}
 	s.compAttrs = make([][]int, len(s.components))
 	for a, readers := range s.readersOf {
 		if len(readers) > 0 {
-			ci := s.compOf[readers[0]]
+			ci := compOf[readers[0]]
 			s.compAttrs[ci] = append(s.compAttrs[ci], a)
 		}
 	}
-	return s
 }
 
 // byDecreasingWeight returns the indices of w by decreasing weight, ties by
@@ -536,9 +600,11 @@ func (s *solver) solveXGivenY(p *core.Partitioning) {
 		}
 		// At least the previous site of t is feasible because y only ever
 		// extends after it was built for the previous x; if not (fresh y),
-		// fall back to the old site and let the caller repair.
+		// fall back to the old site and let the caller repair. The result
+		// then depends on x too, which taints the pass.
 		if !found {
 			_, bestLoad = costOn(t, best)
+			s.tainted = true
 		}
 		p.TxnSite[t] = best
 		work[best] += bestLoad
@@ -601,6 +667,7 @@ func (s *solver) assignComponents(p *core.Partitioning, work []float64) {
 		}
 		if !found {
 			best = p.TxnSite[comp[0]]
+			s.tainted = true
 		}
 		for _, t := range comp {
 			p.TxnSite[t] = best
