@@ -212,8 +212,9 @@
 // testing and benchmarks (NewYCSB, NewSocial); a fixed stream seed replays
 // the same events. The sketch fold alone runs at ~10M events/sec on one
 // core (BenchmarkFold in internal/ingest); decode plus fold, the
-// benchmark's live-ycsb ingest_events_per_cpu_s, runs at ~1.42M events per
-// CPU-second (median of ten 50 s runs) on a 2-vCPU shared host. The ingest
+// benchmark's live-ycsb ingest_events_per_cpu_s, runs at ~1.71M events per
+// CPU-second (median of ten 50 s runs) on a 2-vCPU shared host, decoding
+// each distinct NDJSON line of a batch once. The ingest
 // tests gate the state at ≥ 10× smaller than exact counting at a 1M-shape
 // universe (TestPipelineStateSmallerThanExactCounting logs ~27× under -v)
 // and the sketch-folded solved cost within 5 % of exact.

@@ -94,6 +94,12 @@ type Evaluator struct {
 	siteBytes []int64
 
 	journal []undoRec
+
+	// raw is balancedRaw of the current state while rawOK holds: the value
+	// the last move ended on, kept as the next move's start. Undo, Restore
+	// and reinit drop it.
+	raw   float64
+	rawOK bool
 }
 
 // NewEvaluator compiles an incremental evaluator for the partitioning under
@@ -149,6 +155,7 @@ func NewEvaluator(m *Model, p *Partitioning) (*Evaluator, error) {
 func (e *Evaluator) reinit() {
 	m, p := e.m, e.p
 	S := p.Sites
+	e.rawOK = false
 
 	e.readAccess, e.writeAccess, e.transfer, e.transferGross, e.latencyUnits = 0, 0, 0, 0, 0
 	for s := range e.siteWork {
@@ -298,11 +305,11 @@ func (e *Evaluator) ApplyMoveTxn(t, s int) float64 {
 		e.journal = append(e.journal, rec)
 		return 0
 	}
-	b0 := e.balancedRaw()
+	b0 := e.startRaw()
 	e.moveTxn(t, s)
 	//vpartlint:allow noalloc journal capacity amortizes to the batch high-water mark; Commit/Undo reslice to [:0]
 	e.journal = append(e.journal, rec)
-	return e.balancedRaw() - b0
+	return e.endRaw() - b0
 }
 
 // ApplyAddReplica stores attribute a on site s (extends the y part) and
@@ -326,11 +333,11 @@ func (e *Evaluator) ApplyAddReplica(a, s int) float64 {
 		e.journal = append(e.journal, rec)
 		return 0
 	}
-	b0 := e.balancedRaw()
+	b0 := e.startRaw()
 	e.flipReplica(a, s, true)
 	//vpartlint:allow noalloc journal capacity amortizes to the batch high-water mark; Commit/Undo reslice to [:0]
 	e.journal = append(e.journal, rec)
-	return e.balancedRaw() - b0
+	return e.endRaw() - b0
 }
 
 // ApplyDropReplica removes attribute a from site s and returns the change of
@@ -356,11 +363,11 @@ func (e *Evaluator) ApplyDropReplica(a, s int) float64 {
 		e.journal = append(e.journal, rec)
 		return 0
 	}
-	b0 := e.balancedRaw()
+	b0 := e.startRaw()
 	e.flipReplica(a, s, false)
 	//vpartlint:allow noalloc journal capacity amortizes to the batch high-water mark; Commit/Undo reslice to [:0]
 	e.journal = append(e.journal, rec)
-	return e.balancedRaw() - b0
+	return e.endRaw() - b0
 }
 
 // Undo reverts every move applied since the last Commit (or Restore), in
@@ -401,6 +408,7 @@ func (e *Evaluator) Undo() {
 	}
 	e.journal = e.journal[:0]
 	e.betaLog = e.betaLog[:0]
+	e.rawOK = false
 }
 
 // unmoveTxn puts transaction t back on site s, the site it left in the move
@@ -706,6 +714,26 @@ func (e *Evaluator) balancedRaw() float64 {
 	return m.opts.Lambda*obj + (1-m.opts.Lambda)*mw
 }
 
+// startRaw returns balancedRaw of the state a move starts from, computed
+// only when the last move did not leave it.
+//
+//vpart:noalloc
+func (e *Evaluator) startRaw() float64 {
+	if !e.rawOK {
+		e.raw, e.rawOK = e.balancedRaw(), true
+	}
+	return e.raw
+}
+
+// endRaw returns balancedRaw of the state a move ended on and keeps it as
+// the next move's start.
+//
+//vpart:noalloc
+func (e *Evaluator) endRaw() float64 {
+	e.raw, e.rawOK = e.balancedRaw(), true
+	return e.raw
+}
+
 // Balanced returns the balanced objective (6) of the current state, equal to
 // Cost().Balanced but without allocating. O(sites).
 //
@@ -825,4 +853,5 @@ func (e *Evaluator) Restore(snap *EvalSnapshot) {
 	copy(e.siteBytes, snap.siteBytes)
 	e.journal = e.journal[:0]
 	e.betaLog = e.betaLog[:0]
+	e.rawOK = false
 }

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"vpart"
@@ -228,20 +229,28 @@ const (
 // layer's job; this decoder only guarantees well-formed JSON of the right
 // shape.
 //
-// Each line is scanned once. A line in the canonical form json.Encoder
-// writes — exact lowercase keys, each at most once; printable-ASCII strings
-// without escapes; kind "read" or "write"; rows a JSON number — is decoded
-// by the scanner. Any other line goes to the encoding/json reference
-// decoder, so the accepted inputs, the decoded events and the error text are
-// the reference's.
+// A line in the canonical form json.Encoder writes — exact lowercase keys,
+// each at most once; printable-ASCII strings without escapes; kind "read"
+// or "write"; rows a JSON number — is decoded by the scanner. Any other
+// line goes to the encoding/json reference decoder, so the accepted inputs,
+// the decoded events and the error text are the reference's. A line table
+// that lives for the call maps each trimmed line met so far to the event
+// its first occurrence decoded to, and a repeat appends that event again,
+// so each distinct line, whatever whitespace surrounds it, is decoded once.
+// On a body with too few repeats to pay for it the table stops probing,
+// and each later line is decoded on its own.
 //
 // The result owns its memory: no string aliases data. Names are interned
-// for the call, and events whose accesses array text is byte-identical
-// share one capacity-clipped access list. The lists are read-only, as
-// service.EnqueueEvents requires.
+// for the call, events whose accesses array text is byte-identical share
+// one capacity-clipped access list, and a repeated line's events are copies
+// of one event, so they share only those names and that list. The lists
+// are read-only, as service.EnqueueEvents requires. The line table views
+// data instead of copying it, but it is dropped on return.
 func ParseEventsRequest(data []byte) ([]vpart.QueryEvent, error) {
-	events := make([]vpart.QueryEvent, 0, min(bytes.Count(data, []byte{'\n'})+1, maxEventBatch))
+	lines := min(bytes.Count(data, []byte{'\n'})+1, maxEventBatch)
+	events := make([]vpart.QueryEvent, 0, lines)
 	sc := newEventScanner()
+	seen := newLineTable(lines)
 	line := 0
 	for len(data) > 0 {
 		line++
@@ -255,12 +264,16 @@ func ParseEventsRequest(data []byte) ([]vpart.QueryEvent, error) {
 		if len(raw) == 0 {
 			continue
 		}
-		ev, ok := sc.event(raw)
-		if !ok {
+		var ev vpart.QueryEvent
+		i, ok := seen.first(raw, len(events))
+		if ok {
+			ev = events[i]
+		} else if ev, ok = sc.event(raw); !ok {
 			var err error
 			if ev, err = decodeEventLine(raw); err != nil {
 				return nil, fmt.Errorf("events: line %d: %w", line, err)
 			}
+			ev.Accesses = clipAccesses(ev.Accesses)
 		}
 		if len(events) >= maxEventBatch {
 			return nil, fmt.Errorf("events: batch exceeds %d events", maxEventBatch)
@@ -287,4 +300,15 @@ func decodeEventLine(raw []byte) (vpart.QueryEvent, error) {
 		return vpart.QueryEvent{}, errors.New("trailing data after event object")
 	}
 	return vpart.QueryEvent{Txn: dto.Txn, Query: dto.Query, Kind: dto.Kind, Accesses: dto.Accesses}, nil
+}
+
+// clipAccesses clips the capacity of an access list encoding/json decoded,
+// and of each access's attributes, as the scanner's lists are clipped. The
+// events of a repeated line share the list, and an append to one event's
+// accesses or attributes must copy instead of writing into another's.
+func clipAccesses(accs []vpart.TableAccess) []vpart.TableAccess {
+	for i := range accs {
+		accs[i].Attributes = slices.Clip(accs[i].Attributes)
+	}
+	return slices.Clip(accs)
 }

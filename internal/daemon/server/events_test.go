@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"reflect"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -101,13 +102,25 @@ func checkAgainstReference(t *testing.T, data []byte) ([]vpart.QueryEvent, error
 
 const sampleAccess = `{"table":"x","attributes":["a","b"],"rows":2}`
 
+// canonicalLine is an event line the scanner decodes; escapedLine is one
+// with an escape, which it leaves to encoding/json. encoding/json grows a
+// slice to capacity 4 for its third element, so escapedLine's access list
+// and attribute lists decode with spare capacity.
+const (
+	canonicalLine = `{"txn":"t","query":"q","kind":"write","accesses":[` + sampleAccess + `]}`
+	escapedLine   = `{"txn":"t\u0041","query":"q","kind":"read","accesses":[` +
+		`{"table":"x","attributes":["a","b","c"],"rows":1},` +
+		`{"table":"y","attributes":["d","e","f"],"rows":2},` +
+		`{"table":"z","attributes":["g","h","i"],"rows":3}]}`
+)
+
 // eventRows are NDJSON bodies at the edges of the canonical form the
 // scanner decodes; err is a substring of the expected error, "" when the
 // body is accepted. FuzzEventsRequest seeds from them too.
 var eventRows = []struct {
 	name, body, err string
 }{
-	{"canonical", `{"txn":"t","query":"q","kind":"write","accesses":[` + sampleAccess + `]}`, ""},
+	{"canonical", canonicalLine, ""},
 	{"shared list", `{"txn":"t","query":"q","kind":"read","accesses":[` + sampleAccess + `]}` + "\n" +
 		`{"txn":"u","query":"r","kind":"write","accesses":[` + sampleAccess + `]}`, ""},
 	{"trailing bracket", `{"txn":"t","query":"q","kind":"read","accesses":[` + sampleAccess + `]}]`, "trailing data after event object"},
@@ -161,6 +174,11 @@ var eventRows = []struct {
 	{"blank lines only", "\n \n\t\n", "events: empty batch"},
 	{"empty body", "", "events: empty batch"},
 	{"error line number", `{}` + "\n\n" + `{"txn":1}`, "events: line 3:"},
+	// Repeated lines come from the line table, not from a second decode.
+	{"repeated canonical line", canonicalLine + "\n" + canonicalLine + "\n" + canonicalLine, ""},
+	{"repeated escaped line", escapedLine + "\n" + escapedLine + "\n" + canonicalLine + "\n" + escapedLine, ""},
+	{"repeat with other spacing", canonicalLine + "\r\n  " + canonicalLine + "\t\r\n\r\n\u00a0" + canonicalLine + " \n", ""},
+	{"error after a repeat", canonicalLine + "\n" + canonicalLine + "\n" + `{"txn":1}`, "events: line 3:"},
 }
 
 // TestParseEventsRequestMatchesReference runs the edge rows through both
@@ -184,6 +202,12 @@ func TestParseEventsRequestMatchesReference(t *testing.T) {
 			checkAgainstReference(t, streamBody(t, family, 1<<16, 2048, 1))
 		})
 	}
+	// The line table stops probing on the first half, which repeats no
+	// line, so the second half's repeats are decoded again.
+	t.Run("distinct then repeated", func(t *testing.T) {
+		body := distinctBody(t, 2*lineTrial)
+		checkAgainstReference(t, append(body, body...))
+	})
 }
 
 // TestParseEventsRequestBatchLimit checks the batch cap: maxEventBatch
@@ -219,11 +243,22 @@ func TestParseEventsRequestAllocs(t *testing.T) {
 }
 
 // TestParseEventsRequestOwnsStrings checks that decoded events do not alias
-// the body: a caller may reuse or unmap it once the decoder returns.
+// the body, so a caller may reuse or unmap it once the decoder returns, and
+// that events which share a decoded line or list share nothing an append
+// can write through: an append to one event's accesses, or to one access's
+// attributes, leaves every other event and every other append unchanged.
+// The stream bodies repeat lines from the scanner; the last body repeats a
+// line encoding/json decodes.
 func TestParseEventsRequestOwnsStrings(t *testing.T) {
-	for _, family := range []string{"ycsb", "social"} {
-		body := streamBody(t, family, 2000, 2000, 3)
-		events, err := ParseEventsRequest(body)
+	for _, row := range []struct {
+		name string
+		body []byte
+	}{
+		{"ycsb", streamBody(t, "ycsb", 2000, 2000, 3)},
+		{"social", streamBody(t, "social", 2000, 2000, 3)},
+		{"repeated escaped line", []byte(strings.Repeat(escapedLine+"\n", 3))},
+	} {
+		events, err := ParseEventsRequest(row.body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,25 +273,77 @@ func TestParseEventsRequestOwnsStrings(t *testing.T) {
 				want[i].Accesses = append(want[i].Accesses, vpart.TableAccess{Table: strings.Clone(a.Table), Attributes: attrs, Rows: a.Rows})
 			}
 		}
-		for i := range body {
-			body[i] = 'X'
+		for i := range row.body {
+			row.body[i] = 'X'
 		}
 		if !reflect.DeepEqual(events, want) {
-			t.Fatalf("%s: overwriting the body changed the decoded events", family)
+			t.Fatalf("%s: overwriting the body changed the decoded events", row.name)
+		}
+
+		// Append a mark naming the event (and access) to every access list
+		// and attribute list; a shared backing array with spare capacity
+		// lets a later append overwrite an earlier one's mark.
+		accs := make([][]vpart.TableAccess, len(events))
+		attrs := make([][][]string, len(events))
+		for i, ev := range events {
+			accs[i] = append(ev.Accesses, vpart.TableAccess{Table: strconv.Itoa(i)})
+			for j, a := range ev.Accesses {
+				attrs[i] = append(attrs[i], append(a.Attributes, fmt.Sprint(i, ".", j)))
+			}
+		}
+		for i := range events {
+			if got := accs[i][len(accs[i])-1].Table; got != strconv.Itoa(i) {
+				t.Fatalf("%s: event %d: the access appended to its list reads %q: another event's append wrote over it", row.name, i, got)
+			}
+			for j, l := range attrs[i] {
+				if got, mark := l[len(l)-1], fmt.Sprint(i, ".", j); got != mark {
+					t.Fatalf("%s: event %d access %d: the attribute appended reads %q, want %q", row.name, i, j, got, mark)
+				}
+			}
+		}
+		if !reflect.DeepEqual(events, want) {
+			t.Fatalf("%s: appending to the access and attribute lists changed the decoded events", row.name)
 		}
 	}
 }
 
-// BenchmarkParseEventsRequest decodes one 8192-event YCSB body, the size of
-// one live-ycsb epoch in advbench.
+// distinctBody renders n YCSB events as an NDJSON body in which every line
+// is a new shape: event i's query name gets the suffix ".i".
+func distinctBody(tb testing.TB, n int) []byte {
+	tb.Helper()
+	stream, err := randgen.NewYCSB(randgen.YCSBParams{Shapes: 1 << 16}, 1)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	events := make([]vpart.QueryEvent, n)
+	stream.Fill(events)
+	for i := range events {
+		events[i].Query += "." + strconv.Itoa(i)
+	}
+	return eventsBody(tb, events)
+}
+
+// BenchmarkParseEventsRequest decodes 8192-event bodies, the size of one
+// live-ycsb epoch in advbench: a YCSB body, whose lines repeat as often as
+// the stream's zipfian head does, and one whose lines are all distinct, so
+// no line is decoded from the line table.
 func BenchmarkParseEventsRequest(b *testing.B) {
-	body := streamBody(b, "ycsb", 1<<16, 8192, 1)
-	b.SetBytes(int64(len(body)))
-	b.ReportAllocs()
-	for b.Loop() {
-		if _, err := ParseEventsRequest(body); err != nil {
-			b.Fatal(err)
-		}
+	for _, row := range []struct {
+		name string
+		body []byte
+	}{
+		{"ycsb", streamBody(b, "ycsb", 1<<16, 8192, 1)},
+		{"distinct", distinctBody(b, 8192)},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			b.SetBytes(int64(len(row.body)))
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := ParseEventsRequest(row.body); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

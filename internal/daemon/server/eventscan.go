@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"hash/maphash"
 	"strconv"
 
 	"vpart"
@@ -23,6 +24,11 @@ import (
 // name is copied out of the body once, so no returned string aliases it.
 // Access lists are decoded once per distinct array text and shared,
 // capacity-clipped, by every event whose accesses array has that text.
+// ParseEventsRequest's line table shares whole events on top of this: a
+// repeated line gets a copy of its first occurrence's event, so its events
+// share only these interned names and clipped lists, and encoding/json's
+// lists are clipped the same way before they are shared. The table views
+// the body only while the call runs.
 type eventScanner struct {
 	names map[string]string              // interned names, keyed by their bytes
 	lists map[string][]vpart.TableAccess // decoded access lists, keyed by their array text
@@ -37,6 +43,81 @@ type eventScanner struct {
 
 func newEventScanner() *eventScanner {
 	return &eventScanner{names: map[string]string{}, lists: map[string][]vpart.TableAccess{}}
+}
+
+// lineTable maps each distinct trimmed line of one ParseEventsRequest body
+// to the index of the event its first occurrence decoded to. firsts lists
+// the distinct lines in the order they first occur, each a view of the body
+// rather than a copy. slots is an open-addressing hash table with linear
+// probing over firsts. A slot holds no pointer, so the garbage collector
+// never scans the slots, and keeps part of its line's hash, so a probe
+// compares bytes only when that part matches.
+//
+// The table stops once a body's own lines show too few repeats to pay for
+// hashing and probing each line: after lineTrial probes, as soon as fewer
+// than one probe in lineHitRatio has found a repeat. Every later line is
+// then decoded as if it were new. The bar is low because repeats grow more
+// frequent further into a body: in live-ycsb's flash-crowd bodies about a
+// quarter of the first 256 lines repeat, against half of all 8192.
+type lineTable struct {
+	seed         maphash.Seed
+	slots        []lineSlot // nil once the table has stopped
+	firsts       []firstLine
+	probes, hits int
+}
+
+type lineSlot struct {
+	tag   uint32 // the high half of the line's hash
+	first int32  // 1 + the line's index in firsts; 0 in an empty slot
+}
+
+type firstLine struct {
+	line []byte
+	ev   int // the index of the event the line decoded to
+}
+
+const (
+	lineTrial    = 256
+	lineHitRatio = 8
+)
+
+// newLineTable sizes a table for a body of the given line count: a power of
+// two of at least 1.5 slots per line, so it stays under two thirds full.
+func newLineTable(lines int) *lineTable {
+	n := 2
+	for n < lines+lines/2 {
+		n <<= 1
+	}
+	return &lineTable{seed: maphash.MakeSeed(), slots: make([]lineSlot, n)}
+}
+
+// first reports the index of the event that an earlier occurrence of line
+// decoded to. For a line the table has not met, it records that the line
+// decodes to event next and reports false; once the table has stopped, it
+// reports false and records nothing.
+func (t *lineTable) first(line []byte, next int) (int, bool) {
+	if t.slots == nil {
+		return 0, false
+	}
+	t.probes++
+	if t.probes > lineTrial && t.hits*lineHitRatio < t.probes {
+		t.slots, t.firsts = nil, nil
+		return 0, false
+	}
+	h := maphash.Bytes(t.seed, line)
+	tag, mask := uint32(h>>32), uint64(len(t.slots)-1)
+	for i := h & mask; ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		if s.first == 0 {
+			t.firsts = append(t.firsts, firstLine{line: line, ev: next})
+			*s = lineSlot{tag: tag, first: int32(len(t.firsts))}
+			return 0, false
+		}
+		if f := &t.firsts[s.first-1]; s.tag == tag && bytes.Equal(f.line, line) {
+			t.hits++
+			return f.ev, true
+		}
+	}
 }
 
 // event decodes one trimmed line, reporting false if it is not canonical.

@@ -148,12 +148,18 @@ func FuzzDaemonRequests(f *testing.F) {
 
 // FuzzEventsRequest fuzzes the event body alone with checkEventsRequest.
 // The seeds are bodies of both stream families and eventRows, the
-// non-canonical lines the scanner hands to the reference.
+// non-canonical lines the scanner hands to the reference, then bodies that
+// repeat their lines so the line table serves them.
 func FuzzEventsRequest(f *testing.F) {
 	f.Add(streamBody(f, "ycsb", 2000, 8, 13))
 	f.Add(streamBody(f, "social", 2000, 8, 13))
 	for _, row := range eventRows {
 		f.Add([]byte(row.body))
+	}
+	f.Add(bytes.Repeat(streamBody(f, "ycsb", 4, 4, 13), 3))
+	f.Add(bytes.Repeat(streamBody(f, "social", 4, 4, 13), 3))
+	for _, line := range []string{canonicalLine, escapedLine, `{"txn":1}`} {
+		f.Add([]byte(line + "\n " + line + "\r\n" + line))
 	}
 	f.Fuzz(checkEventsRequest)
 }

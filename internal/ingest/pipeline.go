@@ -4,7 +4,6 @@ import (
 	"cmp"
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 
@@ -356,15 +355,17 @@ func (p *Pipeline) compact() Epoch {
 			merged = append(merged, mergedEntry{e: &sh.tk.entries[ei], shard: si})
 		}
 	}
-	sort.Slice(merged, func(i, j int) bool {
-		a, b := merged[i].e, merged[j].e
-		if a.count != b.count {
-			return a.count > b.count
+	// Counts descending, then names: each (transaction, query) lives in one
+	// shard, so no two entries tie and any sort gives this one order.
+	slices.SortFunc(merged, func(x, y mergedEntry) int {
+		a, b := x.e, y.e
+		if c := cmp.Compare(b.count, a.count); c != 0 {
+			return c
 		}
-		if a.txn != b.txn {
-			return a.txn < b.txn
+		if c := strings.Compare(a.txn, b.txn); c != 0 {
+			return c
 		}
-		return a.query < b.query
+		return strings.Compare(a.query, b.query)
 	})
 	if len(merged) > p.cfg.TopK {
 		merged = merged[:p.cfg.TopK]
