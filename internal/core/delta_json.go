@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"vpart/internal/jsonscan"
 )
 
 // Workload deltas cross process boundaries in the daemon (POST
@@ -148,11 +150,15 @@ func EncodeDelta(w io.Writer, d WorkloadDelta) error {
 
 // DecodeDelta reads a workload delta from JSON. The delta is structurally
 // validated only; name resolution happens when it is applied to an instance.
+// Only whitespace may follow the document.
 func DecodeDelta(r io.Reader) (WorkloadDelta, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var d WorkloadDelta
 	if err := dec.Decode(&d); err != nil {
+		return WorkloadDelta{}, fmt.Errorf("decode delta: %w", err)
+	}
+	if err := jsonscan.Finish(dec); err != nil {
 		return WorkloadDelta{}, fmt.Errorf("decode delta: %w", err)
 	}
 	return d, nil

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"vpart/internal/core"
+	"vpart/internal/core/jsontest"
 	"vpart/internal/randgen"
 	"vpart/internal/sa"
 	"vpart/internal/tpcc"
@@ -18,7 +19,10 @@ import (
 // bytes that decode into a valid instance must re-encode and decode to the
 // identical serialised form (a fixed point after one round trip), and the
 // decoded instance must always pass validation — DecodeInstance must never
-// hand back an instance the solvers would choke on.
+// hand back an instance the solvers would choke on. Every input also goes
+// through checkInstanceAgainstReference: DecodeInstance, fast path
+// included, must agree with its encoding/json reference. The last seeds
+// are a cold benchmark instance (rndAt128x400c8), compact and indented.
 func FuzzInstanceJSON(f *testing.F) {
 	seed := func(inst *core.Instance) {
 		var buf bytes.Buffer
@@ -44,9 +48,15 @@ func FuzzInstanceJSON(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"name":"x","schema":{"tables":[]},"workload":{"transactions":[]}}`))
 	f.Add([]byte(`{"name":"x","unknown":1}`))
+	cold, err := randgen.Generate(randgen.MultiComponent(8, 128, 400, 10), 1)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(jsontest.Compact(f, "compact", cold).JSON)
+	f.Add(jsontest.Indented(f, "indented", cold).JSON)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		inst, err := core.DecodeInstance(bytes.NewReader(data))
+		inst, err := checkInstanceAgainstReference(t, data)
 		if err != nil {
 			return // invalid input: rejecting it is the correct behaviour
 		}

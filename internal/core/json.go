@@ -1,10 +1,13 @@
 package core
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+
+	"vpart/internal/jsonscan"
 )
 
 // EncodeInstance writes an instance as indented JSON.
@@ -17,12 +20,49 @@ func EncodeInstance(w io.Writer, inst *Instance) error {
 	return nil
 }
 
-// DecodeInstance reads an instance from JSON and validates it.
+// DecodeInstance reads an instance from JSON and validates it. The
+// document must be one JSON object: unknown fields and anything but
+// whitespace after the object are rejected.
+//
+// It reads all of r and decodes the canonical form that EncodeInstance and
+// json.Marshal write in one pass (ScanInstance): exact lowercase field
+// names, each at most once; strings of printable ASCII without escapes;
+// kinds "read" or "write"; integer widths; no null. Any other document is
+// decoded again by DecodeInstanceReference, the encoding/json decoder that
+// is the fast path's fallback and test oracle, so the accepted documents,
+// the decoded instance and the error text are the reference's.
 func DecodeInstance(r io.Reader) (*Instance, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, fmt.Errorf("decode instance: %w", err)
+	}
+	return decodeInstanceBytes(data)
+}
+
+// decodeInstanceBytes is DecodeInstance over a document held in memory.
+func decodeInstanceBytes(data []byte) (*Instance, error) {
+	c := jsonscan.Cursor{Buf: data}
+	inst, ok := ScanInstance(&c)
+	if !ok || !c.End() {
+		return DecodeInstanceReference(bytes.NewReader(data))
+	}
+	if err := inst.Validate(); err != nil {
+		return nil, err
+	}
+	return inst, nil
+}
+
+// DecodeInstanceReference reads an instance from JSON with encoding/json,
+// strict about unknown fields and trailing data, and validates it. It is
+// DecodeInstance's fallback and the oracle its fast path is tested against.
+func DecodeInstanceReference(r io.Reader) (*Instance, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var inst Instance
 	if err := dec.Decode(&inst); err != nil {
+		return nil, fmt.Errorf("decode instance: %w", err)
+	}
+	if err := jsonscan.Finish(dec); err != nil {
 		return nil, fmt.Errorf("decode instance: %w", err)
 	}
 	if err := inst.Validate(); err != nil {
@@ -44,14 +84,13 @@ func SaveInstance(path string, inst *Instance) error {
 	return f.Close()
 }
 
-// LoadInstance reads an instance from a JSON file.
+// LoadInstance reads an instance from a JSON file, as DecodeInstance does.
 func LoadInstance(path string) (*Instance, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, fmt.Errorf("load instance: %w", err)
 	}
-	defer f.Close()
-	return DecodeInstance(f)
+	return decodeInstanceBytes(data)
 }
 
 // EncodeAssignment writes a partitioning assignment as indented JSON.
@@ -64,11 +103,15 @@ func EncodeAssignment(w io.Writer, as *Assignment) error {
 	return nil
 }
 
-// DecodeAssignment reads a partitioning assignment from JSON.
+// DecodeAssignment reads a partitioning assignment from JSON; only
+// whitespace may follow the document.
 func DecodeAssignment(r io.Reader) (*Assignment, error) {
 	dec := json.NewDecoder(r)
 	var as Assignment
 	if err := dec.Decode(&as); err != nil {
+		return nil, fmt.Errorf("decode assignment: %w", err)
+	}
+	if err := jsonscan.Finish(dec); err != nil {
 		return nil, fmt.Errorf("decode assignment: %w", err)
 	}
 	return &as, nil
@@ -109,12 +152,15 @@ func EncodeConstraints(w io.Writer, c *Constraints) error {
 
 // DecodeConstraints reads a placement-constraint set from JSON and validates
 // its structure (name resolution happens when the set is compiled against a
-// model).
+// model). Only whitespace may follow the document.
 func DecodeConstraints(r io.Reader) (*Constraints, error) {
 	dec := json.NewDecoder(r)
 	dec.DisallowUnknownFields()
 	var c Constraints
 	if err := dec.Decode(&c); err != nil {
+		return nil, fmt.Errorf("decode constraints: %w", err)
+	}
+	if err := jsonscan.Finish(dec); err != nil {
 		return nil, fmt.Errorf("decode constraints: %w", err)
 	}
 	if err := c.Validate(); err != nil {

@@ -11,6 +11,8 @@ import (
 	"fmt"
 	"os"
 	"time"
+
+	"vpart/internal/jsonscan"
 )
 
 // Duration is a time.Duration that (un)marshals as a Go duration string
@@ -161,7 +163,8 @@ func Default() Config {
 }
 
 // Load reads a JSON config file and merges it over Default(). An empty path
-// returns Default(). Unknown fields are rejected so typos fail loudly.
+// returns Default(). Unknown fields, and anything but whitespace after the
+// document, are rejected so typos fail loudly.
 func Load(path string) (Config, error) {
 	cfg := Default()
 	if path == "" {
@@ -175,6 +178,9 @@ func Load(path string) (Config, error) {
 	dec := json.NewDecoder(f)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&cfg); err != nil {
+		return cfg, fmt.Errorf("config: %s: %w", path, err)
+	}
+	if err := jsonscan.Finish(dec); err != nil {
 		return cfg, fmt.Errorf("config: %s: %w", path, err)
 	}
 	if err := cfg.Validate(); err != nil {

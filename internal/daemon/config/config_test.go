@@ -64,6 +64,7 @@ func TestLoadRejects(t *testing.T) {
 		{"bad level", `{"log": {"level": "loud"}}`, "unknown log level"},
 		{"debounce exceeds interval", `{"trigger": {"debounce": "1m", "max_interval": "1s"}}`, "exceeds"},
 		{"negative staleness", `{"trigger": {"max_staleness": -1}}`, "negative"},
+		{"trailing data", `{"addr": ":1"} {"x": 1} junk`, "trailing data after JSON value"},
 	} {
 		_, err := Load(writeFile(t, tc.doc))
 		if err == nil || !strings.Contains(err.Error(), tc.want) {

@@ -10,7 +10,9 @@ import (
 	"time"
 
 	"vpart"
+	"vpart/internal/core"
 	"vpart/internal/daemon/service"
+	"vpart/internal/jsonscan"
 )
 
 // The wire types of the vpartd HTTP API. Request decoding is strict
@@ -92,12 +94,97 @@ type ErrorResponse struct {
 
 // ParseCreateSessionRequest decodes and validates a session-create body,
 // returning the session name, the decoded instance and the mapped solver
-// options (constraints included).
+// options (constraints included). The body must be one JSON object:
+// unknown fields and anything but whitespace after it are rejected.
+//
+// A body in the canonical form json.Marshal writes is scanned once: its
+// keys are the exact lowercase field names, each at most once, its name is
+// printable ASCII without escapes, and its instance is in the form
+// core.ScanInstance decodes, which decodes it in place, without a
+// json.RawMessage copy. Its options and constraints are decoded from their
+// own bytes by encoding/json. Any other body goes to
+// parseCreateSessionRequestJSON, the encoding/json decoder that is the fast
+// path's fallback and test oracle, so the accepted bodies, the decoded
+// values and the error text are the reference's.
 func ParseCreateSessionRequest(data []byte) (string, *vpart.Instance, vpart.Options, error) {
+	req, ok := scanCreateSessionRequest(data)
+	if !ok {
+		return parseCreateSessionRequestJSON(data)
+	}
+	if err := req.inst.Validate(); err != nil {
+		return "", nil, vpart.Options{}, fmt.Errorf("create request: %w", err)
+	}
+	return req.finish()
+}
+
+// createRequest is a session-create body whose name and instance have been
+// decoded and whose instance is present.
+type createRequest struct {
+	name        string
+	inst        *vpart.Instance
+	options     SessionOptions
+	constraints json.RawMessage
+}
+
+// scanCreateSessionRequest is ParseCreateSessionRequest's fast path. It
+// reports false for any body it leaves to the reference: one not in the
+// canonical form, with an options or constraints value encoding/json
+// rejects, with an empty name or without an instance. On a body it
+// accepts, the reference's envelope decode and its checks up to the
+// instance's validation succeed with the same values.
+func scanCreateSessionRequest(data []byte) (createRequest, bool) {
+	var req createRequest
+	var seen uint8
+	c := jsonscan.Cursor{Buf: data}
+	ok := c.Object(func(key []byte) bool {
+		switch string(key) {
+		case "name":
+			if !jsonscan.Once(&seen, 1) {
+				return false
+			}
+			s, ok := c.Str()
+			req.name = string(s)
+			return ok
+		case "instance":
+			if !jsonscan.Once(&seen, 2) {
+				return false
+			}
+			var ok bool
+			req.inst, ok = core.ScanInstance(&c)
+			return ok
+		case "options":
+			return jsonscan.Once(&seen, 4) && decodeValue(&c, &req.options)
+		case "constraints":
+			return jsonscan.Once(&seen, 8) && decodeValue(&c, &req.constraints)
+		}
+		return false
+	})
+	return req, ok && c.End() && req.name != "" && req.inst != nil
+}
+
+// decodeValue decodes the JSON value at c's position into v with
+// encoding/json, strict about unknown fields, and moves c past it.
+func decodeValue(c *jsonscan.Cursor, v any) bool {
+	dec := json.NewDecoder(bytes.NewReader(c.Buf[c.Pos:]))
+	dec.DisallowUnknownFields()
+	if dec.Decode(v) != nil {
+		return false
+	}
+	c.Pos += int(dec.InputOffset())
+	return true
+}
+
+// parseCreateSessionRequestJSON is ParseCreateSessionRequest's reference:
+// encoding/json decodes the body, with the instance as a json.RawMessage
+// that core.DecodeInstanceReference decodes and validates.
+func parseCreateSessionRequestJSON(data []byte) (string, *vpart.Instance, vpart.Options, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
 	var req CreateSessionRequest
 	if err := dec.Decode(&req); err != nil {
+		return "", nil, vpart.Options{}, fmt.Errorf("decode create request: %w", err)
+	}
+	if err := jsonscan.Finish(dec); err != nil {
 		return "", nil, vpart.Options{}, fmt.Errorf("decode create request: %w", err)
 	}
 	if req.Name == "" {
@@ -106,22 +193,28 @@ func ParseCreateSessionRequest(data []byte) (string, *vpart.Instance, vpart.Opti
 	if len(req.Instance) == 0 {
 		return "", nil, vpart.Options{}, fmt.Errorf("create request: missing instance")
 	}
-	inst, err := vpart.ReadInstance(bytes.NewReader(req.Instance))
+	inst, err := core.DecodeInstanceReference(bytes.NewReader(req.Instance))
 	if err != nil {
 		return "", nil, vpart.Options{}, fmt.Errorf("create request: %w", err)
 	}
-	opts, err := req.Options.ToOptions()
+	return createRequest{name: req.Name, inst: inst, options: req.Options, constraints: req.Constraints}.finish()
+}
+
+// finish maps the options and decodes the constraints of a body whose
+// instance has been validated.
+func (req createRequest) finish() (string, *vpart.Instance, vpart.Options, error) {
+	opts, err := req.options.ToOptions()
 	if err != nil {
 		return "", nil, vpart.Options{}, fmt.Errorf("create request: %w", err)
 	}
-	if len(req.Constraints) > 0 {
-		cons, err := vpart.DecodeConstraints(bytes.NewReader(req.Constraints))
+	if len(req.constraints) > 0 {
+		cons, err := vpart.DecodeConstraints(bytes.NewReader(req.constraints))
 		if err != nil {
 			return "", nil, vpart.Options{}, fmt.Errorf("create request: constraints: %w", err)
 		}
 		opts.Constraints = cons
 	}
-	return req.Name, inst, opts, nil
+	return req.name, req.inst, opts, nil
 }
 
 // ToOptions maps the wire options onto vpart.Options.
@@ -249,7 +342,7 @@ const (
 func ParseEventsRequest(data []byte) ([]vpart.QueryEvent, error) {
 	lines := min(bytes.Count(data, []byte{'\n'})+1, maxEventBatch)
 	events := make([]vpart.QueryEvent, 0, lines)
-	sc := newEventScanner()
+	sc := newEventScanner(lines)
 	seen := newLineTable(lines)
 	line := 0
 	for len(data) > 0 {
@@ -265,7 +358,13 @@ func ParseEventsRequest(data []byte) ([]vpart.QueryEvent, error) {
 			continue
 		}
 		var ev vpart.QueryEvent
+		probing := seen.slots != nil
 		i, ok := seen.first(raw, len(events))
+		if probing && seen.slots == nil {
+			// The table has just stopped: the body's lines are mostly
+			// distinct, and each line left brings about one new name.
+			sc.reserve(max(lines-line, 0))
+		}
 		if ok {
 			ev = events[i]
 		} else if ev, ok = sc.event(raw); !ok {

@@ -17,9 +17,13 @@ import (
 // produce values the solver layer can consume (a validated instance,
 // validated options, a re-encodable delta), and a decoded delta or event
 // batch must be a fixed point after one encode→decode cycle. Event bodies
-// get the checks of FuzzEventsRequest. The seed corpus embeds real instance
-// and constraint documents the same way FuzzInstanceJSON and
-// FuzzConstraintsJSON seed theirs.
+// get the checks of FuzzEventsRequest, and create bodies the check of
+// checkCreateAgainstReference: ParseCreateSessionRequest, fast path
+// included, must agree with its encoding/json reference. The seed corpus
+// embeds real instance and constraint documents the same way
+// FuzzInstanceJSON and FuzzConstraintsJSON seed theirs; the last seeds are
+// the first cold benchmark body, compact as the benchmark sends it, and
+// the same body with its instance indented.
 func FuzzDaemonRequests(f *testing.F) {
 	// Seed with well-formed create requests around real instances.
 	addCreate := func(name string, inst *vpart.Instance, opts SessionOptions, cons *vpart.Constraints) {
@@ -84,6 +88,17 @@ func FuzzDaemonRequests(f *testing.F) {
 	f.Add("delta", []byte(`{"ops":[]}`))
 	f.Add("delta", []byte(`{"ops":[{"op":"scale_freq","txn":"T","factor":-1}]}`))
 	f.Add("delta", []byte(`{"ops":[{"op":"no_such_op"}]}`))
+	cold := coldBodies(f)[0]
+	f.Add("create", cold)
+	var req CreateSessionRequest
+	if err := json.Unmarshal(cold, &req); err != nil {
+		f.Fatal(err)
+	}
+	var indented bytes.Buffer
+	if err := json.Indent(&indented, req.Instance, "", "  "); err != nil {
+		f.Fatal(err)
+	}
+	f.Add("create", []byte(`{"name":"bench-0","instance":`+indented.String()+`,"options":{"sites":4,"solver":"decompose","seed":1}}`))
 
 	f.Fuzz(func(t *testing.T, kind string, data []byte) {
 		switch kind {
@@ -112,10 +127,11 @@ func FuzzDaemonRequests(f *testing.F) {
 				t.Fatalf("delta round trip is not a fixed point:\nfirst:  %s\nsecond: %s", first.Bytes(), second.Bytes())
 			}
 		default:
-			name, inst, opts, err := ParseCreateSessionRequest(data)
+			res, err := checkCreateAgainstReference(t, data)
 			if err != nil {
 				return // invalid input: rejecting it is the correct behaviour
 			}
+			name, inst, opts := res.name, res.inst, res.opts
 			if name == "" {
 				t.Fatal("decoder accepted an empty session name")
 			}

@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"vpart/internal/core"
+	"vpart/internal/jsonscan"
 )
 
 // SessionSnapshot is a JSON-serialisable copy of a session's full state: the
@@ -127,10 +128,14 @@ func EncodeSessionSnapshot(w io.Writer, snap *SessionSnapshot) error {
 }
 
 // DecodeSessionSnapshot reads a session snapshot from JSON and validates its
-// instance.
+// instance. Only whitespace may follow the document.
 func DecodeSessionSnapshot(r io.Reader) (*SessionSnapshot, error) {
 	var snap SessionSnapshot
-	if err := json.NewDecoder(r).Decode(&snap); err != nil {
+	dec := json.NewDecoder(r)
+	if err := dec.Decode(&snap); err != nil {
+		return nil, fmt.Errorf("vpart: decode session snapshot: %w", err)
+	}
+	if err := jsonscan.Finish(dec); err != nil {
 		return nil, fmt.Errorf("vpart: decode session snapshot: %w", err)
 	}
 	if snap.Instance != nil {

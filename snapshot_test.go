@@ -5,6 +5,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -95,6 +96,22 @@ func TestSessionSnapshotRoundTrip(t *testing.T) {
 	if len(restored.History()) != 2 || restored.Snapshot().Resolves != 2 {
 		t.Fatalf("history/resolve counters not continued: history=%d resolves=%d",
 			len(restored.History()), restored.Snapshot().Resolves)
+	}
+}
+
+// TestDecodeSessionSnapshotRejectsTrailingData: a snapshot document
+// followed by more than whitespace is rejected.
+func TestDecodeSessionSnapshotRejectsTrailingData(t *testing.T) {
+	var buf bytes.Buffer
+	if err := vpart.EncodeSessionSnapshot(&buf, snapshotSession(t).Snapshot()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := vpart.DecodeSessionSnapshot(bytes.NewReader(append(buf.Bytes(), " \n"...))); err != nil {
+		t.Fatalf("snapshot with trailing whitespace rejected: %v", err)
+	}
+	_, err := vpart.DecodeSessionSnapshot(bytes.NewReader(append(buf.Bytes(), ` {"x": 1} junk`...)))
+	if err == nil || !strings.Contains(err.Error(), "trailing data after JSON value") {
+		t.Fatalf("snapshot with trailing data: error %v", err)
 	}
 }
 

@@ -236,7 +236,15 @@ func Simulate(ctx context.Context, inst *Instance, opts ModelOptions, p *Partiti
 // wrapper over EncodeInstance for symmetry with ReadInstance.
 func WriteInstance(w io.Writer, inst *Instance) error { return core.EncodeInstance(w, inst) }
 
-// ReadInstance reads and validates an instance from JSON.
+// ReadInstance reads and validates an instance from JSON, as DecodeInstance
+// does: unknown fields and anything but whitespace after the document are
+// rejected. A document in the canonical form EncodeInstance and json.Marshal
+// write (exact lowercase field names, each at most once; strings of
+// printable ASCII without escapes; kinds "read" or "write"; integer widths;
+// no null) is decoded in one pass over its bytes. Any other document is left
+// to encoding/json, the fast path's fallback and test oracle, so the
+// accepted documents, the decoded instance and the error text are
+// encoding/json's.
 func ReadInstance(r io.Reader) (*Instance, error) { return core.DecodeInstance(r) }
 
 // SchemaFromCSV parses a "table,attribute,width" CSV (as produced from a
