@@ -7,6 +7,7 @@ package vpart_test
 
 import (
 	"context"
+	"syscall"
 	"testing"
 	"time"
 
@@ -269,6 +270,65 @@ func BenchmarkPortfolioWarmLineup(b *testing.B) {
 			})
 		}
 	}
+}
+
+// BenchmarkColdLineup keeps the cold lineup curve: the 8 instances of the
+// cold benchmark workload (rndAt128x400c8 at workload seed 1) solved cold
+// through decompose on 4 sites with solver seed 1, under four shard
+// lineups: the default portfolio (4 polished SA runs), the portfolio with a
+// 4-replica sa-par child (SAPar: 4), a 2-SA portfolio (SASeeds: 2) and
+// sa-par alone (Decompose.Solver "sa-par"). Each row reports the mean
+// balanced cost over the instances and the process CPU seconds per solve, so
+// a change to a solver or to the polish re-measures the trade-off the
+// default rests on. One op solves all 8 instances.
+func BenchmarkColdLineup(b *testing.B) {
+	ctx := context.Background()
+	var insts []*vpart.Instance
+	for i := 0; i < 8; i++ {
+		inst, err := vpart.RandomInstance(vpart.MultiComponentClass(8, 128, 400, 10), seeds.Derive(1, i))
+		if err != nil {
+			b.Fatal(err)
+		}
+		insts = append(insts, inst)
+	}
+	for _, row := range []struct {
+		name string
+		opts vpart.Options
+	}{
+		{"default", vpart.Options{}},
+		{"sa-par-4", vpart.Options{Portfolio: vpart.PortfolioOptions{SAPar: 4}}},
+		{"sa-seeds-2", vpart.Options{Portfolio: vpart.PortfolioOptions{SASeeds: 2}}},
+		{"decompose-sa-par", vpart.Options{Decompose: vpart.DecomposeOptions{Solver: "sa-par"}}},
+	} {
+		b.Run(row.name, func(b *testing.B) {
+			cost := 0.0
+			cpu0 := processCPUSeconds(b)
+			for i := 0; i < b.N; i++ {
+				for _, inst := range insts {
+					opts := row.opts
+					opts.Sites, opts.Solver, opts.Seed = 4, "decompose", 1
+					sol, err := vpart.Solve(ctx, inst, opts)
+					if err != nil {
+						b.Fatal(err)
+					}
+					cost += sol.Cost.Balanced
+				}
+			}
+			solves := float64(b.N * len(insts))
+			b.ReportMetric(cost/solves, "cost")
+			b.ReportMetric((processCPUSeconds(b)-cpu0)/solves, "cpu-s/solve")
+		})
+	}
+}
+
+// processCPUSeconds returns the CPU time the process has used, user and
+// system, in seconds.
+func processCPUSeconds(b *testing.B) float64 {
+	var ru syscall.Rusage
+	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
+		b.Fatal(err)
+	}
+	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano()).Seconds()
 }
 
 // BenchmarkQPSolverTPCC measures a full exact QP solve of TPC-C onto 2 sites.

@@ -29,8 +29,9 @@ func TestSharedBudgetBoundsNestedSolvers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Decompose (shard pool) over the default portfolio inner solver, whose
-	// lineup is SASeeds plain-SA leaves plus the sa-par child's replicas —
-	// every one of them a budget-slot holder.
+	// cold lineup is SASeeds plain-SA leaves, each followed by its polish,
+	// and then the merged layout's polish — every one of them a budget-slot
+	// holder.
 	sol, err := Solve(context.Background(), inst, Options{
 		Sites:      2,
 		Seed:       9,

@@ -56,7 +56,7 @@ func run(ctx context.Context, args []string) error {
 		gap          = fs.Float64("gap", 0.001, "QP relative MIP gap (finite, ≥ 0)")
 		pfSeeds      = fs.Int("portfolio-seeds", vpart.DefaultPortfolioSASeeds, "portfolio solver: number of concurrent SA seeds")
 		pfQP         = fs.Bool("portfolio-qp", false, "portfolio solver: also race the exact QP solver")
-		replicas     = fs.Int("replicas", 0, "sa-par solver: parallel-tempering replica count K (0 = default)")
+		replicas     = fs.Int("replicas", 0, "sa-par solver: parallel-tempering replica count K (0 = default); portfolio solver: K > 0 also races a K-replica sa-par child on a cold solve (warm solves race one by default)")
 		layoutOut    = fs.String("out", "", "write the resulting assignment as JSON to this file")
 		ddlOut       = fs.String("ddl", "", "write per-site fragment DDL to this file")
 		reportOut    = fs.String("report", "", "write a markdown advisor report to this file")

@@ -126,6 +126,8 @@ func (d decomposeSolver) Solve(ctx context.Context, m *Model, opts Options) (*Re
 		Warm:     warmHint(opts),
 		Dirty:    opts.WarmDirty,
 		Progress: opts.Progress,
+		Disjoint: opts.Disjoint,
+		Budget:   solverBudget,
 		SolveShard: func(ctx context.Context, shard int, sm *Model, warm *Partitioning, prog ProgressFunc) (*decompose.ShardOutcome, error) {
 			shardOpts := opts
 			shardOpts.Solver = name

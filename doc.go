@@ -31,15 +31,47 @@
 //     concurrently at staggered temperatures and periodically exchange
 //     incumbents (see below);
 //   - "portfolio" — races several independently seeded SA runs, the
-//     parallel-tempering solver, and optionally the QP solver, as concurrent
-//     goroutines; it cancels the stragglers once a winner is accepted and
-//     returns the best incumbent;
+//     parallel-tempering solver (with a warm hint, or when
+//     PortfolioOptions.SAPar sizes it), and optionally the QP solver, as
+//     concurrent goroutines; it polishes every child's layout to a local
+//     optimum before the race compares them, cancels the stragglers once a
+//     winner is accepted and returns the best incumbent;
 //   - "decompose" — splits the instance into the independent components of
 //     its access graph and solves them concurrently (see below).
 //
 // Solve selects a solver by name (Options.Solver), so new algorithms become
 // available to every caller — including the bundled CLIs — by registering
 // them, without touching the facade.
+//
+// # Polishing raced and merged layouts
+//
+// Algorithm 1 ends on greedy passes that never revisit a placement, so an SA
+// layout can still hold a single move that lowers its cost. Where layouts
+// are raced or merged, they are polished to a local optimum: the portfolio
+// polishes every child's layout over the model the child solved before the
+// race compares them, and the decompose meta-solver polishes the merged
+// layout, because the balance term of objective (6) couples shards that
+// were solved apart. The polish sweeps, in index order, the drops of a
+// replica no transaction on its site reads and the relocations of a
+// transaction with the read replicas it needs, priced with the incremental
+// Evaluator, commits every move that lowers the balanced cost by more than
+// 1e-9 relative and stops when a sweep commits nothing. An added replica
+// never lowers (6) on its own, so additions are only priced as part of a
+// relocation. Placement constraints, colocation groups and site capacities
+// bound every move. The polish is skipped in disjoint mode, on one site and
+// for a proven gap-free optimum, and it holds one slot of the shared solver
+// budget. The "sa", "sa-par" and "qp" solvers return the paper's layouts
+// unpolished.
+//
+// The cold portfolio lineup rests on that polish: four polished SA runs
+// reach a lower cost than four unpolished SA runs plus the sa-par child, for
+// about half the CPU, on the 8 rndAt128x400c8 instances through decompose on
+// 4 sites (BenchmarkColdLineup keeps the curve). So a cold race launches
+// sa-par only when PortfolioOptions.SAPar is positive, and a warm race keeps
+// it. Not every instance gains: of 15 random instances solved cold (seeds
+// 1–6 of rndAt16x60 and rndAt32x120 on 4 sites, seeds 1–3 of rndAt64x200
+// on 8), rndAt16x60 at seed 3 ends 3.1 % and rndAt32x120 at seed 2 2.5 %
+// costlier without sa-par; SAPar > 0 restores it.
 //
 // # Parallel tempering ("sa-par")
 //

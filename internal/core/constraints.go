@@ -474,7 +474,7 @@ func compileConstraints(m *Model, c *Constraints) (*ConstraintSet, error) {
 	// Conflict detection over the effective per-attribute sets.
 	for a := 0; a < nA; a++ {
 		for _, rs := range cs.attrRequired[a] {
-			if containsSite(cs.attrForbidden[a], rs) {
+			if containsSorted(cs.attrForbidden[a], rs) {
 				return nil, fmt.Errorf("constraints: attribute %s both required and forbidden on site %d (after colocation and pin propagation)",
 					m.Attr(a).Qualified, rs)
 			}
@@ -488,7 +488,7 @@ func compileConstraints(m *Model, c *Constraints) (*ConstraintSet, error) {
 				continue // each pair once
 			}
 			for _, rs := range cs.attrRequired[a] {
-				if containsSite(cs.attrRequired[b], rs) {
+				if containsSorted(cs.attrRequired[b], rs) {
 					return nil, fmt.Errorf("constraints: separated attributes %s and %s are both required on site %d",
 						m.Attr(a).Qualified, m.Attr(int(b)).Qualified, rs)
 				}
@@ -511,9 +511,20 @@ func compileConstraints(m *Model, c *Constraints) (*ConstraintSet, error) {
 	return cs, nil
 }
 
-func containsSite(list []int32, s int32) bool {
-	i := sort.Search(len(list), func(i int) bool { return list[i] >= s })
-	return i < len(list) && list[i] == s
+// containsSorted reports whether the ascending list contains v.
+//
+//vpart:noalloc
+func containsSorted(list []int32, v int32) bool {
+	lo, hi := 0, len(list)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if list[mid] < v {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo < len(list) && list[lo] == v
 }
 
 func containsAttr(sorted []int, a int) bool {
@@ -567,12 +578,12 @@ func (cs *ConstraintSet) Forbidden(a int) []int32 {
 
 // ForbiddenAt reports whether attribute a is forbidden on site s.
 func (cs *ConstraintSet) ForbiddenAt(a, s int) bool {
-	return containsSite(cs.Forbidden(a), int32(s))
+	return containsSorted(cs.Forbidden(a), int32(s))
 }
 
 // RequiredAt reports whether attribute a is required on site s.
 func (cs *ConstraintSet) RequiredAt(a, s int) bool {
-	return containsSite(cs.Required(a), int32(s))
+	return containsSorted(cs.Required(a), int32(s))
 }
 
 // MaxReplicasOf returns attribute a's effective replica cap (a large value

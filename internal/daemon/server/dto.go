@@ -50,8 +50,11 @@ type SessionOptions struct {
 	// PortfolioSeeds / PortfolioQP configure the portfolio solver.
 	// PortfolioSeeds is the number of SA children of a full race (0 = the
 	// daemon default, at most maxPortfolioSeeds): the cold first resolve
-	// and any resolve whose incumbent did not come out of a warm start. A
-	// resolve warm-started from a warm win runs only the warm children.
+	// and any resolve whose incumbent did not come out of a warm start. The
+	// cold first resolve races them alone; a warm resolve adds the warm
+	// sa-par child, and one warm-started from a warm win runs only the warm
+	// children. Every child's layout is polished before the race compares
+	// them.
 	PortfolioSeeds int  `json:"portfolio_seeds,omitempty"`
 	PortfolioQP    bool `json:"portfolio_qp,omitempty"`
 	// DecomposeSolver / DecomposeWorkers configure the decompose meta-solver.

@@ -2,8 +2,9 @@
 // "decompose" meta-solver: it splits a compiled model's instance into the
 // independent components of its table–transaction access graph
 // (core.Decompose), solves every component concurrently on a bounded worker
-// pool with a caller-supplied inner solver, and merges the per-shard
-// partitionings back exactly (core.Decomposition.MergeSolutions).
+// pool with a caller-supplied inner solver, merges the per-shard
+// partitionings back exactly (core.Decomposition.MergeSolutions) and
+// polishes the merged layout to a local optimum (core.Polish).
 //
 // The inner solver is injected as a callback rather than looked up here
 // because the solver registry lives in the root vpart package, which imports
@@ -18,6 +19,7 @@ import (
 	"sync"
 	"time"
 
+	"vpart/internal/conc"
 	"vpart/internal/core"
 	"vpart/internal/progress"
 )
@@ -103,6 +105,12 @@ type Options struct {
 	Progress progress.Func
 	// SolveShard is the inner solver callback. Required.
 	SolveShard SolveShardFunc
+	// Disjoint marks a solve that forbids replication; the merged layout is
+	// then returned unpolished.
+	Disjoint bool
+	// Budget, when non-nil, is the compute budget the merged layout's polish
+	// holds one slot of while it runs.
+	Budget *conc.Budget
 }
 
 // Result is the outcome of a decompose run over the source model.
@@ -121,6 +129,7 @@ type Result struct {
 	// Optimal reports whether the merged solution is proven optimal: only
 	// when there is a single shard whose inner solve was optimal (per-shard
 	// optima do not compose through the load-balancing term for λ < 1).
+	// Every other merged layout is polished.
 	Optimal bool
 	// TimedOut reports whether any shard's search was cut short.
 	TimedOut bool
@@ -336,9 +345,18 @@ feed:
 	if err != nil {
 		return nil, err
 	}
+	res.Optimal = n == 1 && states[0].outcome.Optimal
+	if !res.Optimal {
+		// Objective (6)'s balance term couples the shards through the sites
+		// they share, so a merge of shards solved apart can still hold single
+		// moves that pay; polish them out over the model that was split.
+		merged, cost, err = polishMerged(ctx, m, merged, cost, opts)
+		if err != nil {
+			return nil, err
+		}
+	}
 	res.Partitioning = merged
 	res.Cost = cost
-	res.Optimal = n == 1 && states[0].outcome.Optimal
 	res.Runtime = time.Since(start)
 	prog.Emit(progress.Event{
 		Kind:    progress.KindIncumbent,
@@ -348,6 +366,21 @@ feed:
 		Message: fmt.Sprintf("merged %d shard(s)", n),
 	})
 	return res, nil
+}
+
+// polishMerged returns the merged layout moved to a local optimum over the
+// source model (core.Polish) with its cost, holding one slot of the budget
+// while the polish runs.
+func polishMerged(ctx context.Context, m *core.Model, merged *core.Partitioning, cost core.Cost, opts Options) (*core.Partitioning, core.Cost, error) {
+	if err := opts.Budget.Acquire(ctx); err != nil {
+		return nil, cost, fmt.Errorf("decompose: %w", err)
+	}
+	defer opts.Budget.Release()
+	p, moves, err := core.Polish(ctx, m, merged, opts.Disjoint)
+	if err != nil || moves == 0 {
+		return merged, cost, err
+	}
+	return p, m.Evaluate(p), nil
 }
 
 // shardState is one shard's slot in the pool's result array.

@@ -357,7 +357,7 @@ func (p *Pipeline) compact() Epoch {
 	}
 	// Counts descending, then names: each (transaction, query) lives in one
 	// shard, so no two entries tie and any sort gives this one order.
-	slices.SortFunc(merged, func(x, y mergedEntry) int {
+	byCount := func(x, y mergedEntry) int {
 		a, b := x.e, y.e
 		if c := cmp.Compare(b.count, a.count); c != 0 {
 			return c
@@ -366,8 +366,10 @@ func (p *Pipeline) compact() Epoch {
 			return c
 		}
 		return strings.Compare(a.query, b.query)
-	})
-	if len(merged) > p.cfg.TopK {
+	}
+	sorted := len(merged) > p.cfg.TopK
+	if sorted {
+		slices.SortFunc(merged, byCount)
 		merged = merged[:p.cfg.TopK]
 	}
 	p.mergedBuf = merged[:0]
@@ -375,6 +377,19 @@ func (p *Pipeline) compact() Epoch {
 	clear(p.topkeys)
 	for _, m := range merged {
 		p.topkeys[m.e.key] = true
+	}
+
+	// Only the entries that emit an op depend on the merged order, so only
+	// they are kept and sorted: a subset of a total order keeps its
+	// relative order, and the ops come out as a full sort would give them.
+	emit := merged[:0]
+	for _, m := range merged {
+		if p.emitsOp(m.e) {
+			emit = append(emit, m)
+		}
+	}
+	if !sorted {
+		slices.SortFunc(emit, byCount)
 	}
 
 	// Pass 1 visits each top-k shape once and pass 2 only shapes outside
@@ -393,8 +408,9 @@ func (p *Pipeline) compact() Epoch {
 	}
 
 	// Pass 1, in merged (global top) order: adds for untracked shapes,
-	// rescales for tracked ones that drifted beyond tolerance.
-	for _, m := range merged {
+	// re-adds for removed ones and rescales for tracked ones that drifted
+	// beyond tolerance.
+	for _, m := range emit {
 		e := m.e
 		ti, ok := p.trackedIdx[e.key]
 		if !ok {
@@ -417,11 +433,8 @@ func (p *Pipeline) compact() Epoch {
 			continue
 		}
 		f := float64(e.count)
-		rel := f/t.freq - 1
-		if rel > p.cfg.ScaleTol || rel < -p.cfg.ScaleTol {
-			scales = append(scales, core.ScaleFreq{Txn: t.txn, Query: t.query, Factor: f / t.freq})
-			t.freq = f
-		}
+		scales = append(scales, core.ScaleFreq{Txn: t.txn, Query: t.query, Factor: f / t.freq})
+		t.freq = f
 	}
 
 	// Pass 2, in tracked (first-touch) order: stream-added shapes that fell
@@ -465,6 +478,20 @@ func (p *Pipeline) compact() Epoch {
 		Removes: len(removes),
 		Scales:  len(scales),
 	}
+}
+
+// emitsOp reports whether compaction's pass 1 emits an op for the top-k
+// entry e: an add for an untracked shape, a re-add for a removed one, or a
+// rescale for a tracked one whose count drifted beyond ScaleTol. Each shape
+// has one entry, and pass 1 changes only the tracking of the entry it
+// visits, so the answer does not depend on the order of the visits.
+func (p *Pipeline) emitsOp(e *entry) bool {
+	ti, ok := p.trackedIdx[e.key]
+	if !ok || !p.tracked[ti].live {
+		return true
+	}
+	rel := float64(e.count)/p.tracked[ti].freq - 1
+	return rel > p.cfg.ScaleTol || rel < -p.cfg.ScaleTol
 }
 
 // Stats snapshots the pipeline's counters and recomputes the state-size and

@@ -404,7 +404,7 @@ func denseSolveYGivenXConstrained(s *solver, p *core.Partitioning) {
 			if best < 0 {
 				best = 0
 			}
-			for _, b := range s.unitMembers(a) {
+			for _, b := range s.nb.Unit(a) {
 				place(int(b), best)
 			}
 			if work[best] > cur {
@@ -412,7 +412,7 @@ func denseSolveYGivenXConstrained(s *solver, p *core.Partitioning) {
 			}
 			continue
 		}
-		members := s.unitMembers(a)
+		members := s.nb.Unit(a)
 		var unitWidth int64
 		for _, b := range members {
 			unitWidth += int64(m.Attr(int(b)).Width)
@@ -483,7 +483,7 @@ func denseSolveYGivenXConstrained(s *solver, p *core.Partitioning) {
 		if g := s.cs.ColocGroupOf(a); g >= 0 && int(s.cs.ColocGroupMembers(g)[0]) != a {
 			continue
 		}
-		members := s.unitMembers(a)
+		members := s.nb.Unit(a)
 		var unitWidth int64
 		for _, b := range members {
 			unitWidth += int64(m.Attr(int(b)).Width)

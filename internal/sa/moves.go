@@ -62,15 +62,10 @@ func (s *solver) perturb(rng *rand.Rand, ev *core.Evaluator) float64 {
 			// along (its read set plus their colocation partners) must all
 			// be admissible. Checked before the first sub-move is applied,
 			// so a rejected relocation leaves no partial batch to unwind.
-			if s.cs != nil && (!ev.AllowMoveTxn(t, st) || !s.canDragReads(ev, t, st)) {
+			if s.cs != nil && (!ev.AllowMoveTxn(t, st) || !s.nb.CanDragReads(ev, t, st)) {
 				continue
 			}
-			delta += ev.ApplyMoveTxn(t, st)
-			for _, b := range s.drags[t] {
-				if !p.AttrSites[b][st] {
-					delta += ev.ApplyAddReplica(int(b), st)
-				}
-			}
+			delta += s.nb.Apply(ev, core.Move{Kind: core.MoveTxn, X: t, Site: st})
 		}
 	}
 
@@ -98,7 +93,7 @@ func (s *solver) perturb(rng *rand.Rand, ev *core.Evaluator) float64 {
 		// proposes a dead replica move.
 		s.missing = s.missing[:0]
 		for st, on := range p.AttrSites[a] {
-			if !on && (s.cs == nil || s.canExtendUnit(ev, a, st)) {
+			if !on && (s.cs == nil || s.nb.CanExtendUnit(ev, a, st)) {
 				s.missing = append(s.missing, st)
 			}
 		}
@@ -106,88 +101,9 @@ func (s *solver) perturb(rng *rand.Rand, ev *core.Evaluator) float64 {
 			continue
 		}
 		st := s.missing[rng.Intn(len(s.missing))]
-		for _, b := range s.unitMembers(a) {
-			if !p.AttrSites[b][st] {
-				delta += ev.ApplyAddReplica(int(b), st)
-			}
-		}
+		delta += s.nb.Apply(ev, core.Move{Kind: core.AddUnit, X: a, Site: st})
 	}
 	return delta
-}
-
-// canDragReads reports whether relocating transaction t to site st can
-// legally drag along every missing read attribute and the colocation
-// partners that must follow them: each addition admitted by
-// Evaluator.AllowAddReplica, no separation among the pending additions
-// themselves, and their combined widths within st's remaining capacity.
-//
-//vpart:noalloc
-func (s *solver) canDragReads(ev *core.Evaluator, t, st int) bool {
-	p := ev.Partitioning()
-	var need int64
-	s.dragBuf = s.dragBuf[:0]
-	for _, b := range s.drags[t] {
-		bi := int(b)
-		if p.AttrSites[bi][st] {
-			continue
-		}
-		if !ev.AllowAddReplica(bi, st) {
-			return false
-		}
-		// The evaluator judges each addition against the live state, which
-		// cannot see replicas this batch has not applied yet.
-		for _, prev := range s.dragBuf {
-			if containsInt32(s.cs.SeparatedFrom(bi), int32(prev)) {
-				return false
-			}
-		}
-		s.dragBuf = append(s.dragBuf, bi)
-		need += int64(s.m.Attr(bi).Width)
-	}
-	// Colocation partners shared between two read attributes are counted
-	// twice in need — a conservative over-estimate that can only reject, not
-	// admit, a capacity-violating batch.
-	headroom := ev.SiteHeadroom(st)
-	return headroom < 0 || need <= headroom
-}
-
-// containsInt32 reports whether the sorted list contains v.
-//
-//vpart:noalloc
-func containsInt32(sorted []int32, v int32) bool {
-	lo, hi := 0, len(sorted)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if sorted[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(sorted) && sorted[lo] == v
-}
-
-// canExtendUnit reports whether the whole unit of attribute a (its
-// colocation group, or just a), which is missing on site st, may gain a
-// replica there: each addition admitted by Evaluator.AllowAddReplica and
-// their summed width within st's remaining capacity.
-//
-//vpart:noalloc
-func (s *solver) canExtendUnit(ev *core.Evaluator, a, st int) bool {
-	p := ev.Partitioning()
-	var need int64
-	for _, b := range s.unitMembers(a) {
-		bi := int(b)
-		if p.AttrSites[bi][st] {
-			continue
-		}
-		if !ev.AllowAddReplica(bi, st) {
-			return false
-		}
-		need += int64(s.m.Attr(bi).Width)
-	}
-	headroom := ev.SiteHeadroom(st)
-	return headroom < 0 || need <= headroom
 }
 
 // intensify runs one findSolution(fix) pass of Algorithm 1 — the greedy

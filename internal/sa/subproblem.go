@@ -36,12 +36,10 @@ type solver struct {
 	cs *core.ConstraintSet
 	ct *core.ConstraintTables
 
-	// units[a] lists the attributes placed together with a — its colocation
-	// group, or just a — ascending, so units[a][0] is the unit's
-	// representative. drags[t] lists the units of transaction t's read
-	// attributes back to back, in read order: the replicas a relocation of
-	// t drags along (a group two reads share appears twice).
-	units, drags [][]int32
+	// nb holds the units (an attribute's colocation group, or just the
+	// attribute) and the replicas each transaction relocation drags along,
+	// and admits moves under the constraints exactly as the polish does.
+	nb *core.Neighbourhood
 
 	// attrOrder lists every unit representative by decreasing c4+c2 and
 	// txnOrder every transaction by decreasing Σ_a c3(a,t), ties by index.
@@ -60,7 +58,6 @@ type solver struct {
 	work    []float64 // greedy passes: running site work
 	order   []int     // greedy passes: processing order
 	bytes   []int64   // greedy passes: running site bytes (constrained)
-	dragBuf []int     // perturb: pending additions of one txn move
 
 	// attrCost/attrLoad hold every attribute's cost and load per site as the
 	// running greedy pass priced them, row a at [a·sites, (a+1)·sites)
@@ -158,32 +155,7 @@ func newSolver(m *core.Model, opts Options) *solver {
 		s.unitLoad = make([]float64, s.sites)
 	}
 
-	s.units = make([][]int32, nA)
-	self := make([]int32, nA)
-	for a := range s.units {
-		if g := s.cs.ColocGroupOf(a); g >= 0 {
-			s.units[a] = s.cs.ColocGroupMembers(g)
-		} else {
-			self[a] = int32(a)
-			s.units[a] = self[a : a+1 : a+1]
-		}
-	}
-
-	n := 0
-	for t := 0; t < nT; t++ {
-		for _, a := range m.TxnReadAttrs(t) {
-			n += len(s.units[a])
-		}
-	}
-	flat := make([]int32, 0, n)
-	s.drags = make([][]int32, nT)
-	for t := range s.drags {
-		start := len(flat)
-		for _, a := range m.TxnReadAttrs(t) {
-			flat = append(flat, s.units[a]...)
-		}
-		s.drags[t] = flat[start:len(flat):len(flat)]
-	}
+	s.nb = core.NewNeighbourhood(m)
 
 	attrWeight := make([]float64, nA)
 	for a := range attrWeight {
@@ -193,7 +165,7 @@ func newSolver(m *core.Model, opts Options) *solver {
 	order := byDecreasingWeight(attrWeight)
 	s.attrOrder = order[:0]
 	for _, a := range order {
-		if int(s.units[a][0]) == a {
+		if int(s.nb.Unit(a)[0]) == a {
 			s.attrOrder = append(s.attrOrder, a)
 		}
 	}
@@ -436,7 +408,7 @@ func (s *solver) solveYGivenX(p *core.Partitioning) {
 		if !rush && s.stopped() {
 			rush = true
 		}
-		members := s.unitMembers(a)
+		members := s.nb.Unit(a)
 		cost, load := s.unitSums(members)
 		// The best site minimises the balanced score, ties to the lowest
 		// index. Under constraints only sites every member may be stored on
@@ -476,7 +448,7 @@ func (s *solver) solveYGivenX(p *core.Partitioning) {
 		if s.stopped() {
 			break
 		}
-		members := s.unitMembers(a)
+		members := s.nb.Unit(a)
 		if int(members[0]) != a {
 			continue // a colocation group extends through its representative
 		}
@@ -697,11 +669,6 @@ func (s *solver) txnSiteOK(t, st int) bool {
 func (s *solver) attrForbiddenAt(a, st int) bool {
 	return s.ct.AttrForbidden[a*s.sites+st]
 }
-
-// unitMembers returns the attributes that must be placed together with a:
-// its colocation group, or just a itself. The returned slice must not be
-// modified.
-func (s *solver) unitMembers(a int) []int32 { return s.units[a] }
 
 // sepConflict reports whether a separation partner of attribute a is stored
 // on site st in p.

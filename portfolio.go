@@ -6,16 +6,24 @@ import (
 	"fmt"
 	"time"
 
+	"vpart/internal/core"
 	"vpart/internal/seeds"
 )
 
 // DefaultPortfolioSASeeds is the number of concurrent SA runs the portfolio
-// solver launches when PortfolioOptions.SASeeds is zero.
+// solver launches when PortfolioOptions.SASeeds is zero. With the default
+// SAPar they make up a cold race on their own: four polished SA runs cost
+// about half the CPU of the older four SA runs plus sa-par, and on the 8
+// rndAt128x400c8 instances (4 sites, decompose) end 0.6 % cheaper.
 const DefaultPortfolioSASeeds = 4
 
 // PortfolioOptions configure the "portfolio" solver, which races several
-// independently seeded SA runs — and optionally the exact QP solver — as
-// concurrent goroutines and returns the best incumbent.
+// independently seeded SA runs — a parallel-tempering run with a warm hint,
+// and optionally the exact QP solver — as concurrent goroutines and returns
+// the best incumbent. Each child's layout is polished to a local optimum
+// (no single drop, relocation or added replica lowers its cost) over the
+// model it solved before the race compares it; a proven gap-free optimum is
+// left as it is.
 type PortfolioOptions struct {
 	// SASeeds is the number of SA runs of a full race (default
 	// DefaultPortfolioSASeeds): a cold solve, or a warm one whose hint did
@@ -29,10 +37,16 @@ type PortfolioOptions struct {
 	// optimality the still-running SA seeds are cancelled immediately —
 	// their results cannot beat a proven optimum.
 	QP bool
-	// SAPar sizes the parallel-tempering child: the lineup includes one
-	// "sa-par" run with SAPar replicas alongside the SASeeds plain SA runs.
-	// Zero keeps the child with the default ladder size; a negative value
-	// drops it from the lineup (the historical SA-only race).
+	// SAPar sizes the parallel-tempering child, one "sa-par" run alongside
+	// the SASeeds plain SA runs. A positive value races it with SAPar
+	// replicas, cold or warm. Zero races it with the default ladder size
+	// only with a warm hint, where it refines the hint; a cold race then
+	// runs the SA children alone, since polished SA runs reach the child's
+	// cost for less CPU on the measured cold workload (not everywhere: on 4
+	// sites, rndAt16x60 at seed 3 ends 3.1 % and rndAt32x120 at seed 2
+	// 2.5 % costlier without it). A negative value drops it from every
+	// race. The child keeps its index and seed either way, so the SA
+	// children's trajectories do not depend on whether it runs.
 	SAPar int
 }
 
@@ -68,8 +82,13 @@ func (portfolioSolver) Solve(ctx context.Context, m *Model, opts Options) (*Resu
 	if !ok {
 		return nil, fmt.Errorf("vpart: portfolio requires a registered %q solver", "sa")
 	}
+	hint := warmHint(opts)
+	// The sa-par child keeps its index and seed whether or not this race
+	// launches it: a cold race launches it only when SAPar sizes it, a warm
+	// one unless SAPar drops it.
+	saparSlot := opts.Portfolio.SAPar >= 0
 	var saparChild Solver
-	if opts.Portfolio.SAPar >= 0 {
+	if opts.Portfolio.SAPar > 0 || (saparSlot && hint != nil) {
 		saparChild, ok = LookupSolver("sa-par")
 		if !ok {
 			return nil, fmt.Errorf("vpart: portfolio requires a registered %q solver", "sa-par")
@@ -96,16 +115,16 @@ func (portfolioSolver) Solve(ctx context.Context, m *Model, opts Options) (*Resu
 	defer cancel()
 
 	total := n
-	if saparChild != nil {
+	if saparSlot {
 		total++
 	}
 	if qpChild != nil {
 		total++
 	}
 	// Reserve a whole block of derived seeds (one per child of the full race,
-	// including the QP child's SA-seeding run, whether or not this race
-	// launches it) so that later Seed-0 solves in this process
-	// cannot replay one of the children's trajectories. Child i draws
+	// including the sa-par child and the QP child's SA-seeding run, whether
+	// or not this race launches them) so that later Seed-0 solves in this
+	// process cannot replay one of the children's trajectories. Child i draws
 	// seeds.Derive(base, i); the sa-par child's replica seeds derive from its
 	// child seed via seeds.Replica, provably outside every Derive block.
 	base := opts.Seed
@@ -114,15 +133,15 @@ func (portfolioSolver) Solve(ctx context.Context, m *Model, opts Options) (*Resu
 	}
 	// With a warm hint the first SA child and the sa-par child anneal from
 	// the hint (cooler start, local refinement) and the QP child prunes
-	// against it. A hint from a cold solve also races the cold restarts
-	// sa[1..n-1], keeping the race honest: a drifted workload whose old
-	// incumbent traps the warm children in a stale basin is still explored
-	// from scratch. A hint that itself came out of a warm start
+	// against it; a cold race runs sa-par only when SAPar sizes it. A hint
+	// from a cold solve also races the cold restarts sa[1..n-1], keeping the
+	// race honest: a drifted workload whose old incumbent traps the warm
+	// children in a stale basin is still explored from scratch. A hint that
+	// itself came out of a warm start
 	// (Solution.WarmStart) means the last race was won from the basin it
 	// continues, so only the warm-seeded children run. Every child keeps its
 	// index, tag and seed either way, so the narrowed race returns what the
 	// full race would have whenever a warm child wins it.
-	hint := warmHint(opts)
 	saRuns := n
 	if hint != nil && opts.Warm.WarmStart {
 		saRuns = 1
@@ -166,6 +185,8 @@ func (portfolioSolver) Solve(ctx context.Context, m *Model, opts Options) (*Resu
 		childOpts.WarmDirty = nil
 		childOpts.Progress = retag(opts.Progress, "portfolio/sa-par")
 		lineup = append(lineup, child{next, "sa-par", saparChild, childOpts})
+	}
+	if saparSlot {
 		next++
 	}
 	if qpChild != nil {
@@ -188,6 +209,9 @@ func (portfolioSolver) Solve(ctx context.Context, m *Model, opts Options) (*Resu
 		c.opts.Progress = c.opts.Progress.Until(runCtx)
 		go func() {
 			res, err := c.s.Solve(runCtx, m, c.opts)
+			if err == nil {
+				err = polishChild(runCtx, m, res, opts.Disjoint)
+			}
 			outcomes <- childOutcome{idx: c.idx, tag: c.tag, res: res, err: err}
 		}()
 	}
@@ -287,6 +311,30 @@ func (portfolioSolver) Solve(ctx context.Context, m *Model, opts Options) (*Resu
 	out.TimedOut = timedOut && !best.res.Optimal
 	out.Iterations = iterations
 	return &out, nil
+}
+
+// polishChild moves a child's layout to a local optimum over the model the
+// child solved (core.Polish) and re-evaluates its cost, so the race compares
+// polished layouts. A proven gap-free optimum has no improving move and is
+// left as it is. The polish is leaf work: it holds one slot of the shared
+// budget, like an SA run.
+func polishChild(ctx context.Context, m *Model, res *Result, disjoint bool) error {
+	if res == nil || res.Partitioning == nil || (res.Optimal && res.Gap <= 1e-12) {
+		return nil
+	}
+	if err := solverBudget.Acquire(ctx); err != nil {
+		return fmt.Errorf("vpart: %w", err)
+	}
+	defer solverBudget.Release()
+	p, moves, err := core.Polish(ctx, m, res.Partitioning, disjoint)
+	if err != nil {
+		return err
+	}
+	if moves > 0 {
+		res.Partitioning = p
+		res.Cost = m.Evaluate(p)
+	}
+	return nil
 }
 
 // retag returns a ProgressFunc that overrides the event's solver tag before

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"vpart"
+	"vpart/internal/core"
 	"vpart/internal/seeds"
 )
 
@@ -47,10 +48,11 @@ func TestPortfolioFixedSeedBitIdentical(t *testing.T) {
 
 // TestWarmPortfolioMatchesWarmChildren: a portfolio warm-started from a hint
 // that itself came out of a warm start races only its warm-seeded children,
-// each with the index and seed it has in the full race. Its result must
-// therefore equal the better of two direct solves from the same hint — sa at
-// the first child's seed and sa-par at the seed after the SA block, ties to
-// sa — bit for bit, and no cold sa[i] child may run.
+// each with the index and seed it has in the full race, and polishes each
+// child's layout before the race compares them. Its result must therefore
+// equal the better of two direct solves from the same hint, each polished
+// the same way — sa at the first child's seed and sa-par at the seed after
+// the SA block, ties to sa — bit for bit, and no cold sa[i] child may run.
 func TestWarmPortfolioMatchesWarmChildren(t *testing.T) {
 	ctx := context.Background()
 	rnd64, err := vpart.RandomInstance(vpart.ClassA(64, 200, 10), 1)
@@ -81,16 +83,16 @@ func TestWarmPortfolioMatchesWarmChildren(t *testing.T) {
 			if !hint.WarmStart {
 				t.Fatal("the hint's own solve did not come out of its warm start")
 			}
-			direct := func(solver string, seed int64) *vpart.Solution {
+			direct := func(solver string, seed int64) racedChild {
 				sol, err := vpart.Solve(ctx, tc.inst, vpart.Options{Sites: tc.sites, Solver: solver, Seed: seed, Warm: hint})
 				if err != nil {
 					t.Fatal(err)
 				}
-				return sol
+				return polishAsRaced(t, solver, sol)
 			}
 			want := direct("sa", seeds.Derive(1, 0))
 			if tc.saPar >= 0 {
-				if par := direct("sa-par", seeds.Derive(1, vpart.DefaultPortfolioSASeeds)); par.Cost.Balanced < want.Cost.Balanced-1e-12 {
+				if par := direct("sa-par", seeds.Derive(1, vpart.DefaultPortfolioSASeeds)); par.raceCost < want.raceCost-1e-12 {
 					want = par
 				}
 			}
@@ -120,14 +122,43 @@ func TestWarmPortfolioMatchesWarmChildren(t *testing.T) {
 			if !sol.WarmStart {
 				t.Error("a warm-only race returned a result without WarmStart")
 			}
-			if math.Float64bits(sol.Cost.Balanced) != math.Float64bits(want.Cost.Balanced) {
-				t.Errorf("portfolio cost %v, want the direct %s solve's %v", sol.Cost.Balanced, want.Solver, want.Cost.Balanced)
+			if math.Float64bits(sol.Cost.Balanced) != math.Float64bits(want.cost) {
+				t.Errorf("portfolio cost %v, want the polished direct %s solve's %v", sol.Cost.Balanced, want.solver, want.cost)
 			}
-			if !reflect.DeepEqual(sol.Partitioning, want.Partitioning) {
-				t.Errorf("portfolio layout differs from the direct %s solve's", want.Solver)
+			if !reflect.DeepEqual(sol.Partitioning, want.layout) {
+				t.Errorf("portfolio layout differs from the polished direct %s solve's", want.solver)
 			}
 		})
 	}
+}
+
+// racedChild is a direct solve polished as the portfolio polishes a child:
+// raceCost is the cost the race compares, over the model the child solved;
+// layout and cost are the result over the original instance.
+type racedChild struct {
+	solver   string
+	raceCost float64
+	layout   *vpart.Partitioning
+	cost     float64
+}
+
+// polishAsRaced polishes an unconstrained solve's layout over the grouped
+// model the solve searched, as a portfolio child's is, and expands it back.
+func polishAsRaced(t *testing.T, solver string, sol *vpart.Solution) racedChild {
+	t.Helper()
+	g, m, p := searchSpace(t, sol, nil, false)
+	q, _, err := core.Polish(context.Background(), m, p, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := racedChild{solver: solver, raceCost: m.Evaluate(q).Balanced, layout: q}
+	if g != nil {
+		if out.layout, err = g.Expand(m, sol.Model, q); err != nil {
+			t.Fatal(err)
+		}
+	}
+	out.cost = sol.Model.Evaluate(out.layout).Balanced
+	return out
 }
 
 // TestPortfolioNoProgressAfterReturn cancels a portfolio run and requires
