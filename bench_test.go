@@ -7,7 +7,6 @@ package vpart_test
 
 import (
 	"context"
-	"syscall"
 	"testing"
 	"time"
 
@@ -319,16 +318,6 @@ func BenchmarkColdLineup(b *testing.B) {
 			b.ReportMetric((processCPUSeconds(b)-cpu0)/solves, "cpu-s/solve")
 		})
 	}
-}
-
-// processCPUSeconds returns the CPU time the process has used, user and
-// system, in seconds.
-func processCPUSeconds(b *testing.B) float64 {
-	var ru syscall.Rusage
-	if err := syscall.Getrusage(syscall.RUSAGE_SELF, &ru); err != nil {
-		b.Fatal(err)
-	}
-	return time.Duration(ru.Utime.Nano() + ru.Stime.Nano()).Seconds()
 }
 
 // BenchmarkQPSolverTPCC measures a full exact QP solve of TPC-C onto 2 sites.

@@ -128,6 +128,7 @@ func (d decomposeSolver) Solve(ctx context.Context, m *Model, opts Options) (*Re
 		Progress: opts.Progress,
 		Disjoint: opts.Disjoint,
 		Budget:   solverBudget,
+		Deadline: deadline,
 		SolveShard: func(ctx context.Context, shard int, sm *Model, warm *Partitioning, prog ProgressFunc) (*decompose.ShardOutcome, error) {
 			shardOpts := opts
 			shardOpts.Solver = name

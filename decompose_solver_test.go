@@ -15,43 +15,68 @@ import (
 // TestDecomposeSingleComponentBitIdentical is the equivalence contract of the
 // decompose pipeline: on a single-component instance the wrapped solve runs
 // the inner solver on exactly the model the direct solve uses, with exactly
-// the same seed, so partitioning and cost breakdown must match bit for bit.
+// the same seed, and leaves its layout as it is, so partitioning and cost
+// breakdown must match bit for bit. The rndAt64x200 row's sa result holds
+// an improving single move, so a polish of the one-shard merge would break
+// the match.
 func TestDecomposeSingleComponentBitIdentical(t *testing.T) {
-	inst := vpart.TPCC()
-	d, err := vpart.DecomposeInstance(inst, true)
+	rnd64, err := vpart.RandomInstance(vpart.ClassA(64, 200, 10), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.NumShards() != 1 {
-		t.Fatalf("TPC-C decomposed into %d shards, want 1", d.NumShards())
-	}
+	for _, row := range []struct {
+		name      string
+		inst      *vpart.Instance
+		sites     int
+		seed      int64
+		improving bool // the direct result holds an improving single move
+	}{
+		{"tpcc/3", vpart.TPCC(), 3, 7, false},
+		{"rndAt64x200/8", rnd64, 8, 1, true},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			d, err := vpart.DecomposeInstance(row.inst, true)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d.NumShards() != 1 {
+				t.Fatalf("%s decomposed into %d shards, want 1", row.name, d.NumShards())
+			}
 
-	direct, err := vpart.Solve(context.Background(), inst, vpart.Options{
-		Sites: 3, Solver: "sa", Seed: 7,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wrapped, err := vpart.Solve(context.Background(), inst, vpart.Options{
-		Sites: 3, Solver: "sa", Seed: 7, Preprocess: vpart.PreprocessDecompose,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if wrapped.Solver != "decompose/sa" {
-		t.Errorf("wrapped solver = %q, want decompose/sa", wrapped.Solver)
-	}
-	if len(wrapped.Shards) != 1 {
-		t.Fatalf("wrapped solve reports %d shards, want 1", len(wrapped.Shards))
-	}
-	if !reflect.DeepEqual(direct.Partitioning, wrapped.Partitioning) {
-		t.Error("partitionings differ between direct and decompose-wrapped solve")
-	}
-	if !reflect.DeepEqual(direct.Cost, wrapped.Cost) {
-		t.Errorf("cost breakdowns differ:\n direct  %+v\n wrapped %+v", direct.Cost, wrapped.Cost)
-	}
-	if direct.Seed != wrapped.Seed {
-		t.Errorf("seeds differ: direct %d, wrapped %d", direct.Seed, wrapped.Seed)
+			direct, err := vpart.Solve(context.Background(), row.inst, vpart.Options{
+				Sites: row.sites, Solver: "sa", Seed: row.seed,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if row.improving {
+				_, m, p := searchSpace(t, direct, nil, false)
+				if improvingMove(m, p) == "" {
+					t.Fatal("the direct sa result holds no improving move; the row no longer tells a polished merge apart")
+				}
+			}
+			wrapped, err := vpart.Solve(context.Background(), row.inst, vpart.Options{
+				Sites: row.sites, Solver: "sa", Seed: row.seed, Preprocess: vpart.PreprocessDecompose,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if wrapped.Solver != "decompose/sa" {
+				t.Errorf("wrapped solver = %q, want decompose/sa", wrapped.Solver)
+			}
+			if len(wrapped.Shards) != 1 {
+				t.Fatalf("wrapped solve reports %d shards, want 1", len(wrapped.Shards))
+			}
+			if !reflect.DeepEqual(direct.Partitioning, wrapped.Partitioning) {
+				t.Error("partitionings differ between direct and decompose-wrapped solve")
+			}
+			if !reflect.DeepEqual(direct.Cost, wrapped.Cost) {
+				t.Errorf("cost breakdowns differ:\n direct  %+v\n wrapped %+v", direct.Cost, wrapped.Cost)
+			}
+			if direct.Seed != wrapped.Seed {
+				t.Errorf("seeds differ: direct %d, wrapped %d", direct.Seed, wrapped.Seed)
+			}
+		})
 	}
 }
 

@@ -50,17 +50,19 @@
 // are raced or merged, they are polished to a local optimum: the portfolio
 // polishes every child's layout over the model the child solved before the
 // race compares them, and the decompose meta-solver polishes the merged
-// layout, because the balance term of objective (6) couples shards that
-// were solved apart. The polish sweeps, in index order, the drops of a
+// layout of several shards, because the balance term of objective (6)
+// couples shards that were solved apart. A one-shard decompose run returns
+// its inner solver's layout as it is, so it equals the direct solve. The polish sweeps, in index order, the drops of a
 // replica no transaction on its site reads and the relocations of a
 // transaction with the read replicas it needs, priced with the incremental
 // Evaluator, commits every move that lowers the balanced cost by more than
 // 1e-9 relative and stops when a sweep commits nothing. An added replica
 // never lowers (6) on its own, so additions are only priced as part of a
 // relocation. Placement constraints, colocation groups and site capacities
-// bound every move. The polish is skipped in disjoint mode, on one site and
-// for a proven gap-free optimum, and it holds one slot of the shared solver
-// budget. The "sa", "sa-par" and "qp" solvers return the paper's layouts
+// bound every move. The polish is skipped in disjoint mode, on one site,
+// for a proven gap-free optimum and for a search that timed out; it stops at
+// the end of Options.TimeLimit with the layout it holds, and it holds one
+// slot of the shared solver budget. The "sa", "sa-par" and "qp" solvers return the paper's layouts
 // unpolished.
 //
 // The cold portfolio lineup rests on that polish: four polished SA runs

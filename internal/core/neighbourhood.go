@@ -16,8 +16,9 @@ const (
 )
 
 // Move is one single move of a Neighbourhood: X is the transaction of a
-// MoveTxn and the unit representative (the lowest attribute id of the unit)
-// of an AddUnit or DropUnit; Site is the move's target site.
+// MoveTxn, any member of the unit of an AddUnit, and the unit representative
+// (the lowest attribute id of the unit) of a DropUnit; Site is the move's
+// target site.
 type Move struct {
 	Kind MoveKind
 	X    int
@@ -48,7 +49,7 @@ type Neighbourhood struct {
 	// first drop a caller asks about.
 	readers [][]int32
 
-	buf []int // CanDragReads: pending additions of one relocation
+	buf []int // canRelocate: pending additions of one relocation
 }
 
 // NewNeighbourhood builds the unit and drag tables of the model.
@@ -89,17 +90,17 @@ func NewNeighbourhood(m *Model) *Neighbourhood {
 //vpart:noalloc
 func (n *Neighbourhood) Unit(a int) []int32 { return n.units[a] }
 
-// CanDragReads reports whether relocating transaction t to site st can
-// legally drag along every missing read attribute and the colocation
-// partners that must follow them: each addition admitted by
-// Evaluator.AllowAddReplica, no separation among the pending additions
+// canRelocate reports whether the constraints allow transaction t on site
+// st and let the relocation legally drag along every missing read attribute
+// and the colocation partners that must follow them: each addition admitted
+// by Evaluator.AllowAddReplica, no separation among the pending additions
 // themselves, and their combined widths within st's remaining capacity.
-// Without constraints every relocation can.
+// The model must be constrained; without constraints every relocation can.
 //
 //vpart:noalloc
-func (n *Neighbourhood) CanDragReads(ev *Evaluator, t, st int) bool {
-	if n.cs == nil {
-		return true
+func (n *Neighbourhood) canRelocate(ev *Evaluator, t, st int) bool {
+	if !ev.AllowMoveTxn(t, st) {
+		return false
 	}
 	p := ev.Partitioning()
 	var need int64
@@ -130,16 +131,14 @@ func (n *Neighbourhood) CanDragReads(ev *Evaluator, t, st int) bool {
 	return headroom < 0 || need <= headroom
 }
 
-// CanExtendUnit reports whether the whole unit of attribute a, which is
+// canExtendUnit reports whether the whole unit of attribute a, which is
 // missing on site st, may gain a replica there: each addition admitted by
 // Evaluator.AllowAddReplica and their summed width within st's remaining
-// capacity. Without constraints every unit may.
+// capacity. The model must be constrained; without constraints every unit
+// may.
 //
 //vpart:noalloc
-func (n *Neighbourhood) CanExtendUnit(ev *Evaluator, a, st int) bool {
-	if n.cs == nil {
-		return true
-	}
+func (n *Neighbourhood) canExtendUnit(ev *Evaluator, a, st int) bool {
 	p := ev.Partitioning()
 	var need int64
 	for _, b := range n.units[a] {
@@ -208,20 +207,50 @@ func (n *Neighbourhood) buildReaders() {
 // Admissible reports whether the move applies to the evaluator's layout and
 // keeps it feasible: a MoveTxn changes the transaction's site, the site is
 // allowed for it and every replica it drags along is admissible; an AddUnit
-// extends a unit representative to a site it lacks, within the constraints;
-// a DropUnit removes a unit representative's replicas from a site on which
-// each member has a replica, another one elsewhere and no reader, and where
-// Evaluator.AllowDropReplica admits the removal.
+// extends the unit of X, which may name any member, to a site X lacks,
+// within the constraints; a DropUnit removes a unit representative's
+// replicas from a site on which each member has a replica, another one
+// elsewhere and no reader, and where Evaluator.AllowDropReplica admits the
+// removal. It is the one admission check of the SA perturbation and the
+// polish.
 func (n *Neighbourhood) Admissible(ev *Evaluator, mv Move) bool {
-	p := ev.Partitioning()
 	switch mv.Kind {
 	case MoveTxn:
-		return p.TxnSite[mv.X] != mv.Site && ev.AllowMoveTxn(mv.X, mv.Site) && n.CanDragReads(ev, mv.X, mv.Site)
+		return n.canMoveTxn(ev, mv.X, mv.Site)
 	case AddUnit:
-		return int(n.units[mv.X][0]) == mv.X && !p.AttrSites[mv.X][mv.Site] && n.CanExtendUnit(ev, mv.X, mv.Site)
+		return n.canAddUnit(ev, mv.X, mv.Site)
 	default:
 		return int(n.units[mv.X][0]) == mv.X && n.canShrinkUnit(ev, mv.X, mv.Site)
 	}
+}
+
+// AddSites resets dst and appends, ascending, every site st for which the
+// AddUnit move of attribute a to st is admissible: the sites the unit may
+// extend to. It returns the extended slice.
+//
+//vpart:noalloc
+func (n *Neighbourhood) AddSites(ev *Evaluator, a int, dst []int) []int {
+	dst = dst[:0]
+	for st := range ev.Partitioning().AttrSites[a] {
+		if n.canAddUnit(ev, a, st) {
+			dst = append(dst, st)
+		}
+	}
+	return dst
+}
+
+// canMoveTxn is Admissible for the MoveTxn of transaction t to site st.
+//
+//vpart:noalloc
+func (n *Neighbourhood) canMoveTxn(ev *Evaluator, t, st int) bool {
+	return ev.p.TxnSite[t] != st && (n.cs == nil || n.canRelocate(ev, t, st))
+}
+
+// canAddUnit is Admissible for the AddUnit of attribute a to site st.
+//
+//vpart:noalloc
+func (n *Neighbourhood) canAddUnit(ev *Evaluator, a, st int) bool {
+	return !ev.p.AttrSites[a][st] && (n.cs == nil || n.canExtendUnit(ev, a, st))
 }
 
 // Apply applies an admissible move to the evaluator as its typed sub-moves

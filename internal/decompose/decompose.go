@@ -111,6 +111,9 @@ type Options struct {
 	// Budget, when non-nil, is the compute budget the merged layout's polish
 	// holds one slot of while it runs.
 	Budget *conc.Budget
+	// Deadline, when non-zero, is the end of the run's time budget: the
+	// merged layout's polish stops there with the layout it holds.
+	Deadline time.Time
 }
 
 // Result is the outcome of a decompose run over the source model.
@@ -129,7 +132,9 @@ type Result struct {
 	// Optimal reports whether the merged solution is proven optimal: only
 	// when there is a single shard whose inner solve was optimal (per-shard
 	// optima do not compose through the load-balancing term for λ < 1).
-	// Every other merged layout is polished.
+	// A merge of several shards is polished unless a shard timed out; a
+	// single shard's layout is returned as its inner solver left it, so a
+	// one-component run equals the direct solve.
 	Optimal bool
 	// TimedOut reports whether any shard's search was cut short.
 	TimedOut bool
@@ -346,10 +351,11 @@ feed:
 		return nil, err
 	}
 	res.Optimal = n == 1 && states[0].outcome.Optimal
-	if !res.Optimal {
+	if n > 1 && !res.TimedOut {
 		// Objective (6)'s balance term couples the shards through the sites
 		// they share, so a merge of shards solved apart can still hold single
-		// moves that pay; polish them out over the model that was split.
+		// moves that pay; polish them out over the model that was split. A
+		// timed-out run has spent its budget and keeps the merge as it is.
 		merged, cost, err = polishMerged(ctx, m, merged, cost, opts)
 		if err != nil {
 			return nil, err
@@ -370,12 +376,17 @@ feed:
 
 // polishMerged returns the merged layout moved to a local optimum over the
 // source model (core.Polish) with its cost, holding one slot of the budget
-// while the polish runs.
+// while the polish runs. The polish stops at opts.Deadline.
 func polishMerged(ctx context.Context, m *core.Model, merged *core.Partitioning, cost core.Cost, opts Options) (*core.Partitioning, core.Cost, error) {
 	if err := opts.Budget.Acquire(ctx); err != nil {
 		return nil, cost, fmt.Errorf("decompose: %w", err)
 	}
 	defer opts.Budget.Release()
+	if !opts.Deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, opts.Deadline)
+		defer cancel()
+	}
 	p, moves, err := core.Polish(ctx, m, merged, opts.Disjoint)
 	if err != nil || moves == 0 {
 		return merged, cost, err

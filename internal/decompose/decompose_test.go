@@ -5,10 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"vpart/internal/core"
 	"vpart/internal/progress"
@@ -265,5 +267,64 @@ func TestSolveShardErrorAttribution(t *testing.T) {
 	}
 	if errors.Is(err, context.Canceled) {
 		t.Fatalf("root-cause error %v misclassified as a cancellation", err)
+	}
+}
+
+// TestSolvePolishesOnlyAnUncutMerge: the merge of several shards is polished
+// (every shard here replicates each attribute to both sites, so dropping the
+// copies no reader needs pays), but the merged layout is returned exactly as
+// the shards left it when there is one shard (a wrapped one-component solve
+// equals the direct one), when a shard timed out, or when the deadline has
+// passed (the time budget is spent).
+func TestSolvePolishesOnlyAnUncutMerge(t *testing.T) {
+	for _, row := range []struct {
+		name     string
+		banks    int
+		timedOut int // the shard that reports TimedOut, or -1
+		deadline time.Time
+		polished bool
+	}{
+		{"several-shards", 3, -1, time.Time{}, true},
+		{"before-deadline", 3, -1, time.Now().Add(time.Hour), true},
+		{"one-shard", 1, -1, time.Time{}, false},
+		{"shard-timed-out", 3, 1, time.Time{}, false},
+		{"deadline-passed", 3, -1, time.Now().Add(-time.Second), false},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			m := testModel(t, multiInstance(row.banks))
+			parts := make([]*core.Partitioning, row.banks)
+			res, err := Solve(context.Background(), m, Options{
+				Workers:  1,
+				Deadline: row.deadline,
+				SolveShard: func(ctx context.Context, shard int, sm *core.Model, warm *core.Partitioning, prog progress.Func) (*ShardOutcome, error) {
+					p := core.FullReplication(sm, 2)
+					parts[shard] = p.Clone()
+					return &ShardOutcome{Partitioning: p, Cost: sm.Evaluate(p), Solver: "stub", TimedOut: shard == row.timedOut}, nil
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			d, err := core.DecomposeModel(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plain, plainCost, err := d.MergeSolutions(m, parts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, moves, _ := core.Polish(context.Background(), m, plain, false); moves == 0 {
+				t.Fatal("the plain merge holds no improving move, so the row cannot tell a polished merge apart")
+			}
+			if got := reflect.DeepEqual(res.Partitioning, plain); got == row.polished {
+				t.Errorf("merged layout equals the plain merge: %v, want %v", got, !row.polished)
+			}
+			if row.polished && res.Cost.Balanced >= plainCost.Balanced {
+				t.Errorf("polished cost %v does not undercut the plain merge's %v", res.Cost.Balanced, plainCost.Balanced)
+			}
+			if direct := m.Evaluate(res.Partitioning); !reflect.DeepEqual(direct, res.Cost) {
+				t.Errorf("recorded cost %+v is not the evaluation %+v of the layout", res.Cost, direct)
+			}
+		})
 	}
 }

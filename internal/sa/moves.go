@@ -53,19 +53,15 @@ func (s *solver) perturb(rng *rand.Rand, ev *core.Evaluator) float64 {
 		n := moveCount(len(p.TxnSite), s.opts.moveFraction())
 		for i := 0; i < n; i++ {
 			t := rng.Intn(len(p.TxnSite))
-			st := rng.Intn(s.sites)
-			if st == p.TxnSite[t] {
-				continue
+			// The target site must differ, be allowed for the transaction,
+			// and admit every replica the relocation drags along (its read
+			// set plus their colocation partners). Checked before the first
+			// sub-move is applied, so a rejected relocation leaves no
+			// partial batch to unwind.
+			mv := core.Move{Kind: core.MoveTxn, X: t, Site: rng.Intn(s.sites)}
+			if s.nb.Admissible(ev, mv) {
+				delta += s.nb.Apply(ev, mv)
 			}
-			// Under constraints the target site must be allowed for the
-			// transaction, and the replica additions the relocation drags
-			// along (its read set plus their colocation partners) must all
-			// be admissible. Checked before the first sub-move is applied,
-			// so a rejected relocation leaves no partial batch to unwind.
-			if s.cs != nil && (!ev.AllowMoveTxn(t, st) || !s.nb.CanDragReads(ev, t, st)) {
-				continue
-			}
-			delta += s.nb.Apply(ev, core.Move{Kind: core.MoveTxn, X: t, Site: st})
 		}
 	}
 
@@ -91,12 +87,7 @@ func (s *solver) perturb(rng *rand.Rand, ev *core.Evaluator) float64 {
 		// Candidate sites are the missing ones the whole unit (the attribute
 		// plus its colocation partners) may extend to, so the hot loop never
 		// proposes a dead replica move.
-		s.missing = s.missing[:0]
-		for st, on := range p.AttrSites[a] {
-			if !on && (s.cs == nil || s.nb.CanExtendUnit(ev, a, st)) {
-				s.missing = append(s.missing, st)
-			}
-		}
+		s.missing = s.nb.AddSites(ev, a, s.missing)
 		if len(s.missing) == 0 {
 			continue
 		}

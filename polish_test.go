@@ -13,7 +13,8 @@ import (
 )
 
 // TestRacedResultHasNoImprovingMove: a portfolio or decompose solve polishes
-// the layouts it races or merges, so its result, taken in the space the
+// the layouts it races or merges (a one-shard decompose run returns its inner
+// portfolio's polished layout), so its result, taken in the space the
 // solver searched (the grouped model unless grouping is off), admits no
 // single move that lowers the balanced cost by more than 1e-9 relative: no
 // drop of a unit's replica from a site none of its readers runs on, no added

@@ -74,6 +74,11 @@ type childOutcome struct {
 
 func (portfolioSolver) Solve(ctx context.Context, m *Model, opts Options) (*Result, error) {
 	start := time.Now()
+	// The children's polishes end where their searches' time budget does.
+	var deadline time.Time
+	if opts.TimeLimit > 0 {
+		deadline = start.Add(opts.TimeLimit)
+	}
 	n := opts.Portfolio.SASeeds
 	if n <= 0 {
 		n = DefaultPortfolioSASeeds
@@ -210,7 +215,7 @@ func (portfolioSolver) Solve(ctx context.Context, m *Model, opts Options) (*Resu
 		go func() {
 			res, err := c.s.Solve(runCtx, m, c.opts)
 			if err == nil {
-				err = polishChild(runCtx, m, res, opts.Disjoint)
+				err = polishChild(runCtx, m, res, opts.Disjoint, deadline)
 			}
 			outcomes <- childOutcome{idx: c.idx, tag: c.tag, res: res, err: err}
 		}()
@@ -315,17 +320,23 @@ func (portfolioSolver) Solve(ctx context.Context, m *Model, opts Options) (*Resu
 
 // polishChild moves a child's layout to a local optimum over the model the
 // child solved (core.Polish) and re-evaluates its cost, so the race compares
-// polished layouts. A proven gap-free optimum has no improving move and is
-// left as it is. The polish is leaf work: it holds one slot of the shared
-// budget, like an SA run.
-func polishChild(ctx context.Context, m *Model, res *Result, disjoint bool) error {
-	if res == nil || res.Partitioning == nil || (res.Optimal && res.Gap <= 1e-12) {
+// polished layouts. A proven gap-free optimum has no improving move, and a
+// timed-out child has spent the time budget: both are left as they are. The
+// polish stops at deadline when it is non-zero. It is leaf work: it holds
+// one slot of the shared budget, like an SA run.
+func polishChild(ctx context.Context, m *Model, res *Result, disjoint bool, deadline time.Time) error {
+	if res == nil || res.Partitioning == nil || res.TimedOut || (res.Optimal && res.Gap <= 1e-12) {
 		return nil
 	}
 	if err := solverBudget.Acquire(ctx); err != nil {
 		return fmt.Errorf("vpart: %w", err)
 	}
 	defer solverBudget.Release()
+	if !deadline.IsZero() {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithDeadline(ctx, deadline)
+		defer cancel()
+	}
 	p, moves, err := core.Polish(ctx, m, res.Partitioning, disjoint)
 	if err != nil {
 		return err
